@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -149,9 +150,21 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
 # -- min-norm optimizer -------------------------------------------------------
 
 
+# largest radial nodes x angular nodes x basis size the optimizer accepts
+_GRID_BUDGET = 40_000_000
+
+
 class _SliceProblem:
     """Quadrature discretization of ||phi||_p^p over the span, with the
-    affine constraint phi(z) = 1 handled by projection/retraction."""
+    affine constraint phi(z) = 1 handled by projection/retraction.
+
+    The nodes are the tensor product of R radial nodes and A angles on a
+    uniform grid, and the weights depend on the radial node only. At node
+    (r, theta) a monomial factors as z^a = r^a e^{i a.theta}, so the problem
+    keeps a real radial power matrix P (R x K) and an angular character
+    matrix E (K x A) in place of their (R*A) x K product: phi on the grid is
+    the R x A array (P * c) @ E.
+    """
 
     def __init__(self, D: BoundedDomain, basis: BasisSpec, z: np.ndarray, p: float, cfg: OptimizerConfig):
         if D.radial_profile is None:
@@ -160,15 +173,20 @@ class _SliceProblem:
         maxdeg = max(sum(abs(e) for e in a) for a in basis.indices)
         m_theta = cfg.angular_nodes if cfg.angular_nodes is not None else max(2 * maxdeg + 1, 9)
         n = D.dimension
-        if radii.shape[0] * m_theta**n * basis.size > 40_000_000:
-            raise ConfigError("optimizer grid too large; reduce nodes or basis degree")
+        n_radial, n_angular = radii.shape[0], m_theta**n
+        if n_radial * n_angular * basis.size > _GRID_BUDGET:
+            raise ConfigError(
+                f"optimizer grid of {n_radial} radial x {n_angular} angular nodes for {basis.size} "
+                f"basis elements exceeds the limit of {_GRID_BUDGET} node-elements; "
+                "reduce nodes or basis degree"
+            )
         theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
         phase = np.exp(1j * theta)
-        combos = np.stack(np.meshgrid(*([phase] * n), indexing="ij"), axis=-1).reshape(-1, n)
-        nodes = np.repeat(radii, combos.shape[0], axis=0) * np.tile(combos, (radii.shape[0], 1))
-        polar = np.prod(radii, axis=1) * wts
-        self.w = np.repeat(polar, combos.shape[0]) * (2.0 * math.pi / m_theta) ** n
-        self.B = _monomial_values(nodes, basis.indices)
+        self.phases = np.stack(np.meshgrid(*([phase] * n), indexing="ij"), axis=-1).reshape(-1, n)
+        self.indices = basis.indices
+        self.w = np.prod(radii, axis=1) * wts * (2.0 * math.pi / m_theta) ** n
+        self.P = _monomial_values(radii, basis.indices).real
+        self.E = np.ascontiguousarray(_monomial_values(self.phases, basis.indices).T)
         self.bz = _monomial_values(z.reshape(1, -1), basis.indices)[0]
         self.bz_norm2 = float(np.sum(np.abs(self.bz) ** 2))
         if self.bz_norm2 <= _Z_TINY:
@@ -181,14 +199,49 @@ class _SliceProblem:
     def project(self, v: np.ndarray) -> np.ndarray:
         return v - ((v @ self.bz) / self.bz_norm2) * np.conj(self.bz)
 
+    def phi(self, c: np.ndarray) -> np.ndarray:
+        # P is real, so it multiplies the re/im parts of c_k E_kt in real arithmetic
+        return (self.P @ (c[:, None] * self.E).view(float)).view(complex)
+
     def norm_p(self, c: np.ndarray, eps2: float = 0.0) -> float:
-        a2 = np.abs(self.B @ c) ** 2 + eps2
-        return float(np.dot(self.w, a2 ** (self.p / 2.0)))
+        a2 = np.abs(self.phi(c)) ** 2 + eps2
+        return float(self.w @ np.sum(a2 ** (self.p / 2.0), axis=1))
 
     def grad(self, c: np.ndarray, eps2: float) -> np.ndarray:
-        phi = self.B @ c
+        phi = self.phi(c)
         a2 = np.abs(phi) ** 2 + eps2
-        return (self.p / 2.0) * (self.B.conj().T @ (self.w * a2 ** (self.p / 2.0 - 1.0) * phi))
+        X = a2 ** (self.p / 2.0 - 1.0) * phi
+        W = ((self.P.T * self.w) @ X.view(float)).view(complex)  # K x A
+        return (self.p / 2.0) * np.sum(np.conj(self.E) * W, axis=1)
+
+    @cached_property
+    def _difference_groups(self):
+        """Angular characters e^{i d.theta} at the distinct index differences
+        d = b - a, as an A x 2D real array (re, im of each d side by side), and
+        per difference the flattened pairs (a, b) with b - a = d together with
+        their radial weights w_r P_ra P_rb (pairs x R)."""
+        alpha = np.array(self.indices)
+        K, n = alpha.shape
+        diffs, pos = np.unique((alpha[None, :, :] - alpha[:, None, :]).reshape(-1, n), axis=0, return_inverse=True)
+        pos = pos.reshape(-1)
+        chars = _monomial_values(self.phases, diffs).view(float)
+        pair_weights = (self.P[:, :, None] * self.P[:, None, :]).reshape(-1, K * K).T * self.w
+        pairs = np.split(np.argsort(pos, kind="stable"), np.cumsum(np.bincount(pos))[:-1])
+        return chars, [(j, pair_weights[j]) for j in pairs]
+
+    def irls_matrix(self, c: np.ndarray, eps2: float) -> np.ndarray:
+        """M = B^H diag(w (|phi|^2 + eps2)^(p/2-1)) B for the dense node
+        matrix B, assembled as M_ab = sum_r w_r P_ra P_rb F_r[b - a], where
+        F_r[d] = sum_theta (|phi|^2 + eps2)^(p/2-1) e^{i d.theta} is the
+        angular transform of the weights at the distinct differences d."""
+        chars, groups = self._difference_groups
+        u = (np.abs(self.phi(c)) ** 2 + eps2) ** (self.p / 2.0 - 1.0)
+        F = u @ chars  # R x 2D: re, im of F_r[d] side by side
+        K = self.P.shape[1]
+        M = np.empty((K * K, 2))
+        for d, (j, weights) in enumerate(groups):
+            M[j] = weights @ F[:, 2 * d : 2 * d + 2]
+        return M.view(complex).reshape(K, K)
 
 
 def _irls(prob: _SliceProblem, c0: np.ndarray, cfg: OptimizerConfig):
@@ -201,8 +254,7 @@ def _irls(prob: _SliceProblem, c0: np.ndarray, cfg: OptimizerConfig):
     For p >= 1 the problem is convex and the minimum is global.
     """
     p = prob.p
-    B, w, bz = prob.B, prob.w, prob.bz
-    a = np.conj(bz)
+    a = np.conj(prob.bz)
     c = prob.retract(c0.astype(complex))
     it = 0
     inner_cap = max(10, cfg.max_iters // 8)
@@ -213,9 +265,7 @@ def _irls(prob: _SliceProblem, c0: np.ndarray, cfg: OptimizerConfig):
         s_sm = prob.norm_p(c, eps2)
         for _ in range(inner_cap):
             it += 1
-            a2 = np.abs(B @ c) ** 2 + eps2
-            m = w * a2 ** (p / 2.0 - 1.0)
-            M = (B.conj().T * m) @ B
+            M = prob.irls_matrix(c, eps2)
             M.flat[:: M.shape[0] + 1] += 1e-14 * np.trace(M).real / M.shape[0]
             try:
                 Ma = np.linalg.solve(M, a)
@@ -287,8 +337,10 @@ def pbergman_min_norm(
     e_a / z^a (each feasible), any warm starts from the caller, and seeded
     random restarts; the reported value dominates every start's certificate
     value |phi(z)|^2/||phi||_p^2, so single-candidate lower bounds are never
-    lost. For p >= 1 the problem is convex; for p < 1 only multi-start is
-    attempted and no global claim is made.
+    lost. The optimizer (reweighted least squares for p < 2, Barzilai-Borwein
+    descent for p >= 2) runs from the 3 starts with the best certificates
+    when p >= 1, where the problem is convex, and from every start when
+    p < 1, where only multi-start is attempted and no global claim is made.
     """
     p = basis.p if p is None else float(p)
     cfg = cfg or OptimizerConfig()
@@ -336,16 +388,14 @@ def pbergman_min_norm(
     best_norm_p = min(certs)  # certificates: every start is feasible
     best_grad = math.inf
     total_iters = 0
-    if p < 2.0:
-        # convex for p >= 1, so one reweighted-LS run finds the global
-        # minimum; below 1 every start is tried
-        order = np.argsort(certs)
-        chosen = order if p < 1.0 else order[:3]
-        runs = [(_irls, retracted[i]) for i in chosen]
-    else:
-        runs = [(_descend, c0) for c0 in retracted]
-    for method, c0 in runs:
-        c, s_final, grad_norm, it = method(prob, c0, cfg)
+    # for p >= 1 the problem is convex, so runs from different starts end at
+    # the same minimum and the 3 best certificates suffice; below 1 every
+    # start is tried
+    order = np.argsort(certs)
+    chosen = order if p < 1.0 else order[:3]
+    method = _irls if p < 2.0 else _descend
+    for i in chosen:
+        c, s_final, grad_norm, it = method(prob, retracted[i], cfg)
         total_iters += it
         if s_final < best_norm_p:
             best_norm_p = s_final

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,17 @@ from pbergman import (
     make_catalog_domain,
     pbergman_min_norm,
 )
+from pbergman.integrate import _radial_grid
+from pbergman.kernel import _SliceProblem, _monomial_values
 
 # deg-20 partial sum of sum (k+1) |z|^{2k} / pi at z = 0.5
 DISC_DEG20_AT_HALF = 0.5658842421023615
+
+# certified lower bounds with the default OptimizerConfig, recorded when every
+# start was optimized: ball(2) degree 2 at (0.3, 0.4), disc degree 20 at 0.9
+BALL2_DEG2_P1 = 0.1304776497075168
+BALL2_DEG2_P3 = 0.591765300719271
+DISC_DEG20_P3_AT_09 = 4.220941040883161
 
 
 class TestBasis:
@@ -179,3 +188,81 @@ class TestBoundaryProbe:
         basis = degree_basis(disc, 3, 2.0)
         with pytest.raises(ConfigError):
             boundary_probe(disc, [1.5], basis, 2.0)
+
+
+class TestGridBudget:
+    def test_over_budget_grid_refused_before_building(self, ball2):
+        basis = degree_basis(ball2, 2, 1.0)
+        cfg = OptimizerConfig(angular_nodes=2001)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as info:
+                pbergman_min_norm(ball2, basis, (0.3, 0.4), cfg=cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        msg = str(info.value)
+        assert "\n" not in msg
+        for count in ("2304 radial", "4004001 angular", "6 basis", "40000000"):
+            assert count in msg, msg
+        # the 2001^2 angular grid alone would take 64 MB
+        assert peak < 4_000_000
+
+
+def _dense_reference(D, prob, cfg):
+    """Dense node matrix B (nodes x K) and node weights of the tensor grid
+    that _SliceProblem factors, node order radius-major."""
+    radii, wts = _radial_grid(D.radial_profile, cfg.radial_nodes)
+    n = D.dimension
+    n_angular = prob.E.shape[1]
+    m_theta = round(n_angular ** (1.0 / n))
+    phase = np.exp(2j * math.pi * np.arange(m_theta) / m_theta)
+    combos = np.stack(np.meshgrid(*([phase] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    nodes = np.repeat(radii, n_angular, axis=0) * np.tile(combos, (radii.shape[0], 1))
+    w = np.repeat(np.prod(radii, axis=1) * wts, n_angular) * (2.0 * math.pi / m_theta) ** n
+    return _monomial_values(nodes, prob.indices), w
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b))
+
+
+class TestFactoredGrid:
+    @pytest.mark.parametrize(
+        "domain, degree, p, extra, z",
+        [
+            ("disc", 20, 3.0, (), (0.4 + 0.2j,)),
+            (("ball", 2), 2, 1.0, (), (0.3, 0.4)),
+            ("punctured_disc(1)", 3, 1.0, ((-1,),), (0.2,)),
+            (("hartogs", 3), 3, 1.5, (), (0.6, 0.1 + 0.05j)),
+        ],
+    )
+    def test_matches_dense_formulas(self, domain, degree, p, extra, z):
+        D = make_catalog_domain(domain)
+        basis = degree_basis(D, degree, p, extra_indices=extra)
+        cfg = OptimizerConfig()
+        prob = _SliceProblem(D, basis, np.asarray(z, dtype=complex), p, cfg)
+        B, w = _dense_reference(D, prob, cfg)
+        rng = np.random.default_rng(3)
+        for eps2 in (0.0, 1e-4):
+            c = prob.retract(rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size))
+            phi = B @ c
+            a2 = np.abs(phi) ** 2 + eps2
+            weights = w * a2 ** (p / 2.0 - 1.0)
+            assert _rel(prob.norm_p(c, eps2), np.dot(w, a2 ** (p / 2.0))) <= 1e-12
+            assert _rel(prob.grad(c, eps2), (p / 2.0) * (B.conj().T @ (weights * phi))) <= 1e-12
+            assert _rel(prob.irls_matrix(c, eps2), (B.conj().T * weights) @ B) <= 1e-12
+
+
+class TestPrunedStarts:
+    """Only the 3 best certificates are optimized for p >= 1; the certified
+    bounds must not fall below those found by optimizing every start."""
+
+    @pytest.mark.parametrize("p, recorded", [(1.0, BALL2_DEG2_P1), (3.0, BALL2_DEG2_P3)])
+    def test_ball2_degree2(self, ball2, p, recorded):
+        est = pbergman_min_norm(ball2, degree_basis(ball2, 2, p), (0.3, 0.4))
+        assert est.value >= recorded * (1.0 - 1e-9)
+
+    def test_disc_degree20_p3(self, disc):
+        est = pbergman_min_norm(disc, degree_basis(disc, 20, 3.0), 0.9)
+        assert est.value >= DISC_DEG20_P3_AT_09 * (1.0 - 1e-9)
