@@ -369,11 +369,6 @@ class MonomialMap:
         return cls(obj["exponents"], coeffs)
 
 
-def compose(outer: LaurentPolynomial, inner: MonomialMap) -> LaurentPolynomial:
-    """Exact pullback of a Laurent polynomial under a monomial map."""
-    return outer.compose_monomial(inner)
-
-
 def weight_branch(mapping, p: float) -> LaurentPolynomial:
     """Single-valued Laurent branch of J^{2/p} for a monomial map.
 

@@ -495,12 +495,6 @@ def parse_domain(text_or_obj) -> BoundedDomain:
 # -- sampling ---------------------------------------------------------------
 
 
-def _resolve_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return substream(int(rng), TAG_REJECTION)
-
-
 def sample(D: BoundedDomain, rng, count: int) -> SampleBatch:
     """Uniform sample of `count` points from D by rejection from the
     bounding box. Deterministic given an integer seed; chunked so results do

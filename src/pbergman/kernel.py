@@ -20,9 +20,8 @@ import numpy as np
 
 from ._rng import TAG_OPTIMIZER, substream
 from .errors import ConfigError, DivergentIntegralError, NoBasisSupportError, UnsupportedDomainError
-from .functions import LaurentPolynomial
 from .geometry import BoundedDomain, boundary_distance
-from .integrate import _radial_grid, monomial_norm_closed
+from .integrate import ReinhardtGrid, _monomial_values, _span_values, monomial_norm_closed
 
 _Z_TINY = 1e-300
 
@@ -107,19 +106,6 @@ def _point(z, dimension: int) -> np.ndarray:
     return z
 
 
-def _monomial_values(points: np.ndarray, indices) -> np.ndarray:
-    """Matrix of z^alpha across points (rows) and basis indices (columns)."""
-    m = points.shape[0]
-    out = np.empty((m, len(indices)), dtype=complex)
-    for k, alpha in enumerate(indices):
-        acc = np.ones(m, dtype=complex)
-        for j, e in enumerate(alpha):
-            if e:
-                acc = acc * points[:, j] ** int(e)
-        out[:, k] = acc
-    return out
-
-
 # -- p = 2 closed form --------------------------------------------------------
 
 
@@ -158,35 +144,27 @@ class _SliceProblem:
     """Quadrature discretization of ||phi||_p^p over the span, with the
     affine constraint phi(z) = 1 handled by projection/retraction.
 
-    The nodes are the tensor product of R radial nodes and A angles on a
-    uniform grid, and the weights depend on the radial node only. At node
-    (r, theta) a monomial factors as z^a = r^a e^{i a.theta}, so the problem
-    keeps a real radial power matrix P (R x K) and an angular character
-    matrix E (K x A) in place of their (R*A) x K product: phi on the grid is
-    the R x A array (P * c) @ E.
+    The nodes are those of a ReinhardtGrid, R radial nodes times A angles,
+    where z^a = r^a e^{i a.theta}: the problem keeps the real radial powers P
+    (R x K) and angular characters E (K x A) of the basis, not their product.
     """
 
     def __init__(self, D: BoundedDomain, basis: BasisSpec, z: np.ndarray, p: float, cfg: OptimizerConfig):
         if D.radial_profile is None:
             raise UnsupportedDomainError(f"the optimizer needs a radial profile; {D.label!r} has none")
-        radii, wts = _radial_grid(D.radial_profile, cfg.radial_nodes)
         maxdeg = max(sum(abs(e) for e in a) for a in basis.indices)
         m_theta = cfg.angular_nodes if cfg.angular_nodes is not None else max(2 * maxdeg + 1, 9)
-        n = D.dimension
-        n_radial, n_angular = radii.shape[0], m_theta**n
-        if n_radial * n_angular * basis.size > _GRID_BUDGET:
+        grid = ReinhardtGrid(D.radial_profile, cfg.radial_nodes, m_theta)
+        if grid.node_count * basis.size > _GRID_BUDGET:
             raise ConfigError(
-                f"optimizer grid of {n_radial} radial x {n_angular} angular nodes for {basis.size} "
+                f"optimizer grid of {grid.n_radial} radial x {grid.n_angular} angular nodes for {basis.size} "
                 f"basis elements exceeds the limit of {_GRID_BUDGET} node-elements; "
                 "reduce nodes or basis degree"
             )
-        theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
-        phase = np.exp(1j * theta)
-        self.phases = np.stack(np.meshgrid(*([phase] * n), indexing="ij"), axis=-1).reshape(-1, n)
         self.indices = basis.indices
-        self.w = np.prod(radii, axis=1) * wts * (2.0 * math.pi / m_theta) ** n
-        self.P = _monomial_values(radii, basis.indices).real
-        self.E = np.ascontiguousarray(_monomial_values(self.phases, basis.indices).T)
+        self.phases = grid.phases
+        self.w = grid.nodes[1]
+        self.P, self.E = grid.monomial_factors(basis.indices)
         self.bz = _monomial_values(z.reshape(1, -1), basis.indices)[0]
         self.bz_norm2 = float(np.sum(np.abs(self.bz) ** 2))
         if self.bz_norm2 <= _Z_TINY:
@@ -200,8 +178,7 @@ class _SliceProblem:
         return v - ((v @ self.bz) / self.bz_norm2) * np.conj(self.bz)
 
     def phi(self, c: np.ndarray) -> np.ndarray:
-        # P is real, so it multiplies the re/im parts of c_k E_kt in real arithmetic
-        return (self.P @ (c[:, None] * self.E).view(float)).view(complex)
+        return _span_values(self.P, self.E, c)
 
     def norm_p(self, c: np.ndarray, eps2: float = 0.0) -> float:
         a2 = np.abs(self.phi(c)) ** 2 + eps2

@@ -631,7 +631,8 @@ def roundtrip_scenario(map_spec, p: float | None = None, seed: int = 0, mutate: 
 
     checks = []
     grid = _roundtrip_grid(T, seed)
-    cfg = SolverConfig(seed=seed, starts=6)
+    # the unimodular check below resolves 1e-10, so the solve must be tighter still
+    cfg = SolverConfig(seed=seed, starts=6, tol=1e-13)
     rec = reconstruct_map(T, family, grid, cfg)
     max_res = max((r.residual for r in rec.records if r.status == STATUS_MAPPED), default=math.inf)
     all_mapped = all(r.status == STATUS_MAPPED for r in rec.records)

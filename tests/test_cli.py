@@ -37,6 +37,19 @@ class TestNorm:
         assert code == 0
         assert_rel(json.loads(out)["value"], closed, 1e-9)
 
+    def test_quadrature_on_product_domain(self, capsys):
+        argv = ["norm", "--domain", "product(ball(2),hartogs(3))", "--exp", "1,0,2,1", "--p", "1.5"]
+        code, out, _ = run_cli(capsys, argv + ["--method", "closed"])
+        assert code == 0
+        closed = json.loads(out)["value"]
+        code, out, err = run_cli(capsys, argv + ["--method", "quad"])
+        assert code == 0
+        assert err == ""
+        obj = json.loads(out)
+        assert obj["method"] == "quad"
+        assert_rel(obj["value"], closed, 1e-9)
+        assert obj["std_error"] > 0.0
+
     def test_divergent_integral_is_reported_not_raised(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,12 @@ from pbergman import (
     mc_norm,
     mc_norm_batch,
     monomial_norm_closed,
+    parse_domain,
     quadrature_norm,
 )
+from pbergman.integrate import ReinhardtGrid, _quad_integral_general, _quad_integral_monomial, _radial_grid
+
+PRODUCTS = ("product(ball(2),hartogs(3))", "product(fk_ball_prime(3),polydisc(2))")
 
 
 class TestClosedFormOracles:
@@ -162,6 +167,116 @@ class TestQuadrature:
             quadrature_norm(disc, f, 2.0, radial_nodes=2)
         with pytest.raises(ConfigError):
             quadrature_norm(disc, f, 0.0)
+
+
+def _per_angle_reference(D, f, p, n_r, m_theta):
+    """Trapezoid-in-angle quadrature as one f.evaluate per angle combination
+    over the flattened radial grid (the formula before the shared grid)."""
+    radii, wts = _radial_grid(D.radial_profile, n_r)
+    n = radii.shape[1]
+    phase = np.exp(2j * math.pi * np.arange(m_theta) / m_theta)
+    acc = np.zeros(radii.shape[0])
+    for combo in np.ndindex(*([m_theta] * n)):
+        acc += np.abs(np.asarray(f.evaluate(radii * phase[list(combo)]))) ** p
+    return (2.0 * math.pi / m_theta) ** n * np.dot(np.prod(radii, axis=1) * wts, acc)
+
+
+class _Opaque:
+    """A callable integrand that quadrature cannot see inside."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def evaluate(self, z):
+        return self.f.evaluate(z)
+
+
+class TestProductQuadrature:
+    """Monomials on the 4-dimensional product domains of the counterexample,
+    summed factor by factor."""
+
+    EXPS = {PRODUCTS[0]: (1, 0, 2, 1), PRODUCTS[1]: (1, 2, 0, 1)}
+
+    @pytest.mark.parametrize("p", [0.75, 1.5, 3.0])
+    @pytest.mark.parametrize("label", PRODUCTS)
+    def test_matches_closed_form(self, label, p):
+        D = parse_domain(label)
+        f = LaurentPolynomial.monomial(4, self.EXPS[label], 0.5 + 0.5j)
+        closed = closed_norm(D, f, p)
+        quad = quadrature_norm(D, f, p)
+        # the fk factor's sqrt(1 - r^2) edge limits Gauss-Legendre to algebraic convergence
+        assert_rel(quad.value, closed.value, 1e-7)
+        assert agree_within(quad, closed)
+        assert quad.samples_or_nodes == 48**4
+
+    @pytest.mark.parametrize("p", [0.75, 3.0])
+    @pytest.mark.parametrize("label", PRODUCTS)
+    def test_factored_sum_matches_dense_tensor(self, label, p):
+        D = parse_domain(label)
+        f = LaurentPolynomial.monomial(4, self.EXPS[label], 0.5 + 0.5j)
+        radii, wts = _radial_grid(D.radial_profile, 8)
+        assert radii.shape == (8**4, 4)
+        t = p * np.asarray(self.EXPS[label], dtype=float)
+        dense = abs(0.5 + 0.5j) ** p * (2.0 * math.pi) ** 4 * np.dot(wts, np.prod(radii ** (t + 1.0), axis=1))
+        grid = ReinhardtGrid(D.radial_profile, 8)
+        assert grid.n_radial == 8**4
+        assert_rel(_quad_integral_monomial(grid, f, p), dense, 1e-13)
+
+    def test_product_call_builds_no_tensor(self):
+        D = parse_domain(PRODUCTS[0])
+        f = LaurentPolynomial.monomial(4, self.EXPS[PRODUCTS[0]])
+        tracemalloc.start()
+        try:
+            res = quadrature_norm(D, f, 1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.samples_or_nodes == 48**4
+        # the 48^4 x 4 tensor of radii alone would take 170 MB
+        assert peak < 4_000_000
+
+    def test_non_monomial_refused_before_building(self):
+        D = parse_domain(PRODUCTS[0])
+        f = LaurentPolynomial(4, {(1, 0, 0, 0): 1.0, (0, 0, 0, 1): 1.0})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as info:
+                quadrature_norm(D, f, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        msg = str(info.value)
+        assert "\n" not in msg
+        assert f"{48**4 * 21**4} nodes exceeds the budget" in msg, msg
+        assert peak < 4_000_000
+
+
+class TestGeneralQuadrature:
+    """Non-monomial integrands on the shared grid against the per-angle formula."""
+
+    CASES = [
+        ("disc", {(0,): 1.0, (1,): 0.5 - 0.25j, (3,): 0.2j}, 1.5),
+        ("ball2", {(0, 0): 1.0, (1, 2): -0.7 + 0.1j, (2, 0): 0.3}, 1.0),
+        ("hartogs3", {(-1, 1): 0.4, (0, 0): 1.0, (1, 1): 0.5j}, 3.0),
+    ]
+
+    @pytest.mark.parametrize("fixture,terms,p", CASES)
+    def test_matches_per_angle_formula(self, request, fixture, terms, p):
+        D = request.getfixturevalue(fixture)
+        f = LaurentPolynomial(D.dimension, terms)
+        m_theta = 21
+        reference = _per_angle_reference(D, f, p, 48, m_theta)
+        assert_rel(_quad_integral_general(ReinhardtGrid(D.radial_profile, 48, m_theta), f, p), reference, 1e-13)
+        res = quadrature_norm(D, f, p)
+        assert_rel(res.value, reference ** (1.0 / p), 1e-13)
+        assert res.samples_or_nodes == ReinhardtGrid(D.radial_profile, 48).n_radial * m_theta**D.dimension
+
+    @pytest.mark.parametrize("fixture,terms,p", CASES)
+    def test_opaque_callable_matches_laurent_path(self, request, fixture, terms, p):
+        # ball(2) and hartogs(3) take 16 blocks of radial rows at 21 angles
+        D = request.getfixturevalue(fixture)
+        f = LaurentPolynomial(D.dimension, terms)
+        assert_rel(quadrature_norm(D, _Opaque(f), p).value, quadrature_norm(D, f, p).value, 1e-13)
 
 
 class TestMonteCarlo:

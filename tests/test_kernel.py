@@ -253,6 +253,22 @@ class TestFactoredGrid:
             assert _rel(prob.grad(c, eps2), (p / 2.0) * (B.conj().T @ (weights * phi))) <= 1e-12
             assert _rel(prob.irls_matrix(c, eps2), (B.conj().T * weights) @ B) <= 1e-12
 
+    def test_product_domain_matches_dense_formulas(self):
+        # the kernel grid flattens the product's factor grids; 4^4 radial x 3^4 angular nodes
+        D = make_catalog_domain(("product", ("ball", 2), ("hartogs", 3)))
+        p = 1.5
+        basis = degree_basis(D, 1, p)
+        cfg = OptimizerConfig(radial_nodes=4, angular_nodes=3)
+        prob = _SliceProblem(D, basis, np.array([0.3, 0.2, 0.5, 0.05], dtype=complex), p, cfg)
+        B, w = _dense_reference(D, prob, cfg)
+        assert B.shape == (4**4 * 3**4, basis.size)
+        c = prob.retract(np.random.default_rng(5).standard_normal(basis.size) + 0.5j)
+        phi = B @ c
+        weights = w * np.abs(phi) ** (p - 2.0)
+        assert _rel(prob.norm_p(c), np.dot(w, np.abs(phi) ** p)) <= 1e-12
+        assert _rel(prob.grad(c, 0.0), (p / 2.0) * (B.conj().T @ (weights * phi))) <= 1e-12
+        assert _rel(prob.irls_matrix(c, 0.0), (B.conj().T * weights) @ B) <= 1e-12
+
 
 class TestPrunedStarts:
     """Only the 3 best certificates are optimized for p >= 1; the certified

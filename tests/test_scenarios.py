@@ -150,6 +150,14 @@ class TestRoundtrips:
         rep = roundtrip_scenario(("counterexample", 3, 2))
         assert rep.passed
 
+    def test_counterexample_roundtrip_unimodular_on_seed_1(self):
+        # a 1e-9 solve left |lambda| at 0.99999999977 here, outside the 1e-10 check
+        rep = roundtrip_scenario(("counterexample", 3, 2), seed=1)
+        by_name = {c.name: c for c in rep.checks}
+        assert rep.passed
+        assert abs(by_name["unimodular-constant"].observed - 1.0) < 1e-10
+        assert by_name["ratio-constancy"].observed < 1e-12
+
     def test_drop_weight_mutant_fails(self):
         rep = roundtrip_scenario(("mobius", 0.3), p=1.0, mutate="drop-weight")
         assert not rep.passed
