@@ -24,6 +24,9 @@ TAG_BATTERY = 108
 TAG_BOXES = 109
 TAG_OPTIMIZER = 110
 
+# Draws per substream: chunk i of a stream is keyed by (seed, tag, ..., i).
+CHUNK = 1 << 16
+
 
 def substream(seed: int, *key) -> np.random.Generator:
     """Generator for the substream addressed by ``key`` under ``seed``.

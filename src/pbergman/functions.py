@@ -48,6 +48,25 @@ def _check_poles(pts: np.ndarray, axes: Iterable[int]) -> None:
             )
 
 
+def monomial_column(pts: np.ndarray, alpha, coeff: complex = 1.0) -> np.ndarray:
+    """coeff * prod_j z_j^{alpha_j} over the rows of pts, multiplied in
+    coordinate order."""
+    col = np.full(pts.shape[0], coeff, dtype=complex)
+    for j, e in enumerate(alpha):
+        if e:
+            col = col * pts[:, j] ** int(e)
+    return col
+
+
+def monomial_values(pts: np.ndarray, exponents, coeffs=None) -> np.ndarray:
+    """Matrix of monomial columns: rows are points, column k is
+    c_k z^{alpha_k} (c_k = 1 when coeffs is None)."""
+    out = np.empty((pts.shape[0], len(exponents)), dtype=complex)
+    for k, alpha in enumerate(exponents):
+        out[:, k] = monomial_column(pts, alpha, 1.0 if coeffs is None else coeffs[k])
+    return out
+
+
 class LaurentPolynomial:
     """Finite Laurent expansion sum_a c_a z^a with integer multi-exponents.
 
@@ -111,11 +130,6 @@ class LaurentPolynomial:
             raise ValueError("not a single-term Laurent polynomial")
         return next(iter(self.terms.items()))
 
-    def max_abs_exponent(self) -> int:
-        if not self.terms:
-            return 0
-        return max(abs(e) for exp in self.terms for e in exp)
-
     def positive_axes(self) -> tuple[int, ...]:
         """Coordinates j such that every term carries a strictly positive power of z_j.
 
@@ -135,11 +149,7 @@ class LaurentPolynomial:
         _check_poles(pts, self._negative_axes)
         out = np.zeros(pts.shape[0], dtype=complex)
         for exp, coeff in self.terms.items():
-            term = np.full(pts.shape[0], coeff, dtype=complex)
-            for j, e in enumerate(exp):
-                if e:
-                    term = term * pts[:, j] ** e
-            out += term
+            out += monomial_column(pts, exp, coeff)
         return out[0] if single else out
 
     __call__ = evaluate
@@ -282,14 +292,7 @@ class MonomialMap:
     def evaluate(self, points) -> np.ndarray:
         pts, single = _as_points(points, self.dimension)
         _check_poles(pts, self._negative_axes())
-        out = np.empty_like(pts)
-        for i in range(self.dimension):
-            acc = np.full(pts.shape[0], self.coeffs[i], dtype=complex)
-            for j in range(self.dimension):
-                e = self.exponents[i, j]
-                if e:
-                    acc = acc * pts[:, j] ** int(e)
-            out[:, i] = acc
+        out = monomial_values(pts, self.exponents, self.coeffs)
         return out[0] if single else out
 
     __call__ = evaluate
@@ -545,29 +548,19 @@ class AnalyticFunction:
 # -- finite differences ----------------------------------------------------
 
 
-def fd_complex_derivative(evaluate, z, axis: int, h: float = 1e-5):
-    """Fourth-order central difference of a holomorphic map along one coordinate.
-
-    ``evaluate`` takes (m, n) points; returns the derivative of each output
-    component with respect to z_axis at the single point ``z``.
-    """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    shifts = np.array([2.0, 1.0, -1.0, -2.0]) * h
-    pts = np.tile(z, (4, 1))
-    pts[:, axis] += shifts
-    vals = np.asarray(evaluate(pts), dtype=complex)
-    if vals.ndim == 1:
-        vals = vals.reshape(4, 1)
-    return (-vals[0] + 8.0 * vals[1] - 8.0 * vals[2] + vals[3]) / (12.0 * h)
-
-
 def fd_jacobian_matrix(map_like, z, h: float = 1e-5) -> np.ndarray:
-    """Full complex Jacobian matrix of a map at a point, by finite differences."""
+    """Full complex Jacobian matrix of a map at a point by the fourth-order
+    central difference, from one evaluation of the 4n shifted points
+    z + (2h, h, -h, -2h) e_j."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     n = z.shape[0]
     evaluate = map_like.evaluate if hasattr(map_like, "evaluate") else map_like
-    cols = [fd_complex_derivative(evaluate, z, j, h) for j in range(n)]
-    return np.stack(cols, axis=1)
+    pts = np.tile(z, (4 * n, 1))
+    for j in range(n):
+        pts[4 * j : 4 * j + 2, j] += (2.0 * h, h)
+        pts[4 * j + 2 : 4 * j + 4, j] -= (h, 2.0 * h)
+    vals = np.asarray(evaluate(pts), dtype=complex).reshape(n, 4, -1)
+    return ((-vals[:, 0] + 8.0 * vals[:, 1] - 8.0 * vals[:, 2] + vals[:, 3]) / (12.0 * h)).T
 
 
 def fd_jacobian_det(map_like, z, h: float = 1e-5) -> complex:

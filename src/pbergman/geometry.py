@@ -17,11 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from ._rng import TAG_DIRECTIONS, TAG_PROBE, TAG_REJECTION, stable_key, substream
+from ._rng import CHUNK, TAG_DIRECTIONS, TAG_PROBE, TAG_REJECTION, stable_key, substream
 from .errors import ConfigError, DegenerateDomainError, DivergentIntegralError, UnsupportedDomainError
 from .functions import _as_points
-
-_PROPOSAL_CHUNK = 1 << 16
 
 
 # -- radial profiles --------------------------------------------------------
@@ -495,6 +493,19 @@ def parse_domain(text_or_obj) -> BoundedDomain:
 # -- sampling ---------------------------------------------------------------
 
 
+def box_proposals(D: BoundedDomain, g: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` uniform proposals from D's bounding box, each drawn as
+    u ~ U[-1, 1]^{2n} from g and scaled by the box, and the mask of those in D.
+
+    Callers keep the proposals until their chunk is done: freeing them before
+    the chunk's evaluations doubled the page faults of 2-thread Monte Carlo
+    runs, as the allocator returned and refetched that memory every chunk.
+    """
+    u = g.random((count, 2 * D.dimension)) * 2.0 - 1.0
+    pts = (u[:, ::2] + 1j * u[:, 1::2]) * np.asarray(D.bounding_box)
+    return pts, D.contains(pts)
+
+
 def sample(D: BoundedDomain, rng, count: int) -> SampleBatch:
     """Uniform sample of `count` points from D by rejection from the
     bounding box. Deterministic given an integer seed; chunked so results do
@@ -510,19 +521,16 @@ def sample(D: BoundedDomain, rng, count: int) -> SampleBatch:
         seed = int(rng)
         gen = None
         chunked = True
-    b = np.asarray(D.bounding_box)
     kept = []
     accepted = 0
     proposed = 0
     chunk_idx = 0
     while accepted < count:
         g = substream(seed, TAG_REJECTION, chunk_idx) if chunked else gen
-        u = g.random((_PROPOSAL_CHUNK, 2 * D.dimension)) * 2.0 - 1.0
-        pts = (u[:, ::2] + 1j * u[:, 1::2]) * b
-        mask = D.contains(pts)
-        kept.append(pts[mask])
-        accepted += int(mask.sum())
-        proposed += _PROPOSAL_CHUNK
+        pts, inside = box_proposals(D, g, CHUNK)
+        kept.append(pts[inside])
+        accepted += kept[-1].shape[0]
+        proposed += CHUNK
         chunk_idx += 1
         if proposed >= 4_000_000 and accepted / proposed < 1e-6:
             raise DegenerateDomainError(

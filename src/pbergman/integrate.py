@@ -17,12 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import TAG_MC_NORM, substream
+from ._rng import CHUNK, TAG_MC_NORM, substream
 from .errors import ConfigError, DivergentIntegralError, PoleProximityWarning, UnsupportedDomainError
-from .functions import LaurentPolynomial
-from .geometry import BoundedDomain, RadialProfile, log_radial_moment
+from .functions import LaurentPolynomial, monomial_values
+from .geometry import BoundedDomain, RadialProfile, box_proposals, log_radial_moment
 
-_MC_CHUNK = 1 << 16
 _NODE_BUDGET = 4_000_000
 
 
@@ -130,27 +129,39 @@ def _variance_diverges(D: BoundedDomain, f, p: float) -> bool:
         return True
 
 
-def _mc_chunk(D: BoundedDomain, items, seed: int, chunk_idx: int, chunk_size: int):
-    g = substream(seed, TAG_MC_NORM, chunk_idx)
-    b = np.asarray(D.bounding_box)
-    u = g.random((chunk_size, 2 * D.dimension)) * 2.0 - 1.0
-    pts = (u[:, ::2] + 1j * u[:, 1::2]) * b
-    mask = D.contains(pts)
-    members = pts[mask]
+def chunked_mean(samples: int, chunk_ys, threads: int = 1) -> list[tuple[float, float]]:
+    """Mean and standard error of Y per item, from `samples` draws split
+    into chunks of CHUNK.
+
+    chunk_ys(i, size) returns the y arrays of chunk i, one per item (draws
+    absent from an array count as y = 0); a generator keeps one in memory at
+    a time. Chunks run on `threads` workers when threads > 1. The per-chunk
+    sums of y and y^2 are added in chunk order, so results are byte-identical
+    for any thread count.
+    """
+    n_chunks = math.ceil(samples / CHUNK)
+    sizes = [CHUNK] * (n_chunks - 1) + [samples - CHUNK * (n_chunks - 1)]
+
+    def sums(i: int):
+        return [(float(y.sum()), float((y * y).sum())) for y in chunk_ys(i, sizes[i])]
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            partials = list(pool.map(sums, range(n_chunks)))
+    else:
+        partials = [sums(i) for i in range(n_chunks)]
+
+    n = float(samples)
     out = []
-    for f, p in items:
-        sub = members
-        neg = getattr(f, "_negative_axes", ())
-        if neg and sub.shape[0]:
-            keep = np.ones(sub.shape[0], dtype=bool)
-            for j in neg:
-                keep &= sub[:, j] != 0
-            sub = sub[keep]
-        if sub.shape[0]:
-            vals = np.abs(np.asarray(f.evaluate(sub))) ** p
-            out.append((float(vals.sum()), float((vals * vals).sum())))
-        else:
-            out.append((0.0, 0.0))
+    for j in range(len(partials[0])):
+        sum_y = 0.0
+        sum_y2 = 0.0
+        for part in partials:  # fixed order, not a pairwise np.sum
+            sum_y += part[j][0]
+            sum_y2 += part[j][1]
+        mean = sum_y / n
+        var = max(sum_y2 / n - mean * mean, 0.0) * n / max(n - 1.0, 1.0)
+        out.append((mean, math.sqrt(var / n)))
     return out
 
 
@@ -183,27 +194,21 @@ def mc_norm_batch(
                     PoleProximityWarning,
                     stacklevel=2,
                 )
-    n_chunks = math.ceil(samples / _MC_CHUNK)
-    sizes = [_MC_CHUNK] * (n_chunks - 1) + [samples - _MC_CHUNK * (n_chunks - 1)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda i: _mc_chunk(D, items, seed, i, sizes[i]), range(n_chunks)))
-    else:
-        partials = [_mc_chunk(D, items, seed, i, sizes[i]) for i in range(n_chunks)]
+
+    def chunk_ys(i: int, size: int):
+        pts, inside = box_proposals(D, substream(seed, TAG_MC_NORM, i), size)
+        members = pts[inside]
+        for f, p in items:
+            sub = members
+            for j in getattr(f, "_negative_axes", ()):
+                sub = sub[sub[:, j] != 0]
+            yield np.abs(np.asarray(f.evaluate(sub))) ** p if sub.shape[0] else np.zeros(0)
 
     vol = D.box_volume
-    results = []
-    for j, (f, p) in enumerate(items):
-        sum_y = 0.0
-        sum_y2 = 0.0
-        for part in partials:  # fixed order: reductions independent of thread count
-            sum_y += part[j][0]
-            sum_y2 += part[j][1]
-        n = float(samples)
-        mean = sum_y / n
-        var = max(sum_y2 / n - mean * mean, 0.0) * n / max(n - 1.0, 1.0)
-        results.append(_delta_result(vol * mean, vol * math.sqrt(var / n), p, "monte_carlo", samples, seed))
-    return results
+    return [
+        _delta_result(vol * mean, vol * se, p, "monte_carlo", samples, seed)
+        for (mean, se), (_, p) in zip(chunked_mean(samples, chunk_ys, threads), items)
+    ]
 
 
 def mc_norm(D: BoundedDomain, f, p: float, samples: int, rng, threads: int = 1) -> PNormResult:
@@ -218,19 +223,6 @@ def mc_norm(D: BoundedDomain, f, p: float, samples: int, rng, threads: int = 1) 
 def _gl_nodes(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return (x + 1.0) / 2.0, w / 2.0  # on (0, 1)
-
-
-def _monomial_values(points: np.ndarray, indices) -> np.ndarray:
-    """Matrix of z^alpha across points (rows) and exponents (columns)."""
-    m = points.shape[0]
-    out = np.empty((m, len(indices)), dtype=complex)
-    for k, alpha in enumerate(indices):
-        acc = np.ones(m, dtype=complex)
-        for j, e in enumerate(alpha):
-            if e:
-                acc = acc * points[:, j] ** int(e)
-        out[:, k] = acc
-    return out
 
 
 def _tensor(grids):
@@ -298,8 +290,8 @@ class ReinhardtGrid:
 
     def monomial_factors(self, indices):
         """Real radial powers r^alpha (R x K) and angular characters e^{i alpha.theta} (K x A)."""
-        P = _monomial_values(self.nodes[0], indices).real
-        return P, np.ascontiguousarray(_monomial_values(self.phases, indices).T)
+        P = monomial_values(self.nodes[0], indices).real
+        return P, np.ascontiguousarray(monomial_values(self.phases, indices).T)
 
 
 def _span_values(P: np.ndarray, E: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -329,7 +321,7 @@ def _quad_integral_general(grid: ReinhardtGrid, f, p: float) -> float:
     if isinstance(f, LaurentPolynomial):
         P, E = grid.monomial_factors(list(f.terms))
         c = np.array(list(f.terms.values()), dtype=complex)
-    step = max(1, _MC_CHUNK // grid.n_angular)  # radial rows per block of <= 2^16 nodes
+    step = max(1, CHUNK // grid.n_angular)  # radial rows per block of <= 2^16 nodes
     acc = np.empty(grid.n_radial)
     for i in range(0, grid.n_radial, step):
         if isinstance(f, LaurentPolynomial):
@@ -358,6 +350,14 @@ def quadrature_norm(
     other integrand is evaluated node by node. `samples_or_nodes` counts the
     fine tensor grid either way: radial nodes (48^4 = 5,308,416 on the
     4-dimensional product domains), times m_theta^n angles for non-monomials.
+
+    A Laurent integrand sum_a c_a z^a is refused with DivergentIntegralError
+    when the p-th power of any one term diverges (log_radial_moment at
+    p * a), before any node is evaluated. The per-term test is exact for every
+    p > 0: |sum_a c_a z^a|^p <= C sum_a |c_a z^a|^p, and conversely, all
+    L^p(T^n) quasi-norms are equivalent on trigonometric polynomials of fixed
+    finite support, so |c_a| r^a <= C ||f(r .)||_{L^p(T^n)} on each torus of
+    radii r.
     """
     if p <= 0:
         raise ConfigError("p must be positive")
@@ -368,16 +368,18 @@ def quadrature_norm(
     profile = D.radial_profile
 
     integral, m_theta = _quad_integral_general, angular_nodes
-    if isinstance(f, LaurentPolynomial) and f.is_monomial:
-        # convergence guard; quadrature on an interior grid would otherwise
-        # silently return a finite answer for a divergent integral
-        log_radial_moment(profile, p * np.asarray(f.single_term()[0], dtype=float))
-        integral, m_theta = _quad_integral_monomial, 1
-    elif isinstance(f, LaurentPolynomial):
-        min_theta = 2 * max((sum(abs(e) for e in exp) for exp in f.terms), default=0) + 1
-        m_theta = max(21, min_theta) if m_theta is None else m_theta
-        if m_theta < min_theta:
-            raise ConfigError(f"angular_nodes must be at least {min_theta} for this integrand")
+    if isinstance(f, LaurentPolynomial):
+        # convergence guard, one term at a time; quadrature on an interior grid
+        # would otherwise silently return a finite answer for a divergent integral
+        for exp in f.terms:
+            log_radial_moment(profile, p * np.asarray(exp, dtype=float))
+        if f.is_monomial:
+            integral, m_theta = _quad_integral_monomial, 1
+        else:
+            min_theta = 2 * max((sum(abs(e) for e in exp) for exp in f.terms), default=0) + 1
+            m_theta = max(21, min_theta) if m_theta is None else m_theta
+            if m_theta < min_theta:
+                raise ConfigError(f"angular_nodes must be at least {min_theta} for this integrand")
     elif m_theta is None:
         m_theta = 21
     fine_grid = ReinhardtGrid(profile, radial_nodes, m_theta)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,10 +32,8 @@ from .functions import (
     MonomialMap,
     weight_branch,
 )
-from .geometry import BoundedDomain, sample, sample_radial_weighted
-from .integrate import _variance_diverges, closed_norm, mc_norm_batch
-
-_CHUNK = 1 << 16
+from .geometry import BoundedDomain, box_proposals, sample, sample_radial_weighted
+from .integrate import _variance_diverges, chunked_mean, closed_norm, mc_norm_batch
 
 
 @dataclass(frozen=True)
@@ -476,13 +473,12 @@ def _pushforward_stats(
         raise ConfigError("pushforward needs at least 10^3 samples")
     key = _side_key(D, lead, numerators)
     weighted = False
-    scale = None
     if isinstance(lead, LaurentPolynomial) and lead.is_monomial and D.radial_profile is not None:
         try:
-            scale = closed_norm(D, lead, p).integral
+            factor = closed_norm(D, lead, p).integral
             weighted = True
         except DivergentIntegralError:
-            weighted = False
+            pass
     if not weighted and _variance_diverges(D, lead, p):
         warnings.warn(
             f"|lead|^{p} has divergent sample variance on {D.label}; pushforward "
@@ -491,60 +487,32 @@ def _pushforward_stats(
             stacklevel=2,
         )
 
-    n_chunks = math.ceil(samples / _CHUNK)
-    sizes = [_CHUNK] * (n_chunks - 1) + [samples - _CHUNK * (n_chunks - 1)]
-
     if weighted:
         exp, _ = lead.single_term()
         t = tuple(p * e for e in exp)
 
-        def chunk_stats(i: int):
-            g = substream(seed, TAG_PUSHFORWARD, key, i)
-            pts = sample_radial_weighted(D, t, g, sizes[i])
+        def chunk_ys(i: int, size: int):
+            pts = sample_radial_weighted(D, t, substream(seed, TAG_PUSHFORWARD, key, i), size)
             vals, good = _ratio_matrix(lead, numerators, pts)
-            out = []
             for u in regions:
-                y = u(vals) * good
-                out.append((float(y.sum()), float((y * y).sum())))
-            return out
+                yield u(vals) * good
 
     else:
-        b = np.asarray(D.bounding_box)
+        factor = D.box_volume
 
-        def chunk_stats(i: int):
-            g = substream(seed, TAG_PUSHFORWARD, key, i)
-            u01 = g.random((sizes[i], 2 * D.dimension)) * 2.0 - 1.0
-            pts = (u01[:, ::2] + 1j * u01[:, 1::2]) * b
-            mask = D.contains(pts)
-            members = pts[mask]
-            out = [(0.0, 0.0)] * len(regions)
-            if members.shape[0]:
-                vals, good = _ratio_matrix(lead, numerators, members)
-                w = np.abs(np.asarray(lead(members))) ** p * good
-                out = []
-                for u in regions:
-                    y = u(vals) * w
-                    out.append((float(y.sum()), float((y * y).sum())))
-            return out
+        def chunk_ys(i: int, size: int):
+            pts, inside = box_proposals(D, substream(seed, TAG_PUSHFORWARD, key, i), size)
+            members = pts[inside]
+            if not members.shape[0]:
+                yield from [np.zeros(0)] * len(regions)
+                return
+            vals, good = _ratio_matrix(lead, numerators, members)
+            w = np.abs(np.asarray(lead(members))) ** p * good
+            for u in regions:
+                yield u(vals) * w
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(chunk_stats, range(n_chunks)))
-    else:
-        partials = [chunk_stats(i) for i in range(n_chunks)]
-
-    factor = scale if weighted else D.box_volume
-    masses = np.empty(len(regions))
-    sigmas = np.empty(len(regions))
-    n = float(samples)
-    for r in range(len(regions)):
-        s1 = sum(part[r][0] for part in partials)
-        s2 = sum(part[r][1] for part in partials)
-        mean = s1 / n
-        var = max(s2 / n - mean * mean, 0.0) * n / max(n - 1.0, 1.0)
-        masses[r] = factor * mean
-        sigmas[r] = factor * math.sqrt(var / n)
-    return masses, sigmas
+    stats = chunked_mean(samples, chunk_ys, threads)
+    return np.array([factor * mean for mean, _ in stats]), np.array([factor * se for _, se in stats])
 
 
 def pushforward_mass(

@@ -20,8 +20,9 @@ import numpy as np
 
 from ._rng import TAG_OPTIMIZER, substream
 from .errors import ConfigError, DivergentIntegralError, NoBasisSupportError, UnsupportedDomainError
+from .functions import monomial_values
 from .geometry import BoundedDomain, boundary_distance
-from .integrate import ReinhardtGrid, _monomial_values, _span_values, monomial_norm_closed
+from .integrate import ReinhardtGrid, _span_values, monomial_norm_closed
 
 _Z_TINY = 1e-300
 
@@ -122,7 +123,7 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
             f"{D.label!r} has no radial profile; monomials need not be orthogonal there"
         )
     zz = _point(z, D.dimension)
-    vals = _monomial_values(zz.reshape(1, -1), basis.indices)[0]
+    vals = monomial_values(zz.reshape(1, -1), basis.indices)[0]
     norms2 = np.array([monomial_norm_closed(D, a, 2.0).integral for a in basis.indices])
     value = float(np.sum(np.abs(vals) ** 2 / norms2))
     return KernelEstimate(
@@ -165,7 +166,7 @@ class _SliceProblem:
         self.phases = grid.phases
         self.w = grid.nodes[1]
         self.P, self.E = grid.monomial_factors(basis.indices)
-        self.bz = _monomial_values(z.reshape(1, -1), basis.indices)[0]
+        self.bz = monomial_values(z.reshape(1, -1), basis.indices)[0]
         self.bz_norm2 = float(np.sum(np.abs(self.bz) ** 2))
         if self.bz_norm2 <= _Z_TINY:
             raise NoBasisSupportError("every basis element vanishes at z")
@@ -201,7 +202,7 @@ class _SliceProblem:
         K, n = alpha.shape
         diffs, pos = np.unique((alpha[None, :, :] - alpha[:, None, :]).reshape(-1, n), axis=0, return_inverse=True)
         pos = pos.reshape(-1)
-        chars = _monomial_values(self.phases, diffs).view(float)
+        chars = monomial_values(self.phases, diffs).view(float)
         pair_weights = (self.P[:, :, None] * self.P[:, None, :]).reshape(-1, K * K).T * self.w
         pairs = np.split(np.argsort(pos, kind="stable"), np.cumsum(np.bincount(pos))[:-1])
         return chars, [(j, pair_weights[j]) for j in pairs]

@@ -25,7 +25,7 @@ from .errors import (
     PoleEvaluationError,
     PoleProximityWarning,
 )
-from .functions import LaurentPolynomial
+from .functions import LaurentPolynomial, fd_jacobian_det, fd_jacobian_matrix
 from .geometry import BoundedDomain, sample
 from .isometry import CompositionIsometry, FunctionFamily
 
@@ -125,9 +125,6 @@ class RatioMaps:
     def lead_source(self, points):
         return self.family.members[0](points)
 
-    def lead_target(self, points):
-        return self.images[0](points)
-
 
 def build_ratio_maps(oracle: IsometryOracle | CompositionIsometry, family: FunctionFamily) -> RatioMaps:
     """Push the family through the oracle and wrap both ratio maps.
@@ -216,24 +213,6 @@ class PointSolve:
         }
 
 
-def _fd_jacobian(fn, w: np.ndarray, h: float) -> np.ndarray:
-    """4th-order finite-difference Jacobian of a batch evaluator at one point."""
-    n = w.size
-    pts = np.tile(w, (4 * n, 1))
-    for j in range(n):
-        pts[4 * j + 0, j] += 2 * h
-        pts[4 * j + 1, j] += h
-        pts[4 * j + 2, j] -= h
-        pts[4 * j + 3, j] -= 2 * h
-    vals = fn(pts)
-    jac = np.empty((vals.shape[1], n), dtype=complex)
-    for j in range(n):
-        jac[:, j] = (
-            -vals[4 * j + 0] + 8.0 * vals[4 * j + 1] - 8.0 * vals[4 * j + 2] + vals[4 * j + 3]
-        ) / (12.0 * h)
-    return jac
-
-
 def _gn_from_start(maps: RatioMaps, target_vec: np.ndarray, w0: np.ndarray, cfg: SolverConfig):
     """Gauss-Newton descent of ||J_N(w) - I_N(z)||; iterates stay members of
     the target domain. Returns (w, residual, iterations, stalled)."""
@@ -253,7 +232,7 @@ def _gn_from_start(maps: RatioMaps, target_vec: np.ndarray, w0: np.ndarray, cfg:
         if res < cfg.tol:
             break
         try:
-            jac = _fd_jacobian(lambda pts: maps.target_ratios(pts), w, cfg.fd_step)
+            jac = fd_jacobian_matrix(maps.target_ratios, w, cfg.fd_step)
         except PoleEvaluationError:
             stalled = True
             break
@@ -462,8 +441,7 @@ def verify_modulus_identity(
         if jacobian is not None:
             jf = complex(np.asarray(jacobian(z.reshape(1, -1))).reshape(-1)[0])
         else:
-            fn = lambda batch: np.asarray(F(batch))
-            jf = complex(np.linalg.det(_fd_jacobian(fn, z.copy(), fd_step)))
+            jf = fd_jacobian_det(F, z, fd_step)
             if abs(jf) < 1e-12:
                 warnings.warn(
                     "finite-difference Jacobian nearly singular; the stencil may "

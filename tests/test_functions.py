@@ -14,9 +14,12 @@ from pbergman import (
     MonomialMap,
     NonInvertibleMapError,
     PoleEvaluationError,
+    build_counterexample,
     fd_jacobian_det,
+    fd_jacobian_matrix,
     weight_branch,
 )
+from pbergman.functions import monomial_values
 
 
 def L(dim, terms):
@@ -172,3 +175,61 @@ class TestLinearAndChain:
         chain = HoloMapExpr([mu, m1])
         w = np.array([[0.5 + 0.1j, 0.2 + 0.05j]])
         assert np.allclose(chain.inverse()(chain(w)), w)
+
+
+class TestSharedEvaluators:
+    """The monomial evaluator and the finite-difference stencil against the
+    loops they replaced, written out, bit for bit."""
+
+    def test_monomial_evaluator_matches_power_loops(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 4):
+            z = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+            terms = {tuple(int(e) for e in rng.integers(-3, 5, n)): complex(*rng.standard_normal(2)) for _ in range(11)}
+            want = np.zeros(40, dtype=complex)
+            for exp, c in terms.items():  # one term at a time
+                term = np.full(40, c, dtype=complex)
+                for j, e in enumerate(exp):
+                    if e:
+                        term = term * z[:, j] ** e
+                want += term
+            assert np.array_equal(LaurentPolynomial(n, terms).evaluate(z), want)
+            cols = np.empty((40, len(terms)), dtype=complex)
+            for k, exp in enumerate(terms):
+                acc = np.ones(40, dtype=complex)
+                for j, e in enumerate(exp):
+                    if e:
+                        acc = acc * z[:, j] ** int(e)
+                cols[:, k] = acc
+            assert np.array_equal(monomial_values(z, list(terms)), cols)
+            m = MonomialMap(rng.integers(-2, 4, (n, n)), np.exp(1j * rng.standard_normal(n)))
+            rows = np.empty((40, n), dtype=complex)
+            for i in range(n):
+                acc = np.full(40, m.coeffs[i], dtype=complex)
+                for j in range(n):
+                    if m.exponents[i, j]:
+                        acc = acc * z[:, j] ** int(m.exponents[i, j])
+                rows[:, i] = acc
+            assert np.array_equal(m.evaluate(z), rows)
+
+    @pytest.mark.parametrize(
+        "F",
+        [build_counterexample(3, 2).mapping.inverse(), MobiusFactors((0.3, None, -0.2j, 0.5))],
+        ids=["counterexample-inverse", "mobius"],
+    )
+    def test_fd_stencil_one_batch(self, F):
+        h = 1e-5
+        pts = np.random.default_rng(1).uniform(-0.6, 0.6, (50, 8)).view(complex)
+        for z in pts:
+            stencil = np.tile(z, (16, 1))
+            for j in range(4):
+                stencil[4 * j + 0, j] += 2 * h
+                stencil[4 * j + 1, j] += h
+                stencil[4 * j + 2, j] -= h
+                stencil[4 * j + 3, j] -= 2 * h
+            v = F(stencil)
+            want = np.stack(
+                [(-v[4 * j] + 8.0 * v[4 * j + 1] - 8.0 * v[4 * j + 2] + v[4 * j + 3]) / (12.0 * h) for j in range(4)],
+                axis=1,
+            )
+            assert np.array_equal(fd_jacobian_matrix(F, z, h), want)

@@ -16,6 +16,7 @@ from pbergman import (
     sample,
     sample_radial_weighted,
 )
+from pbergman._rng import TAG_REJECTION, substream
 
 
 class TestMembership:
@@ -130,6 +131,20 @@ class TestSampling:
         small = sample(disc, 3, 50).points
         large = sample(disc, 3, 400).points
         assert np.array_equal(large[:50], small)
+
+    def test_integer_seed_matches_chunk_formula(self, hartogs3):
+        # box proposals in chunks of 2^16 from substream (seed, TAG_REJECTION, i)
+        # until enough members are kept
+        kept, proposed, i = [], 0, 0
+        while sum(k.shape[0] for k in kept) < 100_000:
+            u = substream(7, TAG_REJECTION, i).random((65536, 4)) * 2.0 - 1.0
+            pts = (u[:, ::2] + 1j * u[:, 1::2]) * np.asarray(hartogs3.bounding_box)
+            kept.append(pts[hartogs3.contains(pts)])
+            proposed, i = proposed + 65536, i + 1
+        batch = sample(hartogs3, 7, 100_000)
+        assert np.array_equal(batch.points, np.concatenate(kept)[:100_000])
+        assert batch.proposals == proposed
+        assert batch.acceptance_rate == sum(k.shape[0] for k in kept) / proposed
 
     def test_distinct_seeds_differ(self, disc):
         assert not np.array_equal(sample(disc, 0, 50).points, sample(disc, 1, 50).points)

@@ -22,7 +22,14 @@ from pbergman import (
     parse_domain,
     quadrature_norm,
 )
-from pbergman.integrate import ReinhardtGrid, _quad_integral_general, _quad_integral_monomial, _radial_grid
+from pbergman._rng import TAG_MC_NORM, substream
+from pbergman.integrate import (
+    ReinhardtGrid,
+    _delta_result,
+    _quad_integral_general,
+    _quad_integral_monomial,
+    _radial_grid,
+)
 
 PRODUCTS = ("product(ball(2),hartogs(3))", "product(fk_ball_prime(3),polydisc(2))")
 
@@ -128,6 +135,16 @@ class TestDivergence:
         # t = p * a = -2 exactly: log r divergence
         with pytest.raises(DivergentIntegralError):
             monomial_norm_closed(disc, (-1,), 2.0)
+
+    def test_quadrature_refuses_divergent_laurent_term(self, disc):
+        # |1/z|^2 is not integrable at 0, so neither is |1 + 1/z|^2; without a
+        # per-term guard the grid returns 7.69 at 48 radial nodes, 8.24 at 96
+        f = LaurentPolynomial(1, {(0,): 1.0, (-1,): 1.0})
+        with pytest.raises(DivergentIntegralError):
+            quadrature_norm(disc, f, 2.0)
+        with pytest.raises(DivergentIntegralError):
+            quadrature_norm(disc, f, 2.0, radial_nodes=96)
+        assert math.isfinite(quadrature_norm(disc, f, 1.0).value)  # |1/z| is integrable
 
 
 class TestQuadrature:
@@ -279,6 +296,33 @@ class TestGeneralQuadrature:
         assert_rel(quadrature_norm(D, _Opaque(f), p).value, quadrature_norm(D, f, p).value, 1e-13)
 
 
+def _mc_reference(D, items, samples, seed):
+    """(value, std_error) per item with the chunk formulas written out: box
+    proposals from substream (seed, TAG_MC_NORM, i) in chunks of 2^16, rows on
+    a pole dropped, sums of y and y^2 added in chunk order."""
+    n_chunks = math.ceil(samples / 65536)
+    sums = [[0.0, 0.0] for _ in items]
+    for i in range(n_chunks):
+        g = substream(seed, TAG_MC_NORM, i)
+        u = g.random((min(65536, samples - 65536 * i), 2 * D.dimension)) * 2.0 - 1.0
+        pts = (u[:, ::2] + 1j * u[:, 1::2]) * np.asarray(D.bounding_box)
+        members = pts[D.contains(pts)]
+        for acc, (f, p) in zip(sums, items):
+            keep = np.ones(members.shape[0], dtype=bool)
+            for j in f._negative_axes:
+                keep &= members[:, j] != 0
+            vals = np.abs(f.evaluate(members[keep])) ** p
+            acc[0] += float(vals.sum())
+            acc[1] += float((vals * vals).sum())
+    n, vol, out = float(samples), D.box_volume, []
+    for (s1, s2), (_, p) in zip(sums, items):
+        mean = s1 / n
+        var = max(s2 / n - mean * mean, 0.0) * n / max(n - 1.0, 1.0)
+        res = _delta_result(vol * mean, vol * math.sqrt(var / n), p, "monte_carlo", samples)
+        out.append((res.value, res.std_error))
+    return out
+
+
 class TestMonteCarlo:
     def test_matches_closed_form(self, disc):
         f = LaurentPolynomial.monomial(1, (1,))
@@ -324,6 +368,18 @@ class TestMonteCarlo:
         f = LaurentPolynomial.monomial(1, (1,))
         with pytest.raises(ConfigError):
             mc_norm(disc, f, 2.0, 500, 0)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_disc_matches_chunk_formula(self, disc, threads):
+        items = [(LaurentPolynomial.monomial(1, (1,)), 2.0), (LaurentPolynomial(1, {(0,): 1.0, (2,): 0.3j}), 1.5)]
+        got = mc_norm_batch(disc, items, 150_001, 11, threads=threads)
+        assert [(r.value, r.std_error) for r in got] == _mc_reference(disc, items, 150_001, 11)
+
+    def test_punctured_disc_matches_chunk_formula(self, punctured):
+        items = [(LaurentPolynomial.monomial(1, (-1,)), 1.0), (LaurentPolynomial(1, {(-1,): 1.0, (1,): 2.0}), 0.5)]
+        with pytest.warns(PoleProximityWarning):
+            got = mc_norm_batch(punctured, items, 150_001, 4, threads=2)
+        assert [(r.value, r.std_error) for r in got] == _mc_reference(punctured, items, 150_001, 4)
 
     def test_divergent_variance_warns(self, punctured):
         f = LaurentPolynomial.monomial(1, (-1,), 1.0)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,10 @@ from pbergman import (
     random_boxes,
     verify_isometry,
 )
+from pbergman._rng import TAG_PUSHFORWARD, substream
+from pbergman.geometry import sample_radial_weighted
+from pbergman.integrate import closed_norm
+from pbergman.isometry import _ratio_matrix, _side_key
 
 SWAP = MonomialMap(((0, 1), (1, 0)))
 
@@ -215,6 +220,47 @@ class TestPushforwardMass:
         with pytest.raises(ConfigError):
             pushforward_mass(disc, family.lead, family, box, 2.0, samples=100)
 
+    # a monomial lead takes the exactly weighted branch, any other lead the
+    # rejection branch
+    @pytest.mark.parametrize(
+        "terms,weighted", [({(1,): 1.0}, True), ({(0,): 1.0, (1,): 0.5}, False)], ids=["weighted", "rejection"]
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_chunk_formula(self, disc, terms, weighted, threads):
+        lead = LaurentPolynomial(1, terms)
+        family = FunctionFamily(1, (lead, LaurentPolynomial.monomial(1, (2,))))
+        box = Box(lo=(-0.3 - 0.2j,), hi=(0.4 + 0.3j,))
+        got = pushforward_mass(disc, lead, family, box, 1.5, samples=100_003, seed=3, threads=threads)
+        assert got == _pushforward_reference(disc, lead, family.members[1:], box, 1.5, 100_003, 3, weighted)
+
+
+def _pushforward_reference(D, lead, numerators, region, p, samples, seed, weighted):
+    """(mass, sigma) with the chunk formulas of both branches written out:
+    chunks of 2^16 draws from substream (seed, TAG_PUSHFORWARD, side key, i),
+    sums of y and y^2 added in chunk order."""
+    key = _side_key(D, lead, numerators)
+    s1 = s2 = 0.0
+    for i in range(math.ceil(samples / 65536)):
+        g = substream(seed, TAG_PUSHFORWARD, key, i)
+        size = min(65536, samples - 65536 * i)
+        if weighted:
+            pts = sample_radial_weighted(D, tuple(p * e for e in lead.single_term()[0]), g, size)
+            vals, good = _ratio_matrix(lead, numerators, pts)
+            y = region(vals) * good
+        else:
+            u = g.random((size, 2 * D.dimension)) * 2.0 - 1.0
+            pts = (u[:, ::2] + 1j * u[:, 1::2]) * np.asarray(D.bounding_box)
+            pts = pts[D.contains(pts)]
+            vals, good = _ratio_matrix(lead, numerators, pts)
+            y = region(vals) * np.abs(lead(pts)) ** p * good
+        s1 += float(y.sum())
+        s2 += float((y * y).sum())
+    n = float(samples)
+    factor = closed_norm(D, lead, p).integral if weighted else D.box_volume
+    mean = s1 / n
+    var = max(s2 / n - mean * mean, 0.0) * n / max(n - 1.0, 1.0)
+    return factor * mean, factor * math.sqrt(var / n)
+
 
 class TestBoxes:
     def test_json_roundtrip(self):
@@ -286,6 +332,17 @@ class TestEquimeasure:
         bad = Box(lo=(0.0, 0.0), hi=(0.5, 0.5))
         with pytest.raises(ConfigError):
             equimeasure_check(T, family, boxes=[bad], samples=100_000)
+
+    def test_report_bytes_independent_of_threads(self):
+        # source lead 1 is weighted, target lead T(1) is the Moebius weight,
+        # sampled by rejection
+        T = mobius_operator(0.3, 1.0)
+        family = FunctionFamily.coordinates(1)
+        reports = [
+            json.dumps(equimeasure_check(T, family, samples=100_000, seed=2, threads=t).to_json_obj(), sort_keys=True)
+            for t in (1, 3)
+        ]
+        assert reports[0] == reports[1]
 
     def test_report_json_shape(self, disc):
         T = identity_operator(disc, 2.0)

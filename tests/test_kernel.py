@@ -16,8 +16,9 @@ from pbergman import (
     make_catalog_domain,
     pbergman_min_norm,
 )
+from pbergman.functions import monomial_values
 from pbergman.integrate import _radial_grid
-from pbergman.kernel import _SliceProblem, _monomial_values
+from pbergman.kernel import _SliceProblem
 
 # deg-20 partial sum of sum (k+1) |z|^{2k} / pi at z = 0.5
 DISC_DEG20_AT_HALF = 0.5658842421023615
@@ -220,7 +221,7 @@ def _dense_reference(D, prob, cfg):
     combos = np.stack(np.meshgrid(*([phase] * n), indexing="ij"), axis=-1).reshape(-1, n)
     nodes = np.repeat(radii, n_angular, axis=0) * np.tile(combos, (radii.shape[0], 1))
     w = np.repeat(np.prod(radii, axis=1) * wts, n_angular) * (2.0 * math.pi / m_theta) ** n
-    return _monomial_values(nodes, prob.indices), w
+    return monomial_values(nodes, prob.indices), w
 
 
 def _rel(a, b):
