@@ -592,37 +592,33 @@ def boundary_distance(D: BoundedDomain, w, tol: float = 1e-6) -> float:
     inside = D.contains(w)
     diam = 2.0 * math.sqrt(sum(2.0 * b * b for b in D.bounding_box)) + 1.0
     dirs = _direction_battery(D, w)
-    best = math.inf
 
-    def member(t, d):
-        return bool(D.contains(w + t * d))
+    def same_side(t, rows):
+        """Whether w + t d lies on w's side of the boundary, for the directions d in rows."""
+        return D.contains(w + t[:, None] * dirs[rows]) == inside
 
-    for d in dirs:
-        if inside:
-            lo, hi = 0.0, tol
-            while hi < diam and member(hi, d):
-                lo, hi = hi, hi * 2.0
-            if hi >= diam and member(hi, d):
-                continue
-        else:
-            lo, hi = 0.0, tol
-            found = member(hi, d)
-            while hi < diam and not found:
-                lo, hi = hi, hi * 2.0
-                found = member(hi, d)
-            if not found:
-                continue
-            # bisection below expects member(lo) state != member(hi) state
-        for _ in range(80):
-            if hi - lo < tol / 4.0:
-                break
-            mid = 0.5 * (lo + hi)
-            if member(mid, d) == inside:
-                lo = mid
-            else:
-                hi = mid
-        crossing = 0.5 * (lo + hi)
-        best = min(best, crossing)
+    # all directions at once: double the step from tol while it stays on w's
+    # side; directions still on it at diam have no crossing
+    lo = np.zeros(len(dirs))
+    hi = np.full(len(dirs), tol)
+    same = same_side(hi, slice(None))
+    while np.any(grow := same & (hi < diam)):
+        rows = np.flatnonzero(grow)
+        lo[rows], hi[rows] = hi[rows], hi[rows] * 2.0
+        same[rows] = same_side(hi[rows], rows)
+    # then bisect each bracketing step to a width below tol / 4, 80 halvings at most
+    active = ~same & (hi - lo >= tol / 4.0)
+    for _ in range(80):
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        stay = same_side(mid, rows)
+        lo[rows] = np.where(stay, mid, lo[rows])
+        hi[rows] = np.where(stay, hi[rows], mid)
+        active[rows] = hi[rows] - lo[rows] >= tol / 4.0
+    crossings = 0.5 * (lo + hi)[~same]
+    best = float(crossings.min()) if crossings.size else math.inf
 
     if inside:
         for j in D.null_exclusions:

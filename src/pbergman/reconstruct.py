@@ -387,15 +387,13 @@ def reconstruct_map(
     else:
         records = [solve_one(i) for i in range(pts.shape[0])]
 
-    mapped = [(i, r) for i, r in enumerate(records) if r.status == STATUS_MAPPED]
-    violations = 0
+    # pairs of mapped points whose images merge, one row of pairs at a time
+    images = np.array([r.w for r in records if r.status == STATUS_MAPPED], dtype=complex)
     merge_tol = max(10.0 * cfg.tol, 1e-12)
-    for a in range(len(mapped)):
-        for b in range(a + 1, len(mapped)):
-            wa = np.asarray(mapped[a][1].w)
-            wb = np.asarray(mapped[b][1].w)
-            if float(np.linalg.norm(wa - wb)) < merge_tol:
-                violations += 1
+    violations = sum(
+        int(np.count_nonzero(np.linalg.norm(images[a + 1 :] - images[a], axis=1) < merge_tol))
+        for a in range(len(images))
+    )
     return ReconstructionResult(
         records=tuple(records),
         threshold=floor,

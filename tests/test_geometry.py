@@ -17,6 +17,7 @@ from pbergman import (
     sample_radial_weighted,
 )
 from pbergman._rng import TAG_REJECTION, substream
+from pbergman.geometry import _direction_battery
 
 
 class TestMembership:
@@ -202,6 +203,46 @@ class TestBoundaryDistance:
     def test_ball_interior(self, ball2):
         w = np.array([0.3, 0.4j])
         assert abs(boundary_distance(ball2, w) - 0.5) < 1e-5
+
+    @staticmethod
+    def _one_direction_at_a_time(D, w, tol):
+        """The probe as a scan and bisection per direction, point by point."""
+        inside = D.contains(w)
+        diam = 2.0 * math.sqrt(sum(2.0 * b * b for b in D.bounding_box)) + 1.0
+        best = math.inf
+        for d in _direction_battery(D, w):
+            lo, hi = 0.0, tol
+            same = D.contains(w + hi * d) == inside
+            while hi < diam and same:
+                lo, hi = hi, hi * 2.0
+                same = D.contains(w + hi * d) == inside
+            if same:
+                continue
+            for _ in range(80):
+                if hi - lo < tol / 4.0:
+                    break
+                mid = 0.5 * (lo + hi)
+                if D.contains(w + mid * d) == inside:
+                    lo = mid
+                else:
+                    hi = mid
+            best = min(best, 0.5 * (lo + hi))
+        if inside:
+            for j in D.null_exclusions:
+                best = min(best, abs(w[j]))
+        if not math.isfinite(best):
+            best = diam
+        return 0.0 if best <= tol else float(best)
+
+    @pytest.mark.parametrize("label", ["disc", "punctured_disc(1)", "ball(2)", "hartogs(3)", "product(ball(2),hartogs(3))"])
+    def test_all_directions_at_once_match_one_at_a_time(self, label):
+        D = parse_domain(label)
+        b = np.asarray(D.bounding_box)
+        g = np.random.default_rng(3)
+        for k in range(12):
+            w = (g.uniform(-1, 1, D.dimension) + 1j * g.uniform(-1, 1, D.dimension)) * b * (1.3 if k % 3 == 0 else 1.0)
+            for tol in (1e-6, 1e-3):
+                assert boundary_distance(D, w, tol) == self._one_direction_at_a_time(D, w, tol)
 
 
 class TestClosureProbe:

@@ -181,6 +181,14 @@ class TestReconstruct:
         assert len(result.mapped) == 2
         assert result.injectivity_violations == 1
 
+    def test_every_merged_pair_counted(self, disc):
+        family = FunctionFamily(dimension=1, members=(ONE, LaurentPolynomial.monomial(1, (2,))))
+        grid = np.array([[0.3 + 0.0j], [-0.3 + 0.0j], [0.5j], [-0.5j], [0.3 + 0.0j]])
+        result = reconstruct_map(identity_operator(disc, 2.0), family, grid)
+        assert len(result.mapped) == 5
+        # the three points with z^2 = 0.09 merge pairwise, the two with z^2 = -0.25 once
+        assert result.injectivity_violations == 4
+
     def test_degenerate_grid_rejected(self, disc):
         fam = degree_family(1, 2, lead=Z)
         with pytest.raises(ConfigError):
