@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+import os
+import sys
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
 
 class PBergmanError(Exception):
     """Base class for all package-specific errors."""
@@ -39,3 +44,14 @@ class NoBasisSupportError(PBergmanError):
 
 class PoleProximityWarning(UserWarning):
     """Monte Carlo integrand has heavy mass spikes; quadrature is more reliable."""
+
+
+def user_stacklevel() -> int:
+    """The `warnings.warn` stacklevel, for the function that calls this, that
+    names the first frame outside the package, so a warning points at the
+    user's call site however deep in the package it is raised. (Python 3.12
+    has `skip_file_prefixes`; 3.11 does not.)"""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level

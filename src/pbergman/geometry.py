@@ -61,7 +61,7 @@ class RadialProfile:
         if self.kind == "polydisc":
             return np.all(r < np.asarray(self.radii), axis=1)
         if self.kind == "ball":
-            return np.sum(r * r, axis=1) < self.radius**2
+            return np.sum(r * r, axis=1) < self.radius * self.radius
         if self.kind == "hartogs_graph":
             return (r[:, 0] < 1.0) & (r[:, 1] < r[:, 0] ** self.k)
         if self.kind == "graph_with_factor":
@@ -70,11 +70,8 @@ class RadialProfile:
             return inside & (r[:, 1] < cap)
         if self.kind == "product":
             out = np.ones(r.shape[0], dtype=bool)
-            j = 0
-            for f in self.factors:
-                d = f.dimension
-                out &= f.moduli_member(r[:, j : j + d])
-                j += d
+            for f, cols in self.factor_columns():
+                out &= f.moduli_member(r[:, cols])
             return out
         raise UnsupportedDomainError(f"unknown profile kind {self.kind!r}")
 
@@ -92,11 +89,16 @@ class RadialProfile:
             peak = (k / (k + 1.0)) ** (k / 2.0) / math.sqrt(k + 1.0)
             return (1.0, peak)
         if self.kind == "product":
-            out = ()
-            for f in self.factors:
-                out += f.modulus_bounds()
-            return out
+            return tuple(b for f, _ in self.factor_columns() for b in f.modulus_bounds())
         raise UnsupportedDomainError(f"unknown profile kind {self.kind!r}")
+
+    def factor_columns(self):
+        """(factor, slice of that factor's coordinates) for each factor of a product."""
+        j = 0
+        for f in self.factors:
+            d = f.dimension
+            yield f, slice(j, j + d)
+            j += d
 
 
 def log_radial_moment(profile: RadialProfile, t: Sequence[float]) -> float:
@@ -131,11 +133,9 @@ def log_radial_moment(profile: RadialProfile, t: Sequence[float]) -> float:
             raise DivergentIntegralError(f"graph-domain moment diverges at exponents {tuple(t)}")
         return -math.log(t[1] + 2.0) - math.log(2.0) + float(betaln(outer / 2.0, (t[1] + 4.0) / 2.0))
     if profile.kind == "product":
-        out, j = 0.0, 0
-        for f in profile.factors:
-            d = f.dimension
-            out += log_radial_moment(f, t[j : j + d])
-            j += d
+        out = 0.0
+        for f, cols in profile.factor_columns():
+            out += log_radial_moment(f, t[cols])
         return out
     raise UnsupportedDomainError(f"unknown profile kind {profile.kind!r}")
 
@@ -168,12 +168,7 @@ def sample_moduli_weighted(profile: RadialProfile, t: Sequence[float], rng: np.r
         r2 = r1**k * np.sqrt(1.0 - u) * v ** (1.0 / (t[1] + 2.0))
         return np.column_stack([r1, r2])
     if profile.kind == "product":
-        cols, j = [], 0
-        for f in profile.factors:
-            d = f.dimension
-            cols.append(sample_moduli_weighted(f, t[j : j + d], rng, count))
-            j += d
-        return np.hstack(cols)
+        return np.hstack([sample_moduli_weighted(f, t[cols], rng, count) for f, cols in profile.factor_columns()])
     raise UnsupportedDomainError(f"unknown profile kind {profile.kind!r}")
 
 
@@ -270,120 +265,64 @@ def make_catalog_domain(spec) -> BoundedDomain:
     ("ball", n) or ("ball", n, r), ("hartogs", k), ("fk_ball_prime", k),
     ("product", spec, spec, ...). Strings like "hartogs(3)" and JSON objects
     {"kind": ..., "params": {...}} are accepted too.
+
+    The domain's RadialProfile is its one description: membership is
+    `profile.moduli_member(|z|)`, the bounding box is `profile.modulus_bounds()`
+    and the dimension is `profile.dimension`. Punctures {z_j = 0} are carried
+    as null exclusions on top of the profile.
     """
     desc = _normalize_spec(spec)
     kind = desc[0]
-
+    excl = ()
     if kind == "disc" or kind == "punctured_disc":
         r = float(desc[1]) if len(desc) > 1 else 1.0
         if r <= 0:
             raise ConfigError("radius must be positive")
         profile = RadialProfile("polydisc", radii=(r,))
         excl = (0,) if kind == "punctured_disc" else ()
-        return BoundedDomain(
-            dimension=1,
-            membership=lambda pts, r=r: np.abs(pts[:, 0]) < r,
-            bounding_box=(r,),
-            label=_label_of(desc),
-            null_exclusions=excl,
-            radial_profile=profile,
-            descriptor=("disc", r) if kind == "disc" else ("punctured_disc", r),
-        )
-    if kind == "polydisc":
+        canonical = (kind, r)
+    elif kind == "polydisc":
         n = int(desc[1])
         if n < 1:
             raise ConfigError("polydisc needs n >= 1")
         radii = tuple(float(r) for r in desc[2]) if len(desc) > 2 else (1.0,) * n
         if len(radii) != n or any(r <= 0 for r in radii):
             raise ConfigError("polydisc needs one positive radius per coordinate")
-        return BoundedDomain(
-            dimension=n,
-            membership=lambda pts, radii=radii: np.all(np.abs(pts) < np.asarray(radii), axis=1),
-            bounding_box=radii,
-            label=_label_of(desc),
-            radial_profile=RadialProfile("polydisc", radii=radii),
-            descriptor=("polydisc", n, radii),
-        )
-    if kind == "ball":
+        profile = RadialProfile("polydisc", radii=radii)
+        canonical = ("polydisc", n, radii)
+    elif kind == "ball":
         n = int(desc[1])
         if n < 1:
             raise ConfigError("ball needs n >= 1")
         r = float(desc[2]) if len(desc) > 2 else 1.0
         if r <= 0:
             raise ConfigError("radius must be positive")
-        return BoundedDomain(
-            dimension=n,
-            membership=lambda pts, r=r: np.sum(np.abs(pts) ** 2, axis=1) < r * r,
-            bounding_box=(r,) * n,
-            label=_label_of(desc),
-            radial_profile=RadialProfile("ball", n=n, radius=r),
-            descriptor=("ball", n, r),
-        )
-    if kind == "hartogs":
+        profile = RadialProfile("ball", n=n, radius=r)
+        canonical = ("ball", n, r)
+    elif kind == "hartogs" or kind == "fk_ball_prime":
         k = int(desc[1])
         if k < 1:
-            raise ConfigError("hartogs needs k >= 1")
-        profile = RadialProfile("hartogs_graph", k=k)
-
-        def member(pts, k=k):
-            r1 = np.abs(pts[:, 0])
-            return (r1 < 1.0) & (np.abs(pts[:, 1]) < r1**k)
-
-        return BoundedDomain(
-            dimension=2,
-            membership=member,
-            bounding_box=(1.0, 1.0),
-            label=_label_of(desc),
-            radial_profile=profile,
-            descriptor=("hartogs", k),
-        )
-    if kind == "fk_ball_prime":
-        k = int(desc[1])
-        if k < 1:
-            raise ConfigError("fk_ball_prime needs k >= 1")
-        profile = RadialProfile("graph_with_factor", k=k)
-
-        def member(pts, k=k):
-            r1 = np.abs(pts[:, 0])
-            inside = r1 < 1.0
-            cap = np.where(inside, r1**k * np.sqrt(np.maximum(1.0 - r1 * r1, 0.0)), 0.0)
-            return inside & (np.abs(pts[:, 1]) < cap)
-
-        return BoundedDomain(
-            dimension=2,
-            membership=member,
-            bounding_box=profile.modulus_bounds(),
-            label=_label_of(desc),
-            radial_profile=profile,
-            descriptor=("fk_ball_prime", k),
-        )
-    if kind == "product":
+            raise ConfigError(f"{kind} needs k >= 1")
+        profile = RadialProfile("hartogs_graph" if kind == "hartogs" else "graph_with_factor", k=k)
+        canonical = (kind, k)
+    elif kind == "product":
         factors = [make_catalog_domain(s) for s in desc[1:]]
         if not factors:
             raise ConfigError("product needs at least one factor")
-        dims = [f.dimension for f in factors]
-        offsets = np.concatenate([[0], np.cumsum(dims)])
-
-        def member(pts, factors=tuple(factors), offsets=offsets):
-            out = np.ones(pts.shape[0], dtype=bool)
-            for f, a, b in zip(factors, offsets[:-1], offsets[1:]):
-                out &= f.membership(pts[:, a:b])
-            return out
-
-        excl = tuple(int(offsets[i] + j) for i, f in enumerate(factors) for j in f.null_exclusions)
-        profile = None
-        if all(f.radial_profile is not None for f in factors):
-            profile = RadialProfile("product", factors=tuple(f.radial_profile for f in factors))
-        return BoundedDomain(
-            dimension=int(sum(dims)),
-            membership=member,
-            bounding_box=tuple(b for f in factors for b in f.bounding_box),
-            label=_label_of(desc),
-            null_exclusions=excl,
-            radial_profile=profile,
-            descriptor=("product",) + tuple(f.descriptor for f in factors),
-        )
-    raise ConfigError(f"unknown catalog kind {kind!r}")
+        profile = RadialProfile("product", factors=tuple(f.radial_profile for f in factors))
+        excl = tuple(cols.start + j for f, (_, cols) in zip(factors, profile.factor_columns()) for j in f.null_exclusions)
+        canonical = ("product",) + tuple(f.descriptor for f in factors)
+    else:
+        raise ConfigError(f"unknown catalog kind {kind!r}")
+    return BoundedDomain(
+        dimension=profile.dimension,
+        membership=lambda pts: profile.moduli_member(np.abs(pts)),
+        bounding_box=profile.modulus_bounds(),
+        label=_label_of(desc),
+        null_exclusions=excl,
+        radial_profile=profile,
+        descriptor=canonical,
+    )
 
 
 def _label_of(desc: tuple) -> str:

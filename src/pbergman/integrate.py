@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import CHUNK, TAG_MC_NORM, substream
-from .errors import ConfigError, DivergentIntegralError, PoleProximityWarning, UnsupportedDomainError
+from .errors import ConfigError, DivergentIntegralError, PoleProximityWarning, UnsupportedDomainError, user_stacklevel
 from .functions import LaurentPolynomial, monomial_values
 from .geometry import BoundedDomain, RadialProfile, box_proposals, log_radial_moment
 
@@ -192,7 +192,7 @@ def mc_norm_batch(
                     f"|f|^{p} has divergent sample variance on {D.label}; the MC error "
                     "estimate is unreliable, prefer quadrature_norm",
                     PoleProximityWarning,
-                    stacklevel=2,
+                    stacklevel=user_stacklevel(),
                 )
 
     def chunk_ys(i: int, size: int):

@@ -22,6 +22,7 @@ from .errors import (
     DivergentIntegralError,
     NonInvertibleMapError,
     PoleProximityWarning,
+    user_stacklevel,
 )
 from .functions import (
     AnalyticFunction,
@@ -189,22 +190,11 @@ class CompositionIsometry:
         m = self._monomial_mapping()
         if m is not None and isinstance(self.weight, LaurentPolynomial) and self.weight.is_monomial:
             F = m.inverse()
-            winv = weight_branch(F, self.p)
-            corr = self.weight.compose_monomial(F) * winv
-            ce, cc = corr.single_term()
+            weight = weight_branch(F, self.p)
+            ce, c = (self.weight.compose_monomial(F) * weight).single_term()
             if any(ce):
                 raise NonInvertibleMapError("weight correction is not constant; weight is invalid")
-            return CompositionIsometry(
-                source=self.target,
-                target=self.source,
-                mapping=F,
-                weight=winv,
-                p=self.p,
-                lam=1.0 / (self.lam * cc),
-                label=f"inverse({self.label})",
-                validate=False,
-            )
-        if isinstance(self.mapping, LinearMap) and isinstance(self.weight, LaurentPolynomial):
+        elif isinstance(self.mapping, LinearMap) and isinstance(self.weight, LaurentPolynomial):
             we, wc = self.weight.single_term()
             if any(we):
                 raise NonInvertibleMapError("linear maps need a constant weight to invert")
@@ -214,19 +204,10 @@ class CompositionIsometry:
             c = wc * gc
             if abs(abs(c) - 1.0) > 1e-10:
                 raise NonInvertibleMapError("weight correction is not a unimodular constant")
-            return CompositionIsometry(
-                source=self.target,
-                target=self.source,
-                mapping=F,
-                weight=LaurentPolynomial.monomial(self.source.dimension, (0,) * self.source.dimension, gc),
-                p=self.p,
-                lam=1.0 / (self.lam * c),
-                label=f"inverse({self.label})",
-                validate=False,
-            )
-        if isinstance(self.mapping, MobiusFactors):
+            weight = LaurentPolynomial.monomial(self.source.dimension, (0,) * self.source.dimension, gc)
+        elif isinstance(self.mapping, MobiusFactors):
             F = self.mapping.inverse()
-            winv = mobius_weight(F.params, self.p)
+            weight = mobius_weight(F.params, self.p)
             probes = np.array(
                 [
                     [0.11 + 0.07j] * self.source.dimension,
@@ -234,22 +215,23 @@ class CompositionIsometry:
                     [0.05 - 0.23j] * self.source.dimension,
                 ]
             )
-            c_vals = np.asarray(self.weight(F(probes))) * np.asarray(winv(probes))
+            c_vals = np.asarray(self.weight(F(probes))) * np.asarray(weight(probes))
             c = complex(c_vals[0])
             if np.max(np.abs(c_vals - c)) > 1e-10 or abs(abs(c) - 1.0) > 1e-10:
                 raise NonInvertibleMapError("weight correction is not a unimodular constant")
-            return CompositionIsometry(
-                source=self.target,
-                target=self.source,
-                mapping=F,
-                weight=winv,
-                p=self.p,
-                lam=1.0 / (self.lam * c),
-                label=f"inverse({self.label})",
-                validate=False,
+        else:
+            raise NonInvertibleMapError(
+                "inverse is available for monomial chains and Moebius factor maps only"
             )
-        raise NonInvertibleMapError(
-            "inverse is available for monomial chains and Moebius factor maps only"
+        return CompositionIsometry(
+            source=self.target,
+            target=self.source,
+            mapping=F,
+            weight=weight,
+            p=self.p,
+            lam=1.0 / (self.lam * c),
+            label=f"inverse({self.label})",
+            validate=False,
         )
 
 
@@ -484,7 +466,7 @@ def _pushforward_stats(
             f"|lead|^{p} has divergent sample variance on {D.label}; pushforward "
             "error estimates are unreliable",
             PoleProximityWarning,
-            stacklevel=2,
+            stacklevel=user_stacklevel(),
         )
 
     if weighted:

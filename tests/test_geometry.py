@@ -59,6 +59,86 @@ class TestMembership:
         assert not D.contains(np.array([0.0j, 0.3, 0.3j]))
 
 
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "disc(1)",
+            "disc(0.7)",
+            "punctured_disc(1.3)",
+            "polydisc(2;0.5,1.5)",
+            "ball(1)",
+            "ball(3;0.37)",
+            "ball(2;1.3)",
+            "ball(2;1.267083178292732)",
+            "hartogs(1)",
+            "hartogs(3)",
+            "fk_ball_prime(2)",
+            "fk_ball_prime(3)",
+            "product(ball(2),hartogs(3))",
+            "product(punctured_disc(1),fk_ball_prime(3),ball(1;0.37))",
+        ],
+    )
+    def test_profile_membership_matches_per_kind_closures(self, label):
+        D = parse_domain(label)
+        member, excl = _per_kind_membership(D.descriptor)
+        b = np.asarray(D.bounding_box)
+        g = np.random.default_rng(5)
+        u = g.uniform(-1.2, 1.2, (20_000, 2 * D.dimension))
+        pts = (u[:, ::2] + 1j * u[:, 1::2]) * b
+        # on the sphere of radius b_0, on the bounding polydisc's torus, and
+        # with one coordinate zero
+        pts[:2000] *= b[0] / np.linalg.norm(pts[:2000], axis=1, keepdims=True)
+        pts[2000:4000] = b * np.exp(2j * np.pi * g.random((2000, D.dimension)))
+        for j in range(D.dimension):
+            pts[4000 + 500 * j : 4500 + 500 * j, j] = 0.0
+        want = member(pts)
+        for j in excl:
+            want &= pts[:, j] != 0
+        assert D.null_exclusions == excl
+        assert np.array_equal(D.contains(pts), want)
+
+
+def _per_kind_membership(desc):
+    """Membership closure and null exclusions of a catalog descriptor, written
+    per kind (the rules before every catalog domain took them from its radial
+    profile)."""
+    kind = desc[0]
+    if kind in ("disc", "punctured_disc"):
+        r = desc[1]
+        return (lambda pts: np.abs(pts[:, 0]) < r), ((0,) if kind == "punctured_disc" else ())
+    if kind == "polydisc":
+        return (lambda pts: np.all(np.abs(pts) < np.asarray(desc[2]), axis=1)), ()
+    if kind == "ball":
+        r = desc[2]
+        return (lambda pts: np.sum(np.abs(pts) ** 2, axis=1) < r * r), ()
+    if kind == "hartogs":
+
+        def member(pts, k=desc[1]):
+            r1 = np.abs(pts[:, 0])
+            return (r1 < 1.0) & (np.abs(pts[:, 1]) < r1**k)
+
+        return member, ()
+    if kind == "fk_ball_prime":
+
+        def member(pts, k=desc[1]):
+            r1 = np.abs(pts[:, 0])
+            inside = r1 < 1.0
+            cap = np.where(inside, r1**k * np.sqrt(np.maximum(1.0 - r1 * r1, 0.0)), 0.0)
+            return inside & (np.abs(pts[:, 1]) < cap)
+
+        return member, ()
+    parts = [_per_kind_membership(d) for d in desc[1:]]
+    offsets = np.cumsum([0] + [make_catalog_domain(d).dimension for d in desc[1:]])
+
+    def member(pts):
+        out = np.ones(pts.shape[0], dtype=bool)
+        for (m, _), a, b in zip(parts, offsets[:-1], offsets[1:]):
+            out &= m(pts[:, a:b])
+        return out
+
+    return member, tuple(int(offsets[i] + j) for i, (_, e) in enumerate(parts) for j in e)
+
+
 class TestLabelsAndJson:
     def test_parse_label_roundtrip(self):
         for label in ["disc(1)", "punctured_disc(1)", "ball(2)", "hartogs(3)", "fk_ball_prime(2)"]:
@@ -81,6 +161,8 @@ class TestLabelsAndJson:
     def test_unknown_label_rejected(self):
         with pytest.raises(ConfigError):
             parse_domain("nonsense(3)")
+        with pytest.raises(ConfigError):
+            make_catalog_domain(("foo",))
 
     def test_bad_radius_rejected(self):
         with pytest.raises(ConfigError):

@@ -383,9 +383,11 @@ class TestMonteCarlo:
 
     def test_divergent_variance_warns(self, punctured):
         f = LaurentPolynomial.monomial(1, (-1,), 1.0)
-        with pytest.warns(PoleProximityWarning):
+        with pytest.warns(PoleProximityWarning) as rec:
             res = mc_norm(punctured, f, 1.0, 20_000, 0)
         assert math.isfinite(res.value)
+        # the warning names this call site, not the package frame that raised it
+        assert [w.filename for w in rec] == [__file__]
 
 
 class TestResultContract:

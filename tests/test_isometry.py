@@ -15,6 +15,8 @@ from pbergman import (
     MobiusFactors,
     MonomialMap,
     NonInvertibleMapError,
+    PoleProximityWarning,
+    build_counterexample,
     equimeasure_check,
     identity_operator,
     mobius_operator,
@@ -343,6 +345,14 @@ class TestEquimeasure:
             for t in (1, 3)
         ]
         assert reports[0] == reports[1]
+
+    def test_divergent_lead_warning_names_caller(self):
+        # T(1) = z1^-3 z3^3 has a divergent 3-norm on the target, whose
+        # pushforward then falls back to rejection sampling
+        T = build_counterexample(mutate="wrong-weight-exponent")
+        with pytest.warns(PoleProximityWarning) as rec:
+            equimeasure_check(T, FunctionFamily.coordinates(4), samples=20_000, seed=0)
+        assert [w.filename for w in rec] == [__file__]
 
     def test_report_json_shape(self, disc):
         T = identity_operator(disc, 2.0)
