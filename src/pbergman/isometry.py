@@ -18,7 +18,6 @@ from ._rng import TAG_BOXES, TAG_PUSHFORWARD, TAG_WEIGHTED, stable_key, substrea
 from .errors import (
     BranchError,
     ConfigError,
-    DegenerateDomainError,
     DivergentIntegralError,
     NonInvertibleMapError,
     PoleProximityWarning,
@@ -60,16 +59,17 @@ class FunctionFamily:
     def lead(self):
         return self.members[0]
 
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        """(m, N+1) matrix of the members' values at (m, n) points; column 0
+        is the lead."""
+        out = np.empty((pts.shape[0], len(self.members)), dtype=complex)
+        for k, f in enumerate(self.members):
+            out[:, k] = f(pts)
+        return out
+
     @property
     def ratio_count(self) -> int:
         return len(self.members) - 1
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "label": self.label,
-            "members": [_function_descriptor(f) for f in self.members],
-        }
 
     @classmethod
     def coordinates(cls, dimension: int, label: str = "") -> "FunctionFamily":
@@ -179,6 +179,14 @@ class CompositionIsometry:
 
     __call__ = apply
 
+    def apply_family(self, family: FunctionFamily) -> FunctionFamily:
+        """The images T(phi_k) as one family on the target; without monomial
+        data they are pointwise and share one evaluation of G and g per call."""
+        images = tuple(self.apply(f) for f in family.members)
+        if self._monomial_mapping() is not None and isinstance(self.weight, LaurentPolynomial):
+            return FunctionFamily(self.target.dimension, images, family.label)
+        return ImageFamily(self.target.dimension, images, family.label, operator=self, preimages=family.members)
+
     def inverse(self) -> "CompositionIsometry":
         """The inverse operator, again in weighted composition form.
 
@@ -233,6 +241,20 @@ class CompositionIsometry:
             label=f"inverse({self.label})",
             validate=False,
         )
+
+
+@dataclass(frozen=True, kw_only=True)
+class ImageFamily(FunctionFamily):
+    """Pointwise images T(phi_k) whose ``values`` evaluate G and g once for all
+    members, in the operation order of ``CompositionIsometry.apply``."""
+
+    operator: CompositionIsometry
+    preimages: tuple
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        T = self.operator
+        Gw, gw = T.mapping(pts), np.asarray(T.weight(pts))
+        return np.stack([T.lam * np.asarray(phi(Gw)) * gw for phi in self.preimages], axis=1)
 
 
 def identity_operator(D: BoundedDomain, p: float, lam: complex = 1.0) -> CompositionIsometry:
@@ -419,31 +441,26 @@ def _side_key(D: BoundedDomain, lead, numerators) -> int:
     return stable_key(desc)
 
 
-def _ratio_matrix(lead, numerators, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ratio vectors (f_j/lead)(pts) and the mask of usable rows (lead != 0)."""
-    denom = np.asarray(lead(pts))
-    good = np.abs(denom) > 0.0
-    safe = np.where(good, denom, 1.0)
-    if numerators:
-        cols = [np.asarray(f(pts)) / safe for f in numerators]
-        vals = np.stack(cols, axis=1)
-    else:
-        vals = np.zeros((pts.shape[0], 0), dtype=complex)
-    return vals, good
+def ratio_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ratios f_j/lead of a family's value matrix (column 0 the lead), written
+    over its columns 1.. in place; the mask of rows with lead != 0; the lead."""
+    lead = values[:, 0]
+    good = np.abs(lead) > 0.0
+    values[:, 1:] /= np.where(good, lead, 1.0)[:, None]
+    return values[:, 1:], good, lead
 
 
 def _pushforward_stats(
     D: BoundedDomain,
-    lead,
-    numerators: Sequence,
+    family: FunctionFamily,
     regions: Sequence,
     p: float,
     samples: int,
     seed: int,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-region estimates of integral_D u(ratios) |lead|^p dA and standard
-    errors, from one shared sample stream.
+    """Per-region estimates of integral_D u(ratios) |lead|^p dA for the
+    family's ratios, and standard errors, from one shared sample stream.
 
     When the lead is a Laurent monomial on a catalog domain the points are
     drawn exactly from the normalized density |lead|^p/C, leaving the bounded
@@ -453,7 +470,8 @@ def _pushforward_stats(
     seed = int(seed)
     if samples < 1_000:
         raise ConfigError("pushforward needs at least 10^3 samples")
-    key = _side_key(D, lead, numerators)
+    lead = family.lead
+    key = _side_key(D, lead, family.members[1:])
     weighted = False
     if isinstance(lead, LaurentPolynomial) and lead.is_monomial and D.radial_profile is not None:
         try:
@@ -474,8 +492,8 @@ def _pushforward_stats(
         t = tuple(p * e for e in exp)
 
         def chunk_ys(i: int, size: int):
-            pts = sample_radial_weighted(D, t, substream(seed, TAG_PUSHFORWARD, key, i), size)
-            vals, good = _ratio_matrix(lead, numerators, pts)
+            gen = substream(seed, TAG_PUSHFORWARD, key, i)
+            vals, good, _ = ratio_matrix(family.values(sample_radial_weighted(D, t, gen, size)))
             for u in regions:
                 yield u(vals) * good
 
@@ -488,8 +506,8 @@ def _pushforward_stats(
             if not members.shape[0]:
                 yield from [np.zeros(0)] * len(regions)
                 return
-            vals, good = _ratio_matrix(lead, numerators, members)
-            w = np.abs(np.asarray(lead(members))) ** p * good
+            vals, good, lead_vals = ratio_matrix(family.values(members))
+            w = np.abs(lead_vals) ** p * good
             for u in regions:
                 yield u(vals) * w
 
@@ -510,11 +528,11 @@ def pushforward_mass(
     """MC estimate (mass, sigma) of integral_D u(f_1/phi0, ..., f_N/phi0)
     |phi0|^p dA, where the f_j are the family members after phi0 (or all of
     them when phi0 is not the leading member)."""
-    members = list(family.members)
-    if members and isinstance(members[0], LaurentPolynomial) and isinstance(phi0, LaurentPolynomial):
-        if members[0] == phi0:
-            members = members[1:]
-    masses, sigmas = _pushforward_stats(D, phi0, members, [region], p, samples, seed, threads)
+    members = family.members
+    if isinstance(phi0, LaurentPolynomial) and phi0 == members[0]:
+        members = members[1:]
+    side = FunctionFamily(family.dimension, (phi0, *members), family.label)
+    masses, sigmas = _pushforward_stats(D, side, [region], p, samples, seed, threads)
     return float(masses[0]), float(sigmas[0])
 
 
@@ -589,17 +607,16 @@ def random_boxes(
     """Random axis-aligned boxes spanning the bulk of the source-side ratio
     distribution (5th to 95th percentile per axis), independent of the
     operator weight so mutated operators face identical regions."""
-    lead = family.lead
-    numerators = family.members[1:]
-    if not numerators:
+    if family.ratio_count < 1:
         raise ConfigError("box generation needs at least one ratio coordinate")
+    lead = family.lead
     gen = substream(int(seed), TAG_BOXES, 0)
     if isinstance(lead, LaurentPolynomial) and lead.is_monomial and T.source.radial_profile is not None:
         exp, _ = lead.single_term()
         pts = sample_radial_weighted(T.source, tuple(T.p * e for e in exp), gen, probe_samples)
     else:
         pts = sample(T.source, gen, probe_samples).points
-    vals, good = _ratio_matrix(lead, numerators, pts)
+    vals, good, _ = ratio_matrix(family.values(pts))
     vals = vals[good]
     boxes = []
     q_lo_re = np.quantile(vals.real, 0.05, axis=0)
@@ -645,9 +662,7 @@ def equimeasure_check(
         raise ConfigError("equimeasurability needs at least one ratio coordinate")
     samples = max(int(samples), 100_000)
     seed = int(seed)
-    psi = [T.apply(f) for f in family.members]
-    if isinstance(psi[0], LaurentPolynomial) and psi[0].is_zero:
-        raise DegenerateDomainError("T(phi_0) is identically zero")
+    images = T.apply_family(family)
 
     regions: list = list(boxes) if boxes is not None else random_boxes(T, family, seed=seed)
     if smooth:
@@ -656,12 +671,8 @@ def equimeasure_check(
         if isinstance(r, Box) and r.dimension != family.ratio_count:
             raise ConfigError("box dimension must equal the number of ratio coordinates")
 
-    m_src, s_src = _pushforward_stats(
-        T.source, family.lead, family.members[1:], regions, T.p, samples, seed, threads
-    )
-    m_tgt, s_tgt = _pushforward_stats(
-        T.target, psi[0], psi[1:], regions, T.p, samples, seed, threads
-    )
+    m_src, s_src = _pushforward_stats(T.source, family, regions, T.p, samples, seed, threads)
+    m_tgt, s_tgt = _pushforward_stats(T.target, images, regions, T.p, samples, seed, threads)
 
     rows = []
     all_pass = True

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .functions import LaurentPolynomial, fd_jacobian_det, fd_jacobian_matrix
 from .geometry import BoundedDomain, sample
-from .isometry import CompositionIsometry, FunctionFamily
+from .isometry import CompositionIsometry, FunctionFamily, ratio_matrix
 
 STATUS_MAPPED = "mapped"
 STATUS_EXCLUDED_ZERO = "excluded-zero-weight"
@@ -41,6 +41,12 @@ STATUS_UNRESOLVED = "unresolved-budget"
 @dataclass(frozen=True)
 class IsometryOracle:
     """Black-box access to T: only images of supplied functions are used.
+
+    ``evaluator`` is a callable phi |-> T(phi) whose images are functions on
+    the target. It may also offer ``apply_family(family)``, returning the
+    images of a whole family as one ``FunctionFamily``; otherwise the images
+    are taken one member at a time. A ``CompositionIsometry`` offers both,
+    and its source, target and p, so the functions below take it directly.
 
     ``supports_arbitrary`` marks oracles (like real operators) that accept any
     Laurent input, enabling the linearity spot check; injected test oracles
@@ -60,7 +66,7 @@ class IsometryOracle:
             source=T.source,
             target=T.target,
             p=T.p,
-            evaluator=T.apply,
+            evaluator=T,
             supports_arbitrary=True,
             label=T.label,
         )
@@ -68,18 +74,23 @@ class IsometryOracle:
     def apply(self, phi):
         return self.evaluator(phi)
 
+    def apply_family(self, family: FunctionFamily) -> FunctionFamily:
+        if hasattr(self.evaluator, "apply_family"):
+            return self.evaluator.apply_family(family)
+        return FunctionFamily(self.target.dimension, tuple(self.apply(f) for f in family.members), family.label)
+
     def spot_check_linearity(self, family: FunctionFamily, points, coeff: complex = 0.37 + 0.21j) -> float:
         """Max abs deviation of T(phi_i + c phi_j) from T(phi_i) + c T(phi_j)
         at the given target points; needs arbitrary-input support."""
         if not self.supports_arbitrary:
             raise ConfigError("oracle does not accept functions outside its family")
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
+        images = self.apply_family(family).values(pts)
         worst = 0.0
         members = family.members
         for i in range(len(members) - 1):
-            a, b = members[i], members[i + 1]
-            combo = self.apply(a + coeff * b)(pts)
-            split = np.asarray(self.apply(a)(pts)) + coeff * np.asarray(self.apply(b)(pts))
+            combo = self.apply(members[i] + coeff * members[i + 1])(pts)
+            split = images[:, i] + coeff * images[:, i + 1]
             worst = max(worst, float(np.max(np.abs(combo - split))))
         return worst
 
@@ -101,29 +112,24 @@ class RatioMaps:
     """Evaluators for I_N (source) and J_N (target), defined off the zero
     sets of the leading members."""
 
-    count: int
     source: BoundedDomain
     target: BoundedDomain
     family: FunctionFamily
-    images: tuple
+    image_family: FunctionFamily
     source_zero_axes: tuple
-    target_zero_axes: tuple
-
-    def _ratios(self, members, pts: np.ndarray) -> np.ndarray:
-        denom = np.asarray(members[0](pts))
-        if np.any(np.abs(denom) == 0.0):
-            raise PoleEvaluationError("ratio map evaluated on the leading zero set")
-        cols = [np.asarray(f(pts)) / denom for f in members[1:]]
-        return np.stack(cols, axis=1)
 
     def source_ratios(self, points) -> np.ndarray:
-        return self._ratios(self.family.members, _batch(points, self.source.dimension))
+        return _usable_ratios(self.family, _batch(points, self.source.dimension))
 
     def target_ratios(self, points) -> np.ndarray:
-        return self._ratios(self.images, _batch(points, self.target.dimension))
+        return _usable_ratios(self.image_family, _batch(points, self.target.dimension))
 
-    def lead_source(self, points):
-        return self.family.members[0](points)
+
+def _usable_ratios(family: FunctionFamily, pts: np.ndarray) -> np.ndarray:
+    ratios, good, _ = ratio_matrix(family.values(pts))
+    if not np.all(good):
+        raise PoleEvaluationError("ratio map evaluated on the leading zero set")
+    return ratios
 
 
 def build_ratio_maps(oracle: IsometryOracle | CompositionIsometry, family: FunctionFamily) -> RatioMaps:
@@ -132,13 +138,9 @@ def build_ratio_maps(oracle: IsometryOracle | CompositionIsometry, family: Funct
     The zero set of a Laurent-monomial lead is recorded symbolically: it is
     exactly the union of coordinate hyperplanes with positive exponent.
     """
-    if isinstance(oracle, CompositionIsometry):
-        oracle = IsometryOracle.from_operator(oracle)
     if family.ratio_count < 1:
         raise ConfigError("ratio maps need at least two family members")
-    images = tuple(oracle.apply(f) for f in family.members)
-    if isinstance(images[0], LaurentPolynomial) and images[0].is_zero:
-        raise ConfigError("degenerate family: T(phi_0) is identically zero")
+    images = oracle.apply_family(family)
 
     def zero_axes(f):
         if isinstance(f, LaurentPolynomial) and f.is_monomial:
@@ -146,26 +148,21 @@ def build_ratio_maps(oracle: IsometryOracle | CompositionIsometry, family: Funct
         return ()
 
     return RatioMaps(
-        count=family.ratio_count,
         source=oracle.source,
         target=oracle.target,
         family=family,
-        images=images,
-        source_zero_axes=zero_axes(family.members[0]),
-        target_zero_axes=zero_axes(images[0]),
+        image_family=images,
+        source_zero_axes=zero_axes(family.lead),
     )
 
 
 def pullback_family(T: CompositionIsometry, extra_monomials: Sequence = ()) -> FunctionFamily:
     """The family whose target ratios are the plain coordinates: members are
     T^{-1}(1), T^{-1}(w_1), ..., T^{-1}(w_n), plus optional extra pullbacks."""
-    Tinv = T.inverse()
     n = T.target.dimension
-    members = [Tinv.apply(LaurentPolynomial.one(n))]
-    members.extend(Tinv.apply(LaurentPolynomial.coordinate(n, j)) for j in range(n))
-    for exp in extra_monomials:
-        members.append(Tinv.apply(LaurentPolynomial.monomial(n, tuple(exp))))
-    return FunctionFamily(dimension=T.source.dimension, members=tuple(members), label="pullback")
+    extra = tuple(LaurentPolynomial.monomial(n, tuple(exp)) for exp in extra_monomials)
+    plain = FunctionFamily(n, FunctionFamily.coordinates(n).members + extra, label="pullback")
+    return T.inverse().apply_family(plain)
 
 
 def degree_family(dimension: int, max_degree: int = 3, lead=None) -> FunctionFamily:
@@ -259,10 +256,10 @@ def _gn_from_start(maps: RatioMaps, target_vec: np.ndarray, w0: np.ndarray, cfg:
 
 
 def _solve_against(maps: RatioMaps, z: np.ndarray, starts: np.ndarray, cfg: SolverConfig, lead_floor: float) -> PointSolve:
-    lead_val = abs(complex(np.asarray(maps.lead_source(z.reshape(1, -1)))[0]))
-    if lead_val <= lead_floor:
+    ratios, good, lead = ratio_matrix(maps.family.values(z.reshape(1, -1)))
+    if not good[0] or abs(complex(lead[0])) <= lead_floor:
         return PointSolve(z=tuple(z), status=STATUS_EXCLUDED_ZERO, w=None, residual=math.inf, iterations=0)
-    target_vec = np.asarray(maps.source_ratios(z.reshape(1, -1))[0])
+    target_vec = ratios[0]
     best_w = None
     best_res = math.inf
     total_it = 0
@@ -282,7 +279,7 @@ def _solve_against(maps: RatioMaps, z: np.ndarray, starts: np.ndarray, cfg: Solv
 
 
 def _shared_starts(maps: RatioMaps, cfg: SolverConfig) -> np.ndarray:
-    gen = substream(cfg.seed, TAG_STARTS, stable_key([maps.target.label, maps.count]))
+    gen = substream(cfg.seed, TAG_STARTS, stable_key([maps.target.label, maps.family.ratio_count]))
     return sample(maps.target, gen, cfg.starts).points
 
 
@@ -425,8 +422,6 @@ def verify_modulus_identity(
     ``jacobian`` if supplied, from F.jacobian_det when available, else from a
     4th-order finite-difference stencil on F itself.
     """
-    if isinstance(oracle, CompositionIsometry):
-        oracle = IsometryOracle.from_operator(oracle)
     p = oracle.p if p is None else float(p)
     pts = _batch(points, oracle.source.dimension)
     if jacobian is None and hasattr(F, "jacobian_det"):
@@ -467,8 +462,6 @@ def verify_proportionality(
     """Ratios T(phi)(w)/phi(z) across tests: their mean and the max pairwise
     spread relative to the mean modulus. A small spread certifies (z, w) as a
     graph pair of the hidden map."""
-    if isinstance(oracle, CompositionIsometry):
-        oracle = IsometryOracle.from_operator(oracle)
     z = np.asarray(z, dtype=complex).reshape(1, -1)
     w = np.asarray(w, dtype=complex).reshape(1, -1)
     vals_z = np.array([complex(np.asarray(phi(z))[0]) for phi in tests])

@@ -28,7 +28,7 @@ from pbergman import (
 from pbergman._rng import TAG_PUSHFORWARD, substream
 from pbergman.geometry import sample_radial_weighted
 from pbergman.integrate import closed_norm
-from pbergman.isometry import _ratio_matrix, _side_key
+from pbergman.isometry import _side_key
 
 SWAP = MonomialMap(((0, 1), (1, 0)))
 
@@ -234,6 +234,15 @@ class TestPushforwardMass:
         box = Box(lo=(-0.3 - 0.2j,), hi=(0.4 + 0.3j,))
         got = pushforward_mass(disc, lead, family, box, 1.5, samples=100_003, seed=3, threads=threads)
         assert got == _pushforward_reference(disc, lead, family.members[1:], box, 1.5, 100_003, 3, weighted)
+
+
+def _ratio_matrix(lead, numerators, pts):
+    """Ratio columns f_j/lead, one member at a time, and the rows where the
+    lead is nonzero."""
+    denom = np.asarray(lead(pts))
+    good = np.abs(denom) > 0.0
+    safe = np.where(good, denom, 1.0)
+    return np.stack([np.asarray(f(pts)) / safe for f in numerators], axis=1), good
 
 
 def _pushforward_reference(D, lead, numerators, region, p, samples, seed, weighted):

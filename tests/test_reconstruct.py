@@ -10,17 +10,22 @@ from pbergman import (
     FunctionFamily,
     IsometryOracle,
     LaurentPolynomial,
+    LinearMap,
     MonomialMap,
     NoBasisSupportError,
     PoleEvaluationError,
     SolverConfig,
+    build_counterexample,
     build_ratio_maps,
     degree_family,
+    equimeasure_check,
     grid_points,
     identity_operator,
+    make_catalog_domain,
     mobius_operator,
     pullback_family,
     reconstruct_map,
+    sample,
     solve_point,
     verify_modulus_identity,
     verify_proportionality,
@@ -73,6 +78,61 @@ class TestRatioMaps:
         family = FunctionFamily(dimension=1, members=(ONE,))
         with pytest.raises(ConfigError):
             build_ratio_maps(identity_operator(disc, 2.0), family)
+
+    def test_zero_weight_operator_refused(self, disc):
+        T = CompositionIsometry(
+            source=disc,
+            target=disc,
+            mapping=MonomialMap.identity(1),
+            weight=LaurentPolynomial.zero(1),
+            p=3.0,
+            validate=False,
+        )
+        with pytest.raises(ConfigError):
+            build_ratio_maps(T, degree_family(1, 2))
+        with pytest.raises(ConfigError):
+            equimeasure_check(T, degree_family(1, 2), samples=100_000)
+
+    def test_target_ratios_evaluate_the_point_map_once(self):
+        T = mobius_operator(0.3, 1.0)
+        G = T.mapping
+        calls = []
+
+        class CountingMap:
+            dimension = G.dimension
+
+            def __call__(self, pts):
+                calls.append(len(pts))
+                return G(pts)
+
+        T.mapping = CountingMap()
+        maps = build_ratio_maps(T, degree_family(1, 3))
+        maps.target_ratios(np.array([[0.2 + 0.1j], [-0.4 + 0.3j]]))
+        assert calls == [2]
+
+    @pytest.mark.parametrize("kind", ["mobius", "unitary", "counterexample"])
+    def test_target_ratios_equal_member_image_quotients(self, kind):
+        if kind == "mobius":
+            T, family = mobius_operator(0.3, 1.0), degree_family(1, 3)
+        elif kind == "unitary":
+            c, s = math.cos(0.7), math.sin(0.7)
+            ball = make_catalog_domain(("ball", 2))
+            T = CompositionIsometry(
+                source=ball,
+                target=ball,
+                mapping=LinearMap(((c, -s), (s, c))),
+                weight=LaurentPolynomial.one(2),
+                p=2.0,
+            )
+            family = degree_family(2, 3)
+        else:
+            T = build_counterexample(3, 2)
+            family = pullback_family(T)
+        pts = sample(T.target, 5, 40).points
+        got = build_ratio_maps(T, family).target_ratios(pts)
+        lead = np.asarray(T.apply(family.lead)(pts))
+        want = np.stack([np.asarray(T.apply(f)(pts)) / lead for f in family.members[1:]], axis=1)
+        assert (got == want).all()
 
 
 class TestFamilies:
