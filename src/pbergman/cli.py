@@ -27,6 +27,7 @@ from .reconstruct import SolverConfig, grid_points, reconstruct_map
 from .scenarios import (
     family_from_spec,
     operator_from_spec,
+    render_summary,
     run_named_scenario,
     tests_from_spec,
 )
@@ -268,10 +269,8 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         print(_dumps(obj))
     else:
-        print(f"report: {obj.get('label', '?')}")
-        for c in obj.get("checks", []):
-            print(f"  [{c.get('verdict', '?')}] {c.get('name', '?')}: expected {c.get('expected')}, observed {c.get('observed')}")
-        print(f"overall: {'PASS' if obj.get('pass') else 'FAIL'}")
+        for line in render_summary(obj):
+            print(line)
     return 0 if obj.get("pass") else 1
 
 

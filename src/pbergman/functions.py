@@ -1,6 +1,6 @@
-"""Exact symbolic layer: Laurent polynomials, monomial maps, map chains,
-Jacobian determinants, and single-valued branches of fractional Jacobian
-powers.
+"""Exact symbolic layer: Laurent polynomials, the point maps (monomial,
+Moebius, linear), their Jacobian determinants, and each map's single-valued
+branch of the fractional Jacobian power J^{2/p}.
 
 Everything an operator produces from a finite Laurent expansion stays in
 closed form; numeric fallbacks live in :class:`AnalyticFunction`.
@@ -8,12 +8,13 @@ closed form; numeric fallbacks live in :class:`AnalyticFunction`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BranchError, NonInvertibleMapError, PoleEvaluationError
+from .errors import BranchError, ConfigError, NonInvertibleMapError, PoleEvaluationError
 
 Exponents = tuple  # tuple[int, ...]
 
@@ -65,6 +66,17 @@ def monomial_values(pts: np.ndarray, exponents, coeffs=None) -> np.ndarray:
     for k, alpha in enumerate(exponents):
         out[:, k] = monomial_column(pts, alpha, 1.0 if coeffs is None else coeffs[k])
     return out
+
+
+def complex_from_json(v) -> complex:
+    """A complex number written in JSON as a number, a string such as
+    "0.3+0.1j", or an object {"re": ..., "im": ...} (missing parts are 0)."""
+    try:
+        if isinstance(v, dict):
+            return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
+        return complex(v)
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected a complex number (number, string or {{re, im}}), got {v!r}") from None
 
 
 class LaurentPolynomial:
@@ -253,8 +265,18 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json_obj(cls, dimension: int, obj: Sequence[Mapping]) -> "LaurentPolynomial":
-        terms = {tuple(item["exp"]): complex(item["re"], item.get("im", 0.0)) for item in obj}
-        return cls(dimension, terms)
+        """Read a term list ``[{"exp": [...], "re": ..., "im": ...}, ...]``;
+        raises ConfigError when it is malformed."""
+        if not isinstance(obj, list):
+            raise ConfigError(f"a Laurent polynomial is a list of terms, got {obj!r}")
+        try:
+            terms = {tuple(item["exp"]): complex(item["re"], item.get("im", 0.0)) for item in obj}
+            return cls(dimension, terms)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(
+                f"malformed Laurent term list {obj!r} ({type(e).__name__}: {e}); "
+                f'expected terms {{"exp": [{dimension} integers], "re": ..., "im": ...}}'
+            ) from None
 
 
 class MonomialMap:
@@ -335,20 +357,22 @@ class MonomialMap:
         )
         return MonomialMap(Einv, coeffs)
 
-    def compose(self, inner: "MonomialMap") -> "MonomialMap":
-        """(self o inner)(z) = self(inner(z))."""
-        if inner.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        E = self.exponents @ inner.exponents
-        coeffs = np.empty(self.dimension, dtype=complex)
-        for i in range(self.dimension):
-            acc = self.coeffs[i]
-            for j in range(self.dimension):
-                e = self.exponents[i, j]
-                if e:
-                    acc *= inner.coeffs[j] ** int(e)
-            coeffs[i] = acc
-        return MonomialMap(E, coeffs)
+    def weight_branch(self, p: float) -> LaurentPolynomial:
+        """Single-valued Laurent branch of J^{2/p}.
+
+        The Jacobian is one Laurent term c * z^beta; the branch returned is
+        |c|^{2/p} * z^{(2/p) beta}, defined only when (2/p) beta is integral.
+        It satisfies |branch(z)|^p = |J(z)|^2 exactly and differs from any other
+        branch by a unimodular constant.
+        """
+        beta, coeff = self.jacobian_monomial().single_term()
+        scaled = [2.0 * b / p for b in beta]
+        rounded = [round(s) for s in scaled]
+        if any(abs(s - r) > 1e-9 for s, r in zip(scaled, rounded)):
+            raise BranchError(
+                f"(2/p)*{beta} = {scaled} is not an integer vector; no Laurent branch exists"
+            )
+        return LaurentPolynomial.monomial(self.dimension, rounded, abs(coeff) ** (2.0 / p))
 
     def __eq__(self, other):
         return (
@@ -360,40 +384,8 @@ class MonomialMap:
     def __repr__(self):
         return f"MonomialMap(E={self.exponents.tolist()}, c={self.coeffs.tolist()})"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "exponents": self.exponents.tolist(),
-            "coeffs": [{"re": c.real, "im": c.imag} for c in self.coeffs],
-        }
 
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "MonomialMap":
-        coeffs = [complex(c["re"], c.get("im", 0.0)) for c in obj["coeffs"]]
-        return cls(obj["exponents"], coeffs)
-
-
-def weight_branch(mapping, p: float) -> LaurentPolynomial:
-    """Single-valued Laurent branch of J^{2/p} for a monomial map.
-
-    The Jacobian is one Laurent term c * z^beta; the branch returned is
-    |c|^{2/p} * z^{(2/p) beta}, defined only when (2/p) beta is integral.
-    It satisfies |branch(z)|^p = |J(z)|^2 exactly and differs from any other
-    branch by a unimodular constant.
-    """
-    if isinstance(mapping, HoloMapExpr):
-        mapping = mapping.as_monomial_map()
-    jac = mapping.jacobian_monomial()
-    beta, coeff = jac.single_term()
-    scaled = [2.0 * b / p for b in beta]
-    rounded = [round(s) for s in scaled]
-    if any(abs(s - r) > 1e-9 for s, r in zip(scaled, rounded)):
-        raise BranchError(
-            f"(2/p)*{beta} = {scaled} is not an integer vector; no Laurent branch exists"
-        )
-    return LaurentPolynomial.monomial(mapping.dimension, rounded, abs(coeff) ** (2.0 / p))
-
-
-# -- general holomorphic map chains ---------------------------------------
+# -- Moebius and linear maps -----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -435,6 +427,30 @@ class MobiusFactors:
     def inverse(self) -> "MobiusFactors":
         return self
 
+    def weight_branch(self, p: float) -> "AnalyticFunction":
+        """Holomorphic branch of J^{2/p}.
+
+        Each factor contributes e^{2 pi i/p} (1-|a|^2)^{2/p} (1 - conj(a) w)^{-4/p},
+        using the principal power of 1 - conj(a) w, which has positive real part on
+        the disc, so the branch is single-valued there.
+        """
+        params = tuple(None if a is None else complex(a) for a in self.params)
+        p = float(p)
+
+        def fn(pts):
+            out = np.ones(pts.shape[0], dtype=complex)
+            for j, a in enumerate(params):
+                if a is None:
+                    continue
+                out = out * (
+                    np.exp(2j * math.pi / p)
+                    * (1.0 - abs(a) ** 2) ** (2.0 / p)
+                    * (1.0 - np.conj(a) * pts[:, j]) ** (-4.0 / p)
+                )
+            return out
+
+        return AnalyticFunction(len(params), fn, label=f"mobius-weight{params}")
+
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -469,55 +485,11 @@ class LinearMap:
         Minv = np.linalg.inv(M)
         return LinearMap(tuple(tuple(row) for row in Minv))
 
-
-class HoloMapExpr:
-    """Composition chain of monomial, Moebius, and linear stages.
-
-    Stages apply left to right: evaluate(z) = stage_k(... stage_1(z)).
-    The Jacobian determinant multiplies along the chain.
-    """
-
-    __slots__ = ("stages", "dimension")
-
-    def __init__(self, stages: Sequence):
-        stages = tuple(stages)
-        if not stages:
-            raise ValueError("empty map chain")
-        dim = stages[0].dimension
-        for s in stages:
-            if s.dimension != dim:
-                raise ValueError("all stages must share one dimension")
-        self.stages = stages
-        self.dimension = dim
-
-    def evaluate(self, points):
-        pts, single = _as_points(points, self.dimension)
-        cur = pts
-        for stage in self.stages:
-            cur = stage.evaluate(cur)
-        return cur[0] if single else cur
-
-    __call__ = evaluate
-
-    def jacobian_det(self, points):
-        pts, single = _as_points(points, self.dimension)
-        det = np.ones(pts.shape[0], dtype=complex)
-        cur = pts
-        for stage in self.stages:
-            det = det * stage.jacobian_det(cur)
-            cur = stage.evaluate(cur)
-        return det[0] if single else det
-
-    def inverse(self) -> "HoloMapExpr":
-        return HoloMapExpr([s.inverse() for s in reversed(self.stages)])
-
-    def as_monomial_map(self) -> MonomialMap:
-        if not all(isinstance(s, MonomialMap) for s in self.stages):
-            raise BranchError("map chain contains non-monomial stages")
-        acc = self.stages[0]
-        for stage in self.stages[1:]:
-            acc = stage.compose(acc)
-        return acc
+    def weight_branch(self, p: float) -> LaurentPolynomial:
+        """The constant Laurent branch det^{2/p} of J^{2/p} (principal power;
+        constant, so single-valued)."""
+        det = complex(np.linalg.det(self._mat()))
+        return LaurentPolynomial.monomial(self.dimension, (0,) * self.dimension, det ** (2.0 / p))
 
 
 class AnalyticFunction:

@@ -584,11 +584,14 @@ class ClosureProbeReport:
         return len(self.witnesses) > 0
 
 
-def interior_closure_probe(D: BoundedDomain, resolution: float, ball_checks: int = 32) -> ClosureProbeReport:
+_CLOSURE_BALL_CHECKS = 32
+
+
+def interior_closure_probe(D: BoundedDomain, resolution: float) -> ClosureProbeReport:
     """Search for grid points witnessing int(closure(D)) != D.
 
     A non-member grid node adjacent to members is flagged as a witness when
-    every one of `ball_checks` random points in the surrounding resolution
+    every one of 32 random points in the surrounding resolution
     ball is a member: the node then sits inside the interior of the closure
     without belonging to D (e.g. a puncture). Finite resolution; a
     falsification probe, never a certificate.
@@ -624,12 +627,12 @@ def interior_closure_probe(D: BoundedDomain, resolution: float, ball_checks: int
         centers = pts[candidates]
         g = substream(0, TAG_PROBE, stable_key([D.label, float(resolution), int(candidates.size)]))
         m, n = centers.shape[0], D.dimension
-        u = g.standard_normal((m, ball_checks, 2 * n))
+        u = g.standard_normal((m, _CLOSURE_BALL_CHECKS, 2 * n))
         u /= np.linalg.norm(u, axis=2, keepdims=True)
-        u *= g.random((m, ball_checks, 1)) ** (1.0 / (2 * n))
+        u *= g.random((m, _CLOSURE_BALL_CHECKS, 1)) ** (1.0 / (2 * n))
         offsets = (u[:, :, ::2] + 1j * u[:, :, 1::2]) * resolution
         probes = centers[:, None, :] + offsets
-        ok = D.contains(probes.reshape(-1, n)).reshape(m, ball_checks)
+        ok = D.contains(probes.reshape(-1, n)).reshape(m, _CLOSURE_BALL_CHECKS)
         for i in np.flatnonzero(np.all(ok, axis=1)):
             witnesses.append(tuple(centers[i]))
 

@@ -171,7 +171,6 @@ def mc_norm_batch(
     samples: int,
     rng,
     threads: int = 1,
-    warn_on_divergence: bool = True,
 ) -> list[PNormResult]:
     """Monte Carlo p-norms for several (f, p) pairs sharing one rejection
     sample stream over D's bounding box.
@@ -185,15 +184,14 @@ def mc_norm_batch(
     seed = int(rng) if not isinstance(rng, np.random.Generator) else None
     if seed is None:
         raise ConfigError("mc_norm requires an integer seed so substreams stay reproducible")
-    if warn_on_divergence:
-        for f, p in items:
-            if _variance_diverges(D, f, p):
-                warnings.warn(
-                    f"|f|^{p} has divergent sample variance on {D.label}; the MC error "
-                    "estimate is unreliable, prefer quadrature_norm",
-                    PoleProximityWarning,
-                    stacklevel=user_stacklevel(),
-                )
+    for f, p in items:
+        if _variance_diverges(D, f, p):
+            warnings.warn(
+                f"|f|^{p} has divergent sample variance on {D.label}; the MC error "
+                "estimate is unreliable, prefer quadrature_norm",
+                PoleProximityWarning,
+                stacklevel=user_stacklevel(),
+            )
 
     def chunk_ys(i: int, size: int):
         pts, inside = box_proposals(D, substream(seed, TAG_MC_NORM, i), size)

@@ -16,7 +16,6 @@ from scipy.special import expit
 
 from ._rng import TAG_BOXES, TAG_PUSHFORWARD, TAG_WEIGHTED, stable_key, substream
 from .errors import (
-    BranchError,
     ConfigError,
     DivergentIntegralError,
     NonInvertibleMapError,
@@ -25,12 +24,10 @@ from .errors import (
 )
 from .functions import (
     AnalyticFunction,
-    HoloMapExpr,
     LaurentPolynomial,
-    LinearMap,
     MobiusFactors,
     MonomialMap,
-    weight_branch,
+    complex_from_json,
 )
 from .geometry import BoundedDomain, box_proposals, sample, sample_radial_weighted
 from .integrate import _variance_diverges, chunked_mean, closed_norm, mc_norm_batch
@@ -90,9 +87,13 @@ def _function_descriptor(f):
 
 class CompositionIsometry:
     """A^p(source) -> A^p(target), phi |-> lambda * (phi o G) * g, where G maps
-    the target onto the source off null sets and |g|^p = |J_G|^2."""
+    the target onto the source off null sets and |g|^p = |J_G|^2.
 
-    __slots__ = ("source", "target", "mapping", "weight", "p", "lam", "label")
+    ``laurent_data`` records whether G is a monomial map and g a Laurent
+    polynomial; then Laurent inputs have exact Laurent images.
+    """
+
+    __slots__ = ("source", "target", "mapping", "weight", "p", "lam", "label", "laurent_data")
 
     def __init__(
         self,
@@ -120,25 +121,15 @@ class CompositionIsometry:
         self.p = float(p)
         self.lam = complex(lam)
         self.label = label or "composition-isometry"
+        self.laurent_data = isinstance(mapping, MonomialMap) and isinstance(weight, LaurentPolynomial)
         if validate:
             self._validate_weight()
 
     # -- validation ---------------------------------------------------------
 
-    def _monomial_mapping(self) -> MonomialMap | None:
-        if isinstance(self.mapping, MonomialMap):
-            return self.mapping
-        if isinstance(self.mapping, HoloMapExpr):
-            try:
-                return self.mapping.as_monomial_map()
-            except BranchError:
-                return None
-        return None
-
     def _validate_weight(self) -> None:
-        m = self._monomial_mapping()
-        if m is not None and isinstance(self.weight, LaurentPolynomial) and self.weight.is_monomial:
-            branch = weight_branch(m, self.p)  # BranchError propagates: no valid monomial weight
+        if self.laurent_data and self.weight.is_monomial:
+            branch = self.mapping.weight_branch(self.p)  # BranchError propagates: no valid monomial weight
             be, bc = branch.single_term()
             bc = abs(bc)
             we, wc = self.weight.single_term()
@@ -163,13 +154,8 @@ class CompositionIsometry:
     def apply(self, phi):
         """Exact Laurent image when the data is monomial, else a pointwise
         evaluator."""
-        m = self._monomial_mapping()
-        if (
-            isinstance(phi, LaurentPolynomial)
-            and m is not None
-            and isinstance(self.weight, LaurentPolynomial)
-        ):
-            return (phi.compose_monomial(m) * self.weight) * self.lam
+        if self.laurent_data and isinstance(phi, LaurentPolynomial):
+            return (phi.compose_monomial(self.mapping) * self.weight) * self.lam
         lam, G, g = self.lam, self.mapping, self.weight
 
         def fn(pts):
@@ -183,54 +169,33 @@ class CompositionIsometry:
         """The images T(phi_k) as one family on the target; without monomial
         data they are pointwise and share one evaluation of G and g per call."""
         images = tuple(self.apply(f) for f in family.members)
-        if self._monomial_mapping() is not None and isinstance(self.weight, LaurentPolynomial):
+        if self.laurent_data:
             return FunctionFamily(self.target.dimension, images, family.label)
         return ImageFamily(self.target.dimension, images, family.label, operator=self, preimages=family.members)
 
     def inverse(self) -> "CompositionIsometry":
         """The inverse operator, again in weighted composition form.
 
-        With F = G^{-1} and g' = a branch of J_F^{2/p}, the composition
-        g(F(z)) * g'(z) is a unimodular constant c (its modulus is
+        With F = G^{-1} and g' = F.weight_branch(p), a branch of J_F^{2/p}, the
+        composition g(F(z)) * g'(z) is a unimodular constant c (its modulus is
         |J_G(F)J_F|^{2/p} = 1), so lambda' = 1/(lambda*c) makes
-        inverse(T)(T(phi)) = phi exactly.
+        inverse(T)(T(phi)) = phi exactly. c is the exact Laurent product for
+        Laurent data, else it is read at three probe points.
         """
-        m = self._monomial_mapping()
-        if m is not None and isinstance(self.weight, LaurentPolynomial) and self.weight.is_monomial:
-            F = m.inverse()
-            weight = weight_branch(F, self.p)
-            ce, c = (self.weight.compose_monomial(F) * weight).single_term()
-            if any(ce):
+        F = self.mapping.inverse()
+        weight = F.weight_branch(self.p)
+        dim = self.source.dimension
+        if self.laurent_data:
+            correction = (self.weight.compose_monomial(F) * weight).terms
+            if list(correction) != [(0,) * dim]:
                 raise NonInvertibleMapError("weight correction is not constant; weight is invalid")
-        elif isinstance(self.mapping, LinearMap) and isinstance(self.weight, LaurentPolynomial):
-            we, wc = self.weight.single_term()
-            if any(we):
-                raise NonInvertibleMapError("linear maps need a constant weight to invert")
-            F = self.mapping.inverse()
-            det = complex(F.jacobian_det(np.zeros((1, self.source.dimension), dtype=complex))[0])
-            gc = det ** (2.0 / self.p)  # principal power; constant, so single-valued
-            c = wc * gc
-            if abs(abs(c) - 1.0) > 1e-10:
-                raise NonInvertibleMapError("weight correction is not a unimodular constant")
-            weight = LaurentPolynomial.monomial(self.source.dimension, (0,) * self.source.dimension, gc)
-        elif isinstance(self.mapping, MobiusFactors):
-            F = self.mapping.inverse()
-            weight = mobius_weight(F.params, self.p)
-            probes = np.array(
-                [
-                    [0.11 + 0.07j] * self.source.dimension,
-                    [-0.19 + 0.13j] * self.source.dimension,
-                    [0.05 - 0.23j] * self.source.dimension,
-                ]
-            )
+            c = correction[(0,) * dim]
+        else:
+            probes = np.array([[0.11 + 0.07j] * dim, [-0.19 + 0.13j] * dim, [0.05 - 0.23j] * dim])
             c_vals = np.asarray(self.weight(F(probes))) * np.asarray(weight(probes))
             c = complex(c_vals[0])
             if np.max(np.abs(c_vals - c)) > 1e-10 or abs(abs(c) - 1.0) > 1e-10:
                 raise NonInvertibleMapError("weight correction is not a unimodular constant")
-        else:
-            raise NonInvertibleMapError(
-                "inverse is available for monomial chains and Moebius factor maps only"
-            )
         return CompositionIsometry(
             source=self.target,
             target=self.source,
@@ -269,32 +234,7 @@ def identity_operator(D: BoundedDomain, p: float, lam: complex = 1.0) -> Composi
     )
 
 
-def mobius_weight(params: Sequence, p: float) -> AnalyticFunction:
-    """Holomorphic branch of J^{2/p} for coordinate-wise disc automorphisms.
-
-    Each factor contributes e^{2 pi i/p} (1-|a|^2)^{2/p} (1 - conj(a) w)^{-4/p},
-    using the principal power of 1 - conj(a) w, which has positive real part on
-    the disc, so the branch is single-valued there.
-    """
-    params = tuple(None if a is None else complex(a) for a in params)
-    p = float(p)
-
-    def fn(pts):
-        out = np.ones(pts.shape[0], dtype=complex)
-        for j, a in enumerate(params):
-            if a is None:
-                continue
-            out = out * (
-                np.exp(2j * math.pi / p)
-                * (1.0 - abs(a) ** 2) ** (2.0 / p)
-                * (1.0 - np.conj(a) * pts[:, j]) ** (-4.0 / p)
-            )
-        return out
-
-    return AnalyticFunction(len(params), fn, label=f"mobius-weight{params}")
-
-
-def mobius_operator(params, p: float, lam: complex = 1.0, radius: float = 1.0) -> CompositionIsometry:
+def mobius_operator(params, p: float, lam: complex = 1.0) -> CompositionIsometry:
     """Self-map operator of the disc (or polydisc) induced by coordinate-wise
     automorphisms w_j -> (a_j - w_j)/(1 - conj(a_j) w_j)."""
     from .geometry import make_catalog_domain
@@ -306,14 +246,13 @@ def mobius_operator(params, p: float, lam: complex = 1.0, radius: float = 1.0) -
         if a is not None and abs(complex(a)) >= 1.0:
             raise ConfigError("Moebius parameters must lie inside the unit disc")
     n = len(params)
-    D = make_catalog_domain(("disc", radius) if n == 1 else ("polydisc", n, (radius,) * n))
-    if radius != 1.0 and any(a not in (None, 0) for a in params):
-        raise ConfigError("Moebius factors are automorphisms of the unit disc only")
+    D = make_catalog_domain(("disc", 1.0) if n == 1 else ("polydisc", n, (1.0,) * n))
+    mapping = MobiusFactors(params)
     return CompositionIsometry(
         source=D,
         target=D,
-        mapping=MobiusFactors(params),
-        weight=mobius_weight(params, p),
+        mapping=mapping,
+        weight=mapping.weight_branch(p),
         p=p,
         lam=lam,
         label=f"mobius{params}",
@@ -395,9 +334,13 @@ class Box:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Box":
+        """Read {"lo": [...], "hi": [...], "label": ...}; each corner
+        coordinate is a number, a string or {re, im}."""
+        if not isinstance(obj, dict) or not all(isinstance(obj.get(k), list) for k in ("lo", "hi")):
+            raise ConfigError(f"a box is an object with 'lo' and 'hi' corner lists, got {obj!r}")
         return cls(
-            lo=tuple(complex(c["re"], c["im"]) for c in obj["lo"]),
-            hi=tuple(complex(c["re"], c["im"]) for c in obj["hi"]),
+            lo=tuple(complex_from_json(c) for c in obj["lo"]),
+            hi=tuple(complex_from_json(c) for c in obj["hi"]),
             label=obj.get("label", ""),
         )
 
@@ -597,12 +540,14 @@ class EquimeasureReport:
         }
 
 
+_BOX_PROBE_SAMPLES = 4096
+
+
 def random_boxes(
     T: CompositionIsometry,
     family: FunctionFamily,
     seed: int = 0,
     count: int = 20,
-    probe_samples: int = 4096,
 ) -> list[Box]:
     """Random axis-aligned boxes spanning the bulk of the source-side ratio
     distribution (5th to 95th percentile per axis), independent of the
@@ -613,9 +558,9 @@ def random_boxes(
     gen = substream(int(seed), TAG_BOXES, 0)
     if isinstance(lead, LaurentPolynomial) and lead.is_monomial and T.source.radial_profile is not None:
         exp, _ = lead.single_term()
-        pts = sample_radial_weighted(T.source, tuple(T.p * e for e in exp), gen, probe_samples)
+        pts = sample_radial_weighted(T.source, tuple(T.p * e for e in exp), gen, _BOX_PROBE_SAMPLES)
     else:
-        pts = sample(T.source, gen, probe_samples).points
+        pts = sample(T.source, gen, _BOX_PROBE_SAMPLES).points
     vals, good, _ = ratio_matrix(family.values(pts))
     vals = vals[good]
     boxes = []
@@ -646,7 +591,6 @@ def equimeasure_check(
     samples: int = 1_000_000,
     seed: int = 0,
     threads: int = 1,
-    smooth: bool = True,
 ) -> EquimeasureReport:
     """Compare pushforward masses of the ratio maps on both sides of T.
 
@@ -665,8 +609,7 @@ def equimeasure_check(
     images = T.apply_family(family)
 
     regions: list = list(boxes) if boxes is not None else random_boxes(T, family, seed=seed)
-    if smooth:
-        regions = regions + [GaussianBump(), SigmoidProduct()]
+    regions = regions + [GaussianBump(), SigmoidProduct()]
     for r in regions:
         if isinstance(r, Box) and r.dimension != family.ratio_count:
             raise ConfigError("box dimension must equal the number of ratio coordinates")

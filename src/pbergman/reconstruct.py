@@ -34,6 +34,9 @@ STATUS_EXCLUDED_ZERO = "excluded-zero-weight"
 STATUS_EXCLUDED_NO_PREIMAGE = "excluded-no-preimage"
 STATUS_UNRESOLVED = "unresolved-budget"
 
+# exclusion threshold relative to the grid median of |phi_0|
+_EXCLUSION_REL = 1e-8
+
 
 # -- oracle -------------------------------------------------------------------
 
@@ -187,8 +190,6 @@ class SolverConfig:
     starts: int = 8
     max_iters: int = 80
     seed: int = 0
-    fd_step: float = 1e-5
-    exclusion_rel: float = 1e-8
     threads: int = 1
 
 
@@ -229,7 +230,7 @@ def _gn_from_start(maps: RatioMaps, target_vec: np.ndarray, w0: np.ndarray, cfg:
         if res < cfg.tol:
             break
         try:
-            jac = fd_jacobian_matrix(maps.target_ratios, w, cfg.fd_step)
+            jac = fd_jacobian_matrix(maps.target_ratios, w)
         except PoleEvaluationError:
             stalled = True
             break
@@ -311,10 +312,6 @@ class ReconstructionResult:
     def mapped(self) -> tuple:
         return tuple(r for r in self.records if r.status == STATUS_MAPPED)
 
-    @property
-    def excluded(self) -> tuple:
-        return tuple(r for r in self.records if r.status.startswith("excluded"))
-
     def status_counts(self) -> dict:
         out: dict[str, int] = {}
         for r in self.records:
@@ -331,10 +328,11 @@ class ReconstructionResult:
         }
 
 
-def grid_points(D: BoundedDomain, n_per_dim: int, margin: float = 0.1) -> np.ndarray:
+def grid_points(D: BoundedDomain, n_per_dim: int) -> np.ndarray:
     """Deterministic member grid.
 
-    Dimension 1: an n x n re/im tensor clipped to the domain. Higher
+    Dimension 1: an n x n re/im tensor over 90% of the bounding box, clipped
+    to the domain. Higher
     dimensions: n^2 uniform member points from a fixed stream; coordinate
     cross-grids concentrate on the thin slices of Reinhardt-type domains (and
     on zero sets of ratio leads), so they make poor reconstruction grids.
@@ -343,7 +341,7 @@ def grid_points(D: BoundedDomain, n_per_dim: int, margin: float = 0.1) -> np.nda
         raise ConfigError("grid needs at least one node per dimension")
     if D.dimension == 1:
         b = D.bounding_box[0]
-        ticks = np.linspace(-b * (1.0 - margin), b * (1.0 - margin), n_per_dim)
+        ticks = np.linspace(-0.9 * b, 0.9 * b, n_per_dim)
         pts = (ticks[:, None] + 1j * ticks[None, :]).reshape(-1, 1)
         pts = pts[D.contains(pts)]
     else:
@@ -362,8 +360,8 @@ def reconstruct_map(
 ) -> ReconstructionResult:
     """Solve the ratio equations over a grid of source points.
 
-    The exclusion threshold is relative: cfg.exclusion_rel times the grid
-    median of |phi_0|. Mapped images are cross-checked for injectivity.
+    The exclusion threshold is relative: 1e-8 times the grid median of
+    |phi_0|. Mapped images are cross-checked for injectivity.
     """
     cfg = cfg or SolverConfig()
     maps = build_ratio_maps(oracle, family)
@@ -372,7 +370,7 @@ def reconstruct_map(
     median = float(np.median(lead_abs))
     if median == 0.0:
         raise ConfigError("|phi_0| vanishes at more than half the grid; family is unusable")
-    floor = cfg.exclusion_rel * median
+    floor = _EXCLUSION_REL * median
     starts = _shared_starts(maps, cfg)
 
     def solve_one(i: int) -> PointSolve:
@@ -411,21 +409,16 @@ def verify_modulus_identity(
     F,
     points,
     tests: Sequence[LaurentPolynomial],
-    p: float | None = None,
-    jacobian=None,
-    fd_step: float = 1e-3,
 ) -> float:
     """Max relative error of |T(phi)(F(z))| |J_F(z)|^{2/p} = |phi(z)| over
     tests and points.
 
     ``F`` is any point map z -> w; its Jacobian determinant comes from
-    ``jacobian`` if supplied, from F.jacobian_det when available, else from a
-    4th-order finite-difference stencil on F itself.
+    F.jacobian_det when available, else from a 4th-order finite-difference
+    stencil on F itself with step 1e-3.
     """
-    p = oracle.p if p is None else float(p)
     pts = _batch(points, oracle.source.dimension)
-    if jacobian is None and hasattr(F, "jacobian_det"):
-        jacobian = F.jacobian_det
+    jacobian = getattr(F, "jacobian_det", None)
     images = [oracle.apply(phi) for phi in tests]
     worst = 0.0
     for i in range(pts.shape[0]):
@@ -434,7 +427,7 @@ def verify_modulus_identity(
         if jacobian is not None:
             jf = complex(np.asarray(jacobian(z.reshape(1, -1))).reshape(-1)[0])
         else:
-            jf = fd_jacobian_det(F, z, fd_step)
+            jf = fd_jacobian_det(F, z, 1e-3)
             if abs(jf) < 1e-12:
                 warnings.warn(
                     "finite-difference Jacobian nearly singular; the stencil may "
@@ -442,7 +435,7 @@ def verify_modulus_identity(
                     PoleProximityWarning,
                     stacklevel=2,
                 )
-        factor = abs(jf) ** (2.0 / p)
+        factor = abs(jf) ** (2.0 / oracle.p)
         for phi, image in zip(tests, images):
             rhs = abs(complex(np.asarray(phi(z.reshape(1, -1)))[0]))
             if rhs == 0.0:
@@ -457,7 +450,6 @@ def verify_proportionality(
     z,
     w,
     tests: Sequence[LaurentPolynomial],
-    vanish_rel: float = 1e-8,
 ) -> tuple[complex, float]:
     """Ratios T(phi)(w)/phi(z) across tests: their mean and the max pairwise
     spread relative to the mean modulus. A small spread certifies (z, w) as a
@@ -466,7 +458,7 @@ def verify_proportionality(
     w = np.asarray(w, dtype=complex).reshape(1, -1)
     vals_z = np.array([complex(np.asarray(phi(z))[0]) for phi in tests])
     scale = float(np.max(np.abs(vals_z))) if len(tests) else 0.0
-    keep = np.abs(vals_z) > vanish_rel * scale
+    keep = np.abs(vals_z) > 1e-8 * scale
     if scale == 0.0 or not np.any(keep):
         raise NoBasisSupportError("every test vanishes at z; no ratio certificate exists")
     ratios = []

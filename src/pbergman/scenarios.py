@@ -18,7 +18,7 @@ import numpy as np
 from ._rng import TAG_BATTERY, TAG_PROBE, substream
 from ._version import __version__
 from .errors import ConfigError, DivergentIntegralError, PBergmanError
-from .functions import LaurentPolynomial, MonomialMap, fd_jacobian_det, weight_branch
+from .functions import LaurentPolynomial, MonomialMap, complex_from_json, fd_jacobian_det
 from .geometry import (
     boundary_distance,
     interior_closure_probe,
@@ -91,11 +91,19 @@ class Report:
         }
 
     def summary_lines(self) -> list[str]:
-        out = [f"report: {self.label}"]
-        for c in self.checks:
-            out.append(f"  [{c.verdict}] {c.name}: expected {c.expected}, observed {c.observed}")
-        out.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return out
+        return render_summary(self.to_json_obj())
+
+
+def render_summary(obj: dict) -> list[str]:
+    """Text lines of a report given as its JSON object, fresh from
+    ``Report.to_json_obj`` or loaded from a saved file."""
+    out = [f"report: {obj.get('label', '?')}"]
+    for c in obj.get("checks", []):
+        out.append(
+            f"  [{c.get('verdict', '?')}] {c.get('name', '?')}: expected {c.get('expected')}, observed {c.get('observed')}"
+        )
+    out.append(f"overall: {'PASS' if obj.get('pass') else 'FAIL'}")
+    return out
 
 
 def _check(name: str, claim: str, expected, observed, tolerance, ok: bool) -> CheckResult:
@@ -282,7 +290,7 @@ def counterexample_scenario(
     )
 
     # (c) weight branch modulus consistency
-    branch = weight_branch(G, p)
+    branch = G.weight_branch(p)
     wpts = sample(D2, substream(seed, TAG_PROBE, "branch"), 32).points
     lhs_b = np.abs(np.asarray(branch(wpts)))
     rhs_b = np.abs(np.asarray(G.jacobian_det(wpts))) ** (2.0 / p)
@@ -611,11 +619,16 @@ def roundtrip_scenario(map_spec, p: float | None = None, seed: int = 0, mutate: 
     if mutate is not None and kind != "counterexample":
         if mutate != MUTATION_DROP_WEIGHT:
             raise ConfigError(f"unknown mutation {mutate!r}")
+        dropped = LaurentPolynomial.one(T.source.dimension)
+        if T.weight == dropped:
+            raise ConfigError(
+                f"mutation {mutate!r} leaves roundtrip-{kind} unchanged: its weight is already 1"
+            )
         T = CompositionIsometry(
             source=T.source,
             target=T.target,
             mapping=T.mapping,
-            weight=LaurentPolynomial.one(T.source.dimension),
+            weight=dropped,
             p=T.p,
             label=T.label + "[drop-weight]",
             validate=False,
@@ -704,16 +717,16 @@ def operator_from_spec(obj: dict) -> CompositionIsometry:
         return build_counterexample(
             k=int(obj.get("k", 3)),
             m=int(obj.get("m", 2)),
-            lam=_complex_of(obj.get("lambda", 1.0)),
+            lam=complex_from_json(obj.get("lambda", 1.0)),
             mutate=obj.get("mutate"),
         )
     if kind == "identity":
         D = parse_domain(obj.get("domain", "disc(1)"))
-        return identity_operator(D, float(obj.get("p", 2.0)), lam=_complex_of(obj.get("lambda", 1.0)))
+        return identity_operator(D, float(obj.get("p", 2.0)), lam=complex_from_json(obj.get("lambda", 1.0)))
     if kind == "mobius":
         a = obj.get("a", 0.3)
-        params = tuple(_complex_of(v) for v in a) if isinstance(a, list) else _complex_of(a)
-        return mobius_operator(params, float(obj.get("p", 1.0)), lam=_complex_of(obj.get("lambda", 1.0)))
+        params = tuple(complex_from_json(v) for v in a) if isinstance(a, list) else complex_from_json(a)
+        return mobius_operator(params, float(obj.get("p", 1.0)), lam=complex_from_json(obj.get("lambda", 1.0)))
     if kind == "custom":
         for key in ("source", "target", "exponents", "weight", "p"):
             if key not in obj:
@@ -722,7 +735,7 @@ def operator_from_spec(obj: dict) -> CompositionIsometry:
         target = parse_domain(obj["target"])
         mapping = MonomialMap(
             tuple(tuple(int(e) for e in row) for row in obj["exponents"]),
-            tuple(_complex_of(c) for c in obj["coeffs"]) if "coeffs" in obj else None,
+            tuple(complex_from_json(c) for c in obj["coeffs"]) if "coeffs" in obj else None,
         )
         weight = LaurentPolynomial.from_json_obj(target.dimension, obj["weight"])
         return CompositionIsometry(
@@ -731,7 +744,7 @@ def operator_from_spec(obj: dict) -> CompositionIsometry:
             mapping=mapping,
             weight=weight,
             p=float(obj["p"]),
-            lam=_complex_of(obj.get("lambda", 1.0)),
+            lam=complex_from_json(obj.get("lambda", 1.0)),
             label=obj.get("label", "custom"),
             validate=bool(obj.get("validate", True)),
         )
@@ -765,14 +778,6 @@ def tests_from_spec(obj, T: CompositionIsometry, seed: int = 0) -> list[LaurentP
     if obj is None:
         return battery_monomials(T, 30, seed)
     return [LaurentPolynomial.from_json_obj(T.source.dimension, mo) for mo in obj]
-
-
-def _complex_of(v) -> complex:
-    if isinstance(v, dict):
-        return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
-    if isinstance(v, str):
-        return complex(v)
-    return complex(v)
 
 
 def run_named_scenario(

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -189,22 +191,31 @@ class TestScenarioCommand:
         assert err.startswith("error:")
 
     def test_out_file_and_report_roundtrip(self, capsys, tmp_path):
-        path = tmp_path / "report.json"
-        code, out_run, _ = run_cli(
-            capsys, ["scenario", "run", "roundtrip-identity", "--out", str(path)]
-        )
-        assert code == 0
-        obj = json.loads(path.read_text())
-        assert obj["pass"] is True
-        assert obj["label"]
+        # the saved file has sorted keys, so a scenario whose observed value is
+        # a dict with unsorted keys (punctured-disc at p=1) renders them in
+        # another order; the scenarios here have none
+        for argv in (["roundtrip-identity"], ["punctured-disc", "--p", "2"], ["roundtrip-mobius"]):
+            path = tmp_path / "report.json"
+            code, out_run, _ = run_cli(capsys, ["scenario", "run", *argv, "--out", str(path)])
+            assert code == 0
+            obj = json.loads(path.read_text())
+            assert obj["pass"] is True
+            assert obj["label"]
 
-        code, out_json, _ = run_cli(capsys, ["report", str(path), "--format", "json"])
-        assert code == 0
-        assert json.loads(out_json) == obj
+            code, out_json, _ = run_cli(capsys, ["report", str(path), "--format", "json"])
+            assert code == 0
+            assert json.loads(out_json) == obj
 
-        code, out_text, _ = run_cli(capsys, ["report", str(path)])
-        assert code == 0
-        assert out_text.strip().splitlines() == out_run.strip().splitlines()
+            code, out_text, _ = run_cli(capsys, ["report", str(path)])
+            assert code == 0
+            assert out_text.strip().splitlines() == out_run.strip().splitlines()
+
+    @pytest.mark.parametrize("name", ["roundtrip-identity", "roundtrip-unitary"])
+    def test_no_op_mutant_exit_two(self, capsys, name):
+        code, out, err = run_cli(capsys, ["scenario", "run", name, "--mutate", "drop-weight"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestReportCommand:
@@ -319,6 +330,33 @@ class TestOperatorFileCommands:
         code, _, err = run_cli(capsys, ["equimeasure", "--scenario", str(path)])
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command,spec",
+        [
+            ("equimeasure", {**WEIGHT_MUTANT_SPEC, "operator": {**WEIGHT_MUTANT_SPEC["operator"], "weight": {"terms": []}}}),
+            ("equimeasure", {**IDENTITY_SPEC, "family": {"kind": "members", "members": [[{"re": 1.0}], [{"exp": [1], "re": 1.0}]]}}),
+            ("verify-isometry", {**IDENTITY_SPEC, "tests": [[{"exp": [1]}]]}),
+            ("equimeasure", {**IDENTITY_SPEC, "boxes": [{"lo": 0.0, "hi": 0.5}]}),
+            ("equimeasure", {**IDENTITY_SPEC, "boxes": [{"lo": ["zero"], "hi": [0.5]}]}),
+        ],
+        ids=["weight-not-a-term-list", "member-term-without-exp", "test-term-without-re", "box-corner-not-a-list", "box-corner-not-a-number"],
+    )
+    def test_malformed_scenario_content_exit_two(self, capsys, tmp_path, command, spec):
+        path = write_spec(tmp_path, spec)
+        code, out, err = run_cli(capsys, [command, "--scenario", path, "--samples", "100000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_formats_doc_scenario_example_runs(self, capsys, tmp_path):
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        example = re.search(r"## Scenario files.*?```json\n(.*?)```", doc, re.S).group(1)
+        path = write_spec(tmp_path, json.loads(example))
+        code, out, err = run_cli(capsys, ["equimeasure", "--scenario", path, "--samples", "100000"])
+        assert code in (0, 1), err
+        labels = [r["label"] for r in json.loads(out)["regions"]]
+        assert labels == ["b0", "gaussian-bump", "sigmoid-product"]
 
 
 class TestTopLevel:

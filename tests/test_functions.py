@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pbergman import (
     BranchError,
-    HoloMapExpr,
+    ConfigError,
     LaurentPolynomial,
     LinearMap,
     MobiusFactors,
@@ -17,7 +17,6 @@ from pbergman import (
     build_counterexample,
     fd_jacobian_det,
     fd_jacobian_matrix,
-    weight_branch,
 )
 from pbergman.functions import monomial_values
 
@@ -80,6 +79,15 @@ class TestLaurentPolynomial:
         f = L(2, {(1, -2): 0.5 + 0.25j, (0, 0): -1.0})
         assert LaurentPolynomial.from_json_obj(2, f.to_json_obj()) == f
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"terms": []}, [{"re": 1.0}], [{"exp": [1, 0]}], [{"exp": 1, "re": 1.0}], [{"exp": [1], "re": 1.0}], ["z"]],
+        ids=["not-a-list", "no-exp", "no-re", "exp-not-a-list", "exp-wrong-length", "term-not-an-object"],
+    )
+    def test_malformed_json_refused(self, obj):
+        with pytest.raises(ConfigError):
+            LaurentPolynomial.from_json_obj(2, obj)
+
 
 class TestMonomialMap:
     def test_evaluate_matches_formula(self):
@@ -119,7 +127,7 @@ class TestWeightBranch:
     def test_modulus_identity(self):
         m = MonomialMap(((1, 0, 0, 0), (-3, 1, 0, 0), (0, 0, 1, 0), (0, 0, 3, 1)))
         p = 3.0
-        branch = weight_branch(m, p)
+        branch = m.weight_branch(p)
         w = np.array([[0.5, 0.01, 0.7, 0.1]], dtype=complex) + 0.03j
         lhs = abs(branch(w)[0]) ** p
         rhs = abs(m.jacobian_det(w)[0]) ** 2
@@ -128,7 +136,20 @@ class TestWeightBranch:
     def test_non_integral_branch_rejected(self):
         m = MonomialMap(((1, 0), (-3, 1)))  # J exponent (-3, 0); 2*(-3)/p must be integral
         with pytest.raises(BranchError):
-            weight_branch(m, 4.0)
+            m.weight_branch(4.0)
+
+    @pytest.mark.parametrize("p", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "matrix", [((0.6, -0.8), (0.8, 0.6)), ((1.0 + 2.0j, 0.5), (-0.3j, 0.7 - 1.1j))], ids=["rotation", "complex"]
+    )
+    def test_linear_modulus_identity(self, matrix, p):
+        U = LinearMap(matrix)
+        w = np.array([[0.3 + 0.1j, -0.2 + 0.4j], [0.0, 0.5j]])
+        branch = U.weight_branch(p)
+        assert branch.is_monomial and not any(branch.single_term()[0])
+        lhs = np.abs(np.asarray(branch(w))) ** p
+        rhs = np.abs(np.asarray(U.jacobian_det(w))) ** 2
+        assert np.allclose(lhs, rhs, rtol=1e-12)
 
 
 class TestMobiusFactors:
@@ -156,25 +177,6 @@ class TestLinearAndChain:
         z = np.array([[0.3 + 0.1j, -0.2 + 0.4j]])
         assert np.allclose(U.inverse()(U(z)), z)
         assert U.jacobian_det(z)[0] == pytest.approx(1.0)
-
-    def test_chain_matches_composition(self):
-        m1 = MonomialMap(((1, 0), (-2, 1)))
-        m2 = MonomialMap(((0, 1), (1, 0)))  # swap
-        chain = HoloMapExpr([m1, m2])
-        w = np.array([[0.6 + 0.1j, 0.3 - 0.1j]])
-        assert np.allclose(chain(w), m2(m1(w)))
-        assert chain.jacobian_det(w)[0] == pytest.approx(
-            m1.jacobian_det(w)[0] * m2.jacobian_det(m1(w))[0]
-        )
-        flat = chain.as_monomial_map()
-        assert np.allclose(flat(w), chain(w))
-
-    def test_chain_inverse(self):
-        m1 = MonomialMap(((1, 0), (-2, 1)))
-        mu = MobiusFactors((0.2, None))
-        chain = HoloMapExpr([mu, m1])
-        w = np.array([[0.5 + 0.1j, 0.2 + 0.05j]])
-        assert np.allclose(chain.inverse()(chain(w)), w)
 
 
 class TestSharedEvaluators:

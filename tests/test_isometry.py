@@ -20,7 +20,6 @@ from pbergman import (
     equimeasure_check,
     identity_operator,
     mobius_operator,
-    mobius_weight,
     pushforward_mass,
     random_boxes,
     verify_isometry,
@@ -178,6 +177,43 @@ class TestInverse:
         back = Ti.apply(T.apply(phi))
         assert np.allclose(np.asarray(back(pts)), np.asarray(phi(pts)), rtol=1e-10)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("angle", [0.7, 2.1])
+    def test_rotation_inverse_matches_symbolic_constant(self, ball2, angle, p):
+        # lambda' = 1/(lambda * w * det(M^-1)^(2/p)) and weight det(M^-1)^(2/p),
+        # with the principal power, written out
+        c, s = math.cos(angle), math.sin(angle)
+        T = CompositionIsometry(
+            source=ball2, target=ball2, mapping=LinearMap(((c, -s), (s, c))),
+            weight=LaurentPolynomial.one(2), p=p, lam=1j,
+        )
+        Ti = T.inverse()
+        det = complex(np.linalg.det(np.linalg.inv(np.asarray(T.mapping.matrix, dtype=complex))))
+        gc = det ** (2.0 / p)
+        assert Ti.weight == LaurentPolynomial.monomial(2, (0, 0), gc)
+        assert Ti.lam == 1.0 / (T.lam * (T.weight.single_term()[1] * gc))
+
+    def test_linear_nonconstant_weight_not_invertible(self, ball2):
+        T = CompositionIsometry(
+            source=ball2,
+            target=ball2,
+            mapping=LinearMap(((0.0, 1.0), (1.0, 0.0))),
+            weight=LaurentPolynomial.monomial(2, (1, 0)),
+            p=2.0,
+            validate=False,
+        )
+        with pytest.raises(NonInvertibleMapError):
+            T.inverse()
+
+    def test_laurent_data_decided_once(self, polydisc2, ball2):
+        assert swap_operator(polydisc2).laurent_data
+        assert not mobius_operator(0.3, 1.0).laurent_data
+        rotation = CompositionIsometry(
+            source=ball2, target=ball2, mapping=LinearMap(((0.0, 1.0), (1.0, 0.0))),
+            weight=LaurentPolynomial.one(2), p=2.0,
+        )
+        assert not rotation.laurent_data
+
     def test_invalid_weight_not_invertible(self, polydisc2):
         G = MonomialMap(((1, 0), (3, 1)))
         T = CompositionIsometry(
@@ -196,7 +232,7 @@ class TestMobiusWeight:
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_modulus_identity(self, p):
         params = (0.3 + 0.1j,)
-        g = mobius_weight(params, p)
+        g = MobiusFactors(params).weight_branch(p)
         mu = MobiusFactors(params)
         pts = np.array([[0.2 + 0.1j], [-0.5 + 0.2j], [0.0 + 0.0j]])
         lhs = np.abs(np.asarray(g(pts))) ** p
@@ -277,6 +313,21 @@ class TestBoxes:
     def test_json_roundtrip(self):
         box = Box(lo=(0.1 - 0.2j, -0.3), hi=(0.5, 0.7 + 0.4j), label="b")
         assert Box.from_json_obj(box.to_json_obj()) == box
+
+    def test_corner_grammar(self):
+        obj = {"lo": [-0.5, "-0.5-0.25j", {"re": -0.5, "im": -0.25}], "hi": [0.5, "0.5+0.25j", {"re": 0.5}]}
+        box = Box.from_json_obj(obj)
+        assert box.lo == (-0.5 + 0j, -0.5 - 0.25j, -0.5 - 0.25j)
+        assert box.hi == (0.5 + 0j, 0.5 + 0.25j, 0.5 + 0j)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"lo": 0.0, "hi": [0.5]}, {"lo": [0.0]}, {"lo": ["zero"], "hi": [0.5]}, {"lo": [[0.0, 1.0]], "hi": [0.5]}, [0.0]],
+        ids=["corner-not-a-list", "no-hi", "bad-string", "nested-list", "not-an-object"],
+    )
+    def test_malformed_json_refused(self, obj):
+        with pytest.raises(ConfigError):
+            Box.from_json_obj(obj)
 
     def test_corner_validation(self):
         with pytest.raises(ConfigError):

@@ -164,6 +164,12 @@ class TestRoundtrips:
         by_name = {c.name: c for c in rep.checks}
         assert not by_name["ratio-constancy"].passed
 
+    @pytest.mark.parametrize("spec", ["identity", "unitary"])
+    def test_drop_weight_refused_when_weight_is_already_one(self, spec):
+        # dropping a weight of 1 would test the true operator under a mutant's name
+        with pytest.raises(ConfigError, match="already 1"):
+            roundtrip_scenario(spec, mutate="drop-weight")
+
     def test_unknown_map_rejected(self):
         with pytest.raises(ConfigError):
             roundtrip_scenario("spiral")
