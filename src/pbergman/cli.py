@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DivergentIntegralError, PBergmanError
-from .functions import LaurentPolynomial
+from .functions import LaurentPolynomial, number_from_json
 from .geometry import parse_domain
 from .integrate import closed_norm, mc_norm, quadrature_norm
 from .isometry import Box, equimeasure_check, verify_isometry
@@ -123,10 +123,7 @@ def _operator_with_mutation(obj: dict, mutate: str | None):
 
 def _cmd_norm(args) -> int:
     D = parse_domain(args.domain)
-    try:
-        exps = tuple(int(t) for t in args.exp.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"--exp must be integers, got {args.exp!r}") from None
+    exps = tuple(number_from_json(t, "--exp", integer=True) for t in args.exp.replace(",", " ").split())
     if len(exps) != D.dimension:
         raise ConfigError(f"--exp has {len(exps)} entries, domain has dimension {D.dimension}")
     f = LaurentPolynomial.monomial(D.dimension, exps)
@@ -178,7 +175,7 @@ def _cmd_verify_isometry(args) -> int:
     T, obj = _operator_with_mutation(obj, args.mutate)
     tests = tests_from_spec(obj.get("tests"), T, seed=args.seed)
     method = obj.get("method", "closed")
-    tol = float(obj.get("tolerance", 1e-9 if method == "closed" else 1e-2))
+    tol = number_from_json(obj.get("tolerance", 1e-9 if method == "closed" else 1e-2), "tolerance")
     try:
         disc = float(verify_isometry(T, tests, method=method, samples=args.samples, seed=args.seed, threads=args.threads))
         battery_ok = disc <= tol

@@ -1,6 +1,6 @@
 """Exact symbolic layer: Laurent polynomials, the point maps (monomial,
-Moebius, linear), their Jacobian determinants, and each map's single-valued
-branch of the fractional Jacobian power J^{2/p}.
+Moebius, linear), their Jacobian determinants, each map's single-valued
+branch of the Jacobian power J^{2/p}, and the readers of input numbers.
 
 Everything an operator produces from a finite Laurent expansion stays in
 closed form; numeric fallbacks live in :class:`AnalyticFunction`.
@@ -79,10 +79,23 @@ def complex_from_json(v) -> complex:
         raise ConfigError(f"expected a complex number (number, string or {{re, im}}), got {v!r}") from None
 
 
+def number_from_json(v, name: str, integer: bool = False):
+    """A finite number given as a JSON number or a numeric string, returned as
+    an int when `integer` (it must be integral then); ConfigError otherwise."""
+    try:
+        x = math.nan if isinstance(v, bool) else float(v)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}, got {v!r}")
+    return int(x) if integer else x
+
+
 class LaurentPolynomial:
     """Finite Laurent expansion sum_a c_a z^a with integer multi-exponents.
 
-    Terms with exactly zero coefficient are never stored.
+    Terms with exactly zero coefficient are never stored; an exponent that
+    is not integral is refused with ValueError.
     """
 
     __slots__ = ("dimension", "terms", "_negative_axes")
@@ -91,6 +104,8 @@ class LaurentPolynomial:
         self.dimension = int(dimension)
         clean: dict[tuple, complex] = {}
         for exp, coeff in terms.items():
+            if not all(float(e).is_integer() for e in exp):
+                raise ValueError(f"exponent {tuple(exp)} is not integral")
             exp = tuple(int(e) for e in exp)
             if len(exp) != self.dimension:
                 raise ValueError(f"exponent {exp} does not match dimension {self.dimension}")

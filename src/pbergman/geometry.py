@@ -1,10 +1,10 @@
-"""Bounded domains in C^n: membership predicates with bounding boxes, the
-catalog of concrete domains used throughout the package, uniform and
-power-weighted samplers, and boundary/interior probes.
+"""Catalog domains in C^n: their descriptor grammar and one constructor,
+uniform and power-weighted samplers, and boundary/interior probes.
 
-All catalog domains are open (strict inequalities) and rotation invariant in
-each coordinate; the latter is captured by a RadialProfile describing the
-region of moduli (r_1, ..., r_n).
+Every domain is a catalog domain, open (strict inequalities) and rotation
+invariant in each coordinate; the latter is captured by a RadialProfile
+describing the region of moduli (r_1, ..., r_n), from which membership,
+dimension and bounding box all follow.
 """
 
 from __future__ import annotations
@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betaln, gammaln
 
 from ._rng import CHUNK, TAG_DIRECTIONS, TAG_PROBE, TAG_REJECTION, stable_key, substream
 from .errors import ConfigError, DegenerateDomainError, DivergentIntegralError, UnsupportedDomainError
-from .functions import _as_points
+from .functions import _as_points, number_from_json
 
 
 # -- radial profiles --------------------------------------------------------
@@ -177,35 +178,33 @@ def sample_moduli_weighted(profile: RadialProfile, t: Sequence[float], rng: np.r
 
 @dataclass(frozen=True)
 class BoundedDomain:
-    """A bounded domain in C^n.
-
-    bounding_box holds per-coordinate modulus bounds b_j; the box itself is
-    the polydisc of rectangles [-b_j, b_j] x [-b_j, b_j]. null_exclusions
-    lists coordinate axes j such that the hyperplane {z_j = 0} was removed
-    from a parent domain; these punctures are Lebesgue-null and tracked
-    symbolically, never probed by sampling.
+    """A catalog domain in C^n, built by `make_catalog_domain` from its
+    canonical descriptor. Membership, dimension and the per-coordinate modulus
+    bounds b_j come from the radial profile; the bounding box is the polydisc
+    of rectangles [-b_j, b_j] x [-b_j, b_j]. null_exclusions lists coordinate
+    axes j such that the hyperplane {z_j = 0} was removed from a parent
+    domain; these punctures are Lebesgue-null and tracked symbolically, never
+    probed by sampling.
     """
 
-    dimension: int
-    membership: Callable[[np.ndarray], np.ndarray]
-    bounding_box: tuple
+    radial_profile: RadialProfile
     label: str
+    descriptor: tuple = field(compare=False)
     null_exclusions: tuple = ()
-    radial_profile: RadialProfile | None = None
-    descriptor: tuple | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigError("domain dimension must be at least 1")
-        if len(self.bounding_box) != self.dimension or any(b <= 0 or not math.isfinite(b) for b in self.bounding_box):
-            raise ConfigError("bounding box must give a finite positive bound per coordinate")
+    @cached_property
+    def dimension(self) -> int:
+        return self.radial_profile.dimension
+
+    @cached_property
+    def bounding_box(self) -> tuple:
+        return self.radial_profile.modulus_bounds()
 
     def contains(self, points):
         pts, single = _as_points(points, self.dimension)
-        mask = np.asarray(self.membership(pts), dtype=bool)
-        if self.null_exclusions:
-            for j in self.null_exclusions:
-                mask &= pts[:, j] != 0
+        mask = self.radial_profile.moduli_member(np.abs(pts))
+        for j in self.null_exclusions:
+            mask &= pts[:, j] != 0
         return bool(mask[0]) if single else mask
 
     @property
@@ -215,15 +214,11 @@ class BoundedDomain:
     @property
     def volume(self) -> float:
         """Lebesgue volume in R^{2n}, exact via the radial profile."""
-        if self.radial_profile is None:
-            raise UnsupportedDomainError(f"domain {self.label!r} has no radial profile")
         n = self.dimension
         return math.exp(log_radial_moment(self.radial_profile, np.zeros(n)) + n * math.log(2.0 * math.pi))
 
     def to_json_obj(self) -> dict:
-        if self.descriptor is None:
-            raise UnsupportedDomainError(f"domain {self.label!r} is not a catalog domain")
-        return _descriptor_to_json(self.descriptor)
+        return _json_of(self.descriptor)
 
     def __repr__(self):
         return f"BoundedDomain({self.label}, n={self.dimension})"
@@ -244,184 +239,144 @@ class SampleBatch:
 # -- catalog ----------------------------------------------------------------
 
 
-def _normalize_spec(spec) -> tuple:
-    if isinstance(spec, BoundedDomain):
-        if spec.descriptor is None:
-            raise ConfigError("custom domains have no catalog descriptor")
-        return spec.descriptor
+# The parameter names of each catalog kind in descriptor order, with their
+# defaults (None: required). Labels and tuples give them by position, JSON
+# objects by name; polydisc radii and product factors take the remaining values.
+_PARAMS = {
+    "disc": {"radius": 1.0},
+    "punctured_disc": {"radius": 1.0},
+    "polydisc": {"n": None, "radii": 1.0},
+    "ball": {"n": None, "radius": 1.0},
+    "hartogs": {"k": None},
+    "fk_ball_prime": {"k": None},
+    "product": {"factors": None},
+}
+
+
+def _spec_params(spec) -> tuple[str, dict, str]:
+    """Kind, parameters by name and usage line of a domain spec in any form."""
     if isinstance(spec, str):
-        return _parse_label(spec)
+        try:
+            spec = json.loads(spec) if spec.lstrip().startswith("{") else _parse_label(spec)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"malformed JSON domain spec {spec!r}: {e}") from None
     if isinstance(spec, dict):
-        return _descriptor_from_json(spec)
-    if isinstance(spec, (tuple, list)):
-        return tuple(spec)
-    raise ConfigError(f"unrecognized domain spec {spec!r}")
+        kind, given = spec.get("kind"), spec.get("params", {})
+    elif isinstance(spec, (tuple, list)) and spec:
+        kind, *values = spec
+        names = list(_PARAMS.get(kind, ())) if isinstance(kind, str) else []
+        if kind == "product" or (len(values) > len(names) and names[-1:] == ["radii"]):
+            values[len(names) - 1 :] = [tuple(values[len(names) - 1 :])]
+        given = dict(zip(names, values)) if len(values) <= len(names) else values
+    else:
+        raise ConfigError(f"unrecognized domain spec {spec!r}")
+    if not isinstance(kind, str) or kind not in _PARAMS:
+        raise ConfigError(f"unknown catalog kind {kind!r}; known: {', '.join(_PARAMS)}")
+    usage = f"{kind}({', '.join(_PARAMS[kind])})"
+    if not isinstance(given, dict) or not set(given) <= set(_PARAMS[kind]):
+        raise ConfigError(f"{usage} cannot take {given!r}")
+    params = {**_PARAMS[kind], **given}
+    if None in params.values():
+        raise ConfigError(f"{usage} needs {', '.join(name for name, v in params.items() if v is None)}")
+    return kind, params, usage
 
 
 def make_catalog_domain(spec) -> BoundedDomain:
-    """Build a catalog domain.
+    """Build a catalog domain from a descriptor ("disc", r), ("punctured_disc", r),
+    ("polydisc", n, radii), ("ball", n) or ("ball", n, r), ("hartogs", k),
+    ("fk_ball_prime", k) or ("product", spec, spec, ...); from a label such as
+    "hartogs(3)"; or from a JSON object {"kind": ..., "params": {...}} with the
+    names of `_PARAMS`, or its text. Every value is read and checked here; an
+    unreadable, missing or out-of-range one raises ConfigError.
 
-    Descriptors: ("disc", r), ("punctured_disc", r), ("polydisc", n, radii),
-    ("ball", n) or ("ball", n, r), ("hartogs", k), ("fk_ball_prime", k),
-    ("product", spec, spec, ...). Strings like "hartogs(3)" and JSON objects
-    {"kind": ..., "params": {...}} are accepted too.
-
-    The domain's RadialProfile is its one description: membership is
-    `profile.moduli_member(|z|)`, the bounding box is `profile.modulus_bounds()`
-    and the dimension is `profile.dimension`. Punctures {z_j = 0} are carried
-    as null exclusions on top of the profile.
+    The domain's RadialProfile is its one description; punctures {z_j = 0}
+    are carried as null exclusions on top of the profile.
     """
-    desc = _normalize_spec(spec)
-    kind = desc[0]
-    excl = ()
-    if kind == "disc" or kind == "punctured_disc":
-        r = float(desc[1]) if len(desc) > 1 else 1.0
-        if r <= 0:
-            raise ConfigError("radius must be positive")
-        profile = RadialProfile("polydisc", radii=(r,))
-        excl = (0,) if kind == "punctured_disc" else ()
-        canonical = (kind, r)
-    elif kind == "polydisc":
-        n = int(desc[1])
-        if n < 1:
-            raise ConfigError("polydisc needs n >= 1")
-        radii = tuple(float(r) for r in desc[2]) if len(desc) > 2 else (1.0,) * n
-        if len(radii) != n or any(r <= 0 for r in radii):
-            raise ConfigError("polydisc needs one positive radius per coordinate")
-        profile = RadialProfile("polydisc", radii=radii)
-        canonical = ("polydisc", n, radii)
-    elif kind == "ball":
-        n = int(desc[1])
-        if n < 1:
-            raise ConfigError("ball needs n >= 1")
-        r = float(desc[2]) if len(desc) > 2 else 1.0
-        if r <= 0:
-            raise ConfigError("radius must be positive")
-        profile = RadialProfile("ball", n=n, radius=r)
-        canonical = ("ball", n, r)
-    elif kind == "hartogs" or kind == "fk_ball_prime":
-        k = int(desc[1])
-        if k < 1:
-            raise ConfigError(f"{kind} needs k >= 1")
-        profile = RadialProfile("hartogs_graph" if kind == "hartogs" else "graph_with_factor", k=k)
-        canonical = (kind, k)
-    elif kind == "product":
-        factors = [make_catalog_domain(s) for s in desc[1:]]
-        if not factors:
-            raise ConfigError("product needs at least one factor")
+    kind, params, usage = _spec_params(spec)
+
+    def positive(name, value, integer=False):
+        x = number_from_json(value, f"{usage}: {name}", integer)
+        if x <= 0:
+            raise ConfigError(f"{usage}: {name} must be positive, got {value!r}")
+        return x
+
+    excl = (0,) if kind == "punctured_disc" else ()
+    if kind == "product":
+        if not isinstance(params["factors"], (tuple, list)) or not params["factors"]:
+            raise ConfigError(f"{usage}: factors must be a non-empty list of domain specs, got {params['factors']!r}")
+        factors = [make_catalog_domain(s) for s in params["factors"]]
         profile = RadialProfile("product", factors=tuple(f.radial_profile for f in factors))
         excl = tuple(cols.start + j for f, (_, cols) in zip(factors, profile.factor_columns()) for j in f.null_exclusions)
-        canonical = ("product",) + tuple(f.descriptor for f in factors)
+        canonical = ("product", *(f.descriptor for f in factors))
+    elif kind == "polydisc":
+        n, radii = positive("n", params["n"], integer=True), params["radii"]
+        radii = tuple(radii) if isinstance(radii, (tuple, list)) else (radii,)
+        if len(radii) not in (1, n):
+            raise ConfigError(f"{usage}: radii must hold one radius or n = {n} of them, got {len(radii)}")
+        radii = tuple(positive("radii", r) for r in (radii * n if len(radii) == 1 else radii))
+        profile = RadialProfile("polydisc", radii=radii)
+        canonical = (kind, n, radii)
+    elif kind == "ball":
+        n, r = positive("n", params["n"], integer=True), positive("radius", params["radius"])
+        profile = RadialProfile("ball", n=n, radius=r)
+        canonical = (kind, n, r)
+    elif kind in ("hartogs", "fk_ball_prime"):
+        k = positive("k", params["k"], integer=True)
+        profile = RadialProfile("hartogs_graph" if kind == "hartogs" else "graph_with_factor", k=k)
+        canonical = (kind, k)
     else:
-        raise ConfigError(f"unknown catalog kind {kind!r}")
-    return BoundedDomain(
-        dimension=profile.dimension,
-        membership=lambda pts: profile.moduli_member(np.abs(pts)),
-        bounding_box=profile.modulus_bounds(),
-        label=_label_of(desc),
-        null_exclusions=excl,
-        radial_profile=profile,
-        descriptor=canonical,
-    )
+        r = positive("radius", params["radius"])
+        profile = RadialProfile("polydisc", radii=(r,))
+        canonical = (kind, r)
+    return BoundedDomain(profile, _label_of(canonical), canonical, excl)
 
 
 def _label_of(desc: tuple) -> str:
-    kind = desc[0]
+    """The printed form of a canonical descriptor: "polydisc(2;0.5,1.5)",
+    "ball(3;0.37)", and "ball(3)" when the radius is 1."""
+    kind, *values = desc
     if kind == "product":
-        return "product(" + ",".join(_label_of(d) for d in desc[1:]) + ")"
-    if kind in ("disc", "punctured_disc"):
-        r = desc[1] if len(desc) > 1 else 1.0
-        return f"{kind}({r:g})"
+        return "product(" + ",".join(map(_label_of, values)) + ")"
     if kind == "polydisc":
-        n, radii = desc[1], desc[2] if len(desc) > 2 else (1.0,) * desc[1]
-        return f"polydisc({n};" + ",".join(f"{r:g}" for r in radii) + ")"
-    if kind == "ball":
-        r = desc[2] if len(desc) > 2 else 1.0
-        return f"ball({desc[1]})" if r == 1.0 else f"ball({desc[1]};{r:g})"
-    return f"{kind}({desc[1]})"
+        values = [values[0], *values[1]]
+    if kind == "ball" and values[1] == 1.0:
+        values = values[:1]
+    head, *rest = (f"{v:g}" if isinstance(v, float) else str(v) for v in values)
+    return f"{kind}({head}" + (";" + ",".join(rest) if rest else "") + ")"
+
+
+def _json_of(desc: tuple) -> dict:
+    """The JSON object {"kind": ..., "params": {...}} of a canonical descriptor."""
+    kind, *values = desc
+    if kind == "product":
+        values = [[_json_of(d) for d in values]]
+    return {"kind": kind, "params": {name: list(v) if isinstance(v, tuple) else v for name, v in zip(_PARAMS[kind], values)}}
 
 
 def _parse_label(text: str) -> tuple:
-    text = text.strip()
-    if text.startswith("{"):
-        return _descriptor_from_json(json.loads(text))
-    if "(" not in text:
-        name = text
-        args: list[str] = []
-    else:
-        if not text.endswith(")"):
-            raise ConfigError(f"malformed domain label {text!r}")
-        name, inner = text[:-1].split("(", 1)
-        # split on top-level commas only (product factors may nest)
-        args, depth, cur = [], 0, ""
-        for ch in inner:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch in ",;" and depth == 0:
-                args.append(cur)
-                cur = ""
-            else:
-                cur += ch
-        if cur:
-            args.append(cur)
+    """Split a label such as "polydisc(2;0.5,1.5)" into its kind and argument
+    strings, ("polydisc", "2", "0.5", "1.5"). Arguments are separated by "," or
+    ";" outside parentheses; product factors are split in turn."""
+    name, paren, inner = text.strip().partition("(")
+    if paren and not inner.endswith(")"):
+        raise ConfigError(f"malformed domain label {text!r}")
+    args, depth, cur = [], 0, ""
+    for ch in inner[:-1]:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in ",;" and depth == 0:
+            args.append(cur.strip())
+            cur = ""
+        else:
+            cur += ch
+    if cur:
+        args.append(cur.strip())
     name = name.strip()
-    if name in ("disc", "punctured_disc"):
-        return (name, float(args[0]) if args else 1.0)
-    if name == "polydisc":
-        if not args:
-            raise ConfigError("polydisc label needs n")
-        n = int(args[0])
-        radii = tuple(float(a) for a in args[1:]) or (1.0,) * n
-        if len(radii) == 1 and n > 1:
-            radii = radii * n
-        return ("polydisc", n, radii)
-    if name == "ball":
-        if not args:
-            raise ConfigError("ball label needs n")
-        n = int(args[0])
-        return ("ball", n, float(args[1])) if len(args) > 1 else ("ball", n)
-    if name in ("hartogs", "fk_ball_prime"):
-        if not args:
-            raise ConfigError(f"{name} label needs k")
-        return (name, int(args[0]))
     if name == "product":
-        return ("product",) + tuple(_parse_label(a.strip()) for a in args)
-    raise ConfigError(f"unknown domain label {text!r}")
-
-
-def _descriptor_to_json(desc: tuple) -> dict:
-    kind = desc[0]
-    if kind in ("disc", "punctured_disc"):
-        return {"kind": kind, "params": {"radius": desc[1] if len(desc) > 1 else 1.0}}
-    if kind == "polydisc":
-        return {"kind": kind, "params": {"n": desc[1], "radii": list(desc[2])}}
-    if kind == "ball":
-        return {"kind": kind, "params": {"n": desc[1], "radius": desc[2] if len(desc) > 2 else 1.0}}
-    if kind in ("hartogs", "fk_ball_prime"):
-        return {"kind": kind, "params": {"k": desc[1]}}
-    if kind == "product":
-        return {"kind": kind, "params": {"factors": [_descriptor_to_json(d) for d in desc[1:]]}}
-    raise ConfigError(f"unknown catalog kind {kind!r}")
-
-
-def _descriptor_from_json(obj: dict) -> tuple:
-    kind = obj.get("kind")
-    params = obj.get("params", {})
-    if kind in ("disc", "punctured_disc"):
-        return (kind, float(params.get("radius", 1.0)))
-    if kind == "polydisc":
-        n = int(params["n"])
-        radii = tuple(float(r) for r in params.get("radii", [1.0] * n))
-        return (kind, n, radii)
-    if kind == "ball":
-        return (kind, int(params["n"]), float(params.get("radius", 1.0)))
-    if kind in ("hartogs", "fk_ball_prime"):
-        return (kind, int(params["k"]))
-    if kind == "product":
-        return ("product",) + tuple(_descriptor_from_json(f) for f in params["factors"])
-    raise ConfigError(f"unknown catalog kind {kind!r}")
+        return (name, *(_parse_label(a) for a in args))
+    return (name, *args)
 
 
 def parse_domain(text_or_obj) -> BoundedDomain:
@@ -485,12 +440,15 @@ def sample_radial_weighted(D: BoundedDomain, t: Sequence[float], rng, count: int
     (times Lebesgue measure), exactly, using the radial profile. Phases are
     uniform and independent.
     """
-    if D.radial_profile is None:
-        raise UnsupportedDomainError(f"domain {D.label!r} has no radial profile")
     gen = rng if isinstance(rng, np.random.Generator) else substream(int(rng), TAG_REJECTION, 0)
     r = sample_moduli_weighted(D.radial_profile, t, gen, count)
-    theta = gen.random((count, D.dimension)) * 2.0 * np.pi
-    return r * np.exp(1j * theta)
+    theta = gen.random((count, D.dimension))
+    theta *= 2.0
+    theta *= np.pi
+    z = np.multiply(theta, 1j)
+    np.exp(z, out=z)
+    z *= r
+    return z
 
 
 # -- boundary distance ------------------------------------------------------

@@ -87,8 +87,6 @@ def monomial_norm_closed(D: BoundedDomain, alpha: Sequence[int], p: float) -> PN
     """
     if p <= 0:
         raise ConfigError("p must be positive")
-    if D.radial_profile is None:
-        raise UnsupportedDomainError(f"no closed form: domain {D.label!r} has no radial profile")
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (D.dimension,):
         raise ConfigError(f"exponent of length {alpha.shape} for dimension {D.dimension}")
@@ -119,7 +117,7 @@ def closed_norm(D: BoundedDomain, f: LaurentPolynomial, p: float) -> PNormResult
 def _variance_diverges(D: BoundedDomain, f, p: float) -> bool:
     """True when the estimator variance of |f|^p is provably infinite: the
     closed-form test is the integrability of |f|^{2p}."""
-    if not isinstance(f, LaurentPolynomial) or not f.is_monomial or D.radial_profile is None:
+    if not isinstance(f, LaurentPolynomial) or not f.is_monomial:
         return False
     exp, _ = f.single_term()
     try:
@@ -359,8 +357,6 @@ def quadrature_norm(
     """
     if p <= 0:
         raise ConfigError("p must be positive")
-    if D.radial_profile is None:
-        raise UnsupportedDomainError(f"quadrature needs a radial profile; {D.label!r} has none")
     if radial_nodes < 4:
         raise ConfigError("radial_nodes must be at least 4")
     profile = D.radial_profile

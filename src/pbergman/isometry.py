@@ -30,7 +30,7 @@ from .functions import (
     complex_from_json,
 )
 from .geometry import BoundedDomain, box_proposals, sample, sample_radial_weighted
-from .integrate import _variance_diverges, chunked_mean, closed_norm, mc_norm_batch
+from .integrate import chunked_mean, closed_norm, mc_norm_batch
 
 
 @dataclass(frozen=True)
@@ -405,10 +405,10 @@ def _pushforward_stats(
     """Per-region estimates of integral_D u(ratios) |lead|^p dA for the
     family's ratios, and standard errors, from one shared sample stream.
 
-    When the lead is a Laurent monomial on a catalog domain the points are
-    drawn exactly from the normalized density |lead|^p/C, leaving the bounded
-    estimand C*u; rejection sampling with explicit |lead|^p weights (whose
-    variance may diverge) is the fallback.
+    When the lead is a Laurent monomial with |lead|^p integrable the points
+    are drawn exactly from the normalized density |lead|^p/C, leaving the
+    bounded estimand C*u; rejection sampling with explicit |lead|^p weights
+    (whose variance may diverge) is the fallback.
     """
     seed = int(seed)
     if samples < 1_000:
@@ -416,19 +416,17 @@ def _pushforward_stats(
     lead = family.lead
     key = _side_key(D, lead, family.members[1:])
     weighted = False
-    if isinstance(lead, LaurentPolynomial) and lead.is_monomial and D.radial_profile is not None:
+    if isinstance(lead, LaurentPolynomial) and lead.is_monomial:
         try:
             factor = closed_norm(D, lead, p).integral
             weighted = True
-        except DivergentIntegralError:
-            pass
-    if not weighted and _variance_diverges(D, lead, p):
-        warnings.warn(
-            f"|lead|^{p} has divergent sample variance on {D.label}; pushforward "
-            "error estimates are unreliable",
-            PoleProximityWarning,
-            stacklevel=user_stacklevel(),
-        )
+        except DivergentIntegralError:  # then |lead|^{2p} diverges too
+            warnings.warn(
+                f"|lead|^{p} has divergent sample variance on {D.label}; pushforward "
+                "error estimates are unreliable",
+                PoleProximityWarning,
+                stacklevel=user_stacklevel(),
+            )
 
     if weighted:
         exp, _ = lead.single_term()
@@ -556,7 +554,7 @@ def random_boxes(
         raise ConfigError("box generation needs at least one ratio coordinate")
     lead = family.lead
     gen = substream(int(seed), TAG_BOXES, 0)
-    if isinstance(lead, LaurentPolynomial) and lead.is_monomial and T.source.radial_profile is not None:
+    if isinstance(lead, LaurentPolynomial) and lead.is_monomial:
         exp, _ = lead.single_term()
         pts = sample_radial_weighted(T.source, tuple(T.p * e for e in exp), gen, _BOX_PROBE_SAMPLES)
     else:

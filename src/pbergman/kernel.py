@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import TAG_OPTIMIZER, substream
-from .errors import ConfigError, DivergentIntegralError, NoBasisSupportError, UnsupportedDomainError
+from .errors import ConfigError, DivergentIntegralError, NoBasisSupportError
 from .functions import monomial_values
 from .geometry import BoundedDomain, boundary_distance
 from .integrate import ReinhardtGrid, _span_values, monomial_norm_closed
@@ -89,11 +89,13 @@ class KernelEstimate:
         }
 
 
+_MAX_ITERS = 400  # iterations of one descent run; each of the 8 IRLS stages gets an eighth
+_TOL = 1e-9  # projected-gradient stop, relative to 1 + the smoothed objective
+_RESTARTS = 2  # seeded random starts
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    max_iters: int = 400
-    tol: float = 1e-9
-    restarts: int = 2
     radial_nodes: int = 48
     angular_nodes: int | None = None
     seed: int = 0
@@ -118,10 +120,6 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
     """
     if basis.p != 2:
         raise ConfigError("the Gram path is defined only for p = 2")
-    if D.radial_profile is None:
-        raise UnsupportedDomainError(
-            f"{D.label!r} has no radial profile; monomials need not be orthogonal there"
-        )
     zz = _point(z, D.dimension)
     vals = monomial_values(zz.reshape(1, -1), basis.indices)[0]
     norms2 = np.array([monomial_norm_closed(D, a, 2.0).integral for a in basis.indices])
@@ -151,8 +149,6 @@ class _SliceProblem:
     """
 
     def __init__(self, D: BoundedDomain, basis: BasisSpec, z: np.ndarray, p: float, cfg: OptimizerConfig):
-        if D.radial_profile is None:
-            raise UnsupportedDomainError(f"the optimizer needs a radial profile; {D.label!r} has none")
         maxdeg = max(sum(abs(e) for e in a) for a in basis.indices)
         m_theta = cfg.angular_nodes if cfg.angular_nodes is not None else max(2 * maxdeg + 1, 9)
         grid = ReinhardtGrid(D.radial_profile, cfg.radial_nodes, m_theta)
@@ -222,7 +218,7 @@ class _SliceProblem:
         return M.view(complex).reshape(K, K)
 
 
-def _irls(prob: _SliceProblem, c0: np.ndarray, cfg: OptimizerConfig):
+def _irls(prob: _SliceProblem, c0: np.ndarray):
     """Reweighted least squares for p < 2, with smoothing continuation.
 
     With t = |phi|^2 and p/2 < 1 the map t -> (t + eps^2)^{p/2} is concave,
@@ -235,7 +231,7 @@ def _irls(prob: _SliceProblem, c0: np.ndarray, cfg: OptimizerConfig):
     a = np.conj(prob.bz)
     c = prob.retract(c0.astype(complex))
     it = 0
-    inner_cap = max(10, cfg.max_iters // 8)
+    inner_cap = max(10, _MAX_ITERS // 8)
     eps2 = None
     for stage in range(8):
         scale2 = max(prob.norm_p(c), _Z_TINY) ** (2.0 / p)
@@ -261,7 +257,7 @@ def _irls(prob: _SliceProblem, c0: np.ndarray, cfg: OptimizerConfig):
     return c, prob.norm_p(c), grad_norm, it
 
 
-def _descend(prob: _SliceProblem, c0: np.ndarray, cfg: OptimizerConfig):
+def _descend(prob: _SliceProblem, c0: np.ndarray):
     p = prob.p
     c = prob.retract(c0.astype(complex))
     s_cur = prob.norm_p(c)
@@ -270,11 +266,11 @@ def _descend(prob: _SliceProblem, c0: np.ndarray, cfg: OptimizerConfig):
     prev_g = None
     grad_norm = math.inf
     it = 0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         g = prob.project(prob.grad(c, eps2))
         grad_norm = float(np.linalg.norm(g))
         s_smooth = prob.norm_p(c, eps2)
-        if grad_norm <= cfg.tol * (1.0 + abs(s_smooth)):
+        if grad_norm <= _TOL * (1.0 + abs(s_smooth)):
             break
         # Barzilai-Borwein step with Armijo backtracking
         if prev_c is None:
@@ -357,7 +353,7 @@ def pbergman_min_norm(
             c[i] = v
         if ok:
             starts.append(c)
-    for i in range(cfg.restarts):
+    for i in range(_RESTARTS):
         g = substream(cfg.seed, TAG_OPTIMIZER, i)
         starts.append(g.standard_normal(K) + 1j * g.standard_normal(K))
 
@@ -373,7 +369,7 @@ def pbergman_min_norm(
     chosen = order if p < 1.0 else order[:3]
     method = _irls if p < 2.0 else _descend
     for i in chosen:
-        c, s_final, grad_norm, it = method(prob, retracted[i], cfg)
+        c, s_final, grad_norm, it = method(prob, retracted[i])
         total_iters += it
         if s_final < best_norm_p:
             best_norm_p = s_final
@@ -421,7 +417,7 @@ def boundary_probe(
         zz = _point(z, D.dimension)
         if not D.contains(zz):
             raise ConfigError(f"path point {zz} is not in {D.label}")
-        if p == 2 and D.radial_profile is not None:
+        if p == 2:
             est = bergman2_gram(D, basis, zz)
         else:
             est = pbergman_min_norm(D, basis, zz, p=p, cfg=cfg)

@@ -9,6 +9,7 @@ Report whose checks carry explicit expectations and tolerances.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,7 +19,7 @@ import numpy as np
 from ._rng import TAG_BATTERY, TAG_PROBE, substream
 from ._version import __version__
 from .errors import ConfigError, DivergentIntegralError, PBergmanError
-from .functions import LaurentPolynomial, MonomialMap, complex_from_json, fd_jacobian_det
+from .functions import LaurentPolynomial, MonomialMap, complex_from_json, fd_jacobian_det, number_from_json
 from .geometry import (
     boundary_distance,
     interior_closure_probe,
@@ -91,7 +92,8 @@ class Report:
         }
 
     def summary_lines(self) -> list[str]:
-        return render_summary(self.to_json_obj())
+        """The text of the report as saved, with sorted keys."""
+        return render_summary(json.loads(json.dumps(self.to_json_obj(), sort_keys=True)))
 
 
 def render_summary(obj: dict) -> list[str]:
@@ -708,6 +710,14 @@ def roundtrip_scenario(map_spec, p: float | None = None, seed: int = 0, mutate: 
 # -- CLI scenario plumbing -------------------------------------------------------
 
 
+def _integer_rows(obj: dict, key: str, width: int | None = None) -> list[tuple]:
+    """Exponent rows of a scenario file: lists of integers, `width` long if given."""
+    rows = obj.get(key, [])
+    if not isinstance(rows, list) or not all(isinstance(row, list) and width in (None, len(row)) for row in rows):
+        raise ConfigError(f"{key} must be a list of integer rows{'' if width is None else f' of length {width}'}, got {rows!r}")
+    return [tuple(number_from_json(e, key, integer=True) for e in row) for row in rows]
+
+
 def operator_from_spec(obj: dict) -> CompositionIsometry:
     """Operator described by a JSON object (CLI scenario files)."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -715,35 +725,38 @@ def operator_from_spec(obj: dict) -> CompositionIsometry:
     kind = obj["kind"]
     if kind == "counterexample":
         return build_counterexample(
-            k=int(obj.get("k", 3)),
-            m=int(obj.get("m", 2)),
+            k=number_from_json(obj.get("k", 3), "k", integer=True),
+            m=number_from_json(obj.get("m", 2), "m", integer=True),
             lam=complex_from_json(obj.get("lambda", 1.0)),
             mutate=obj.get("mutate"),
         )
     if kind == "identity":
         D = parse_domain(obj.get("domain", "disc(1)"))
-        return identity_operator(D, float(obj.get("p", 2.0)), lam=complex_from_json(obj.get("lambda", 1.0)))
+        return identity_operator(D, number_from_json(obj.get("p", 2.0), "p"), lam=complex_from_json(obj.get("lambda", 1.0)))
     if kind == "mobius":
         a = obj.get("a", 0.3)
         params = tuple(complex_from_json(v) for v in a) if isinstance(a, list) else complex_from_json(a)
-        return mobius_operator(params, float(obj.get("p", 1.0)), lam=complex_from_json(obj.get("lambda", 1.0)))
+        return mobius_operator(params, number_from_json(obj.get("p", 1.0), "p"), lam=complex_from_json(obj.get("lambda", 1.0)))
     if kind == "custom":
         for key in ("source", "target", "exponents", "weight", "p"):
             if key not in obj:
                 raise ConfigError(f"custom operator spec is missing {key!r}")
         source = parse_domain(obj["source"])
         target = parse_domain(obj["target"])
-        mapping = MonomialMap(
-            tuple(tuple(int(e) for e in row) for row in obj["exponents"]),
-            tuple(complex_from_json(c) for c in obj["coeffs"]) if "coeffs" in obj else None,
-        )
+        try:
+            mapping = MonomialMap(
+                _integer_rows(obj, "exponents"),
+                tuple(complex_from_json(c) for c in obj["coeffs"]) if "coeffs" in obj else None,
+            )
+        except ValueError as e:
+            raise ConfigError(f"custom operator map: {e}") from None
         weight = LaurentPolynomial.from_json_obj(target.dimension, obj["weight"])
         return CompositionIsometry(
             source=source,
             target=target,
             mapping=mapping,
             weight=weight,
-            p=float(obj["p"]),
+            p=number_from_json(obj["p"], "p"),
             lam=complex_from_json(obj.get("lambda", 1.0)),
             label=obj.get("label", "custom"),
             validate=bool(obj.get("validate", True)),
@@ -753,10 +766,8 @@ def operator_from_spec(obj: dict) -> CompositionIsometry:
 
 def family_from_spec(obj, T: CompositionIsometry) -> FunctionFamily:
     n = T.source.dimension
-    if obj is None or obj == {"kind": "coordinates"} or obj == "coordinates":
-        return FunctionFamily.coordinates(n)
-    if isinstance(obj, str):
-        obj = {"kind": obj}
+    if obj is None or isinstance(obj, str):
+        obj = {"kind": "coordinates" if obj is None else obj}
     kind = obj.get("kind")
     if kind == "coordinates":
         return FunctionFamily.coordinates(n)
@@ -764,10 +775,9 @@ def family_from_spec(obj, T: CompositionIsometry) -> FunctionFamily:
         lead = None
         if "lead" in obj:
             lead = LaurentPolynomial.from_json_obj(n, obj["lead"])
-        return degree_family(n, int(obj.get("max_degree", 3)), lead=lead)
+        return degree_family(n, number_from_json(obj.get("max_degree", 3), "max_degree", integer=True), lead=lead)
     if kind == "pullback":
-        extra = [tuple(int(e) for e in row) for row in obj.get("extra", [])]
-        return pullback_family(T, extra_monomials=extra)
+        return pullback_family(T, extra_monomials=_integer_rows(obj, "extra", n))
     if kind == "members":
         members = tuple(LaurentPolynomial.from_json_obj(n, mo) for mo in obj["members"])
         return FunctionFamily(dimension=n, members=members, label="custom")

@@ -10,6 +10,30 @@ def assert_rel(actual, expected, rel, msg=""):
     )
 
 
+# domain specs that make_catalog_domain refuses with ConfigError
+MALFORMED_DOMAIN_SPECS = [
+    "ball(two)",
+    "hartogs(1.5)",
+    "product(ball(2),disc(q))",
+    "ball(2;1;3)",
+    "polydisc(2;0.5,0.5,0.5)",
+    "disc(1",
+    "disc(inf)",
+    "torus(2)",
+    "ball",
+    "product()",
+    "",
+    "{not json",
+    {"kind": "ball", "params": {}},
+    {"kind": "disc", "params": {"radius": "x"}},
+    {"kind": "disc", "params": {"raduis": 2.0}},
+    {"kind": "product", "params": {"factors": 3}},
+    ("ball",),
+    ("hartogs", 1.5),
+    (),
+]
+
+
 @pytest.fixture(scope="session")
 def disc():
     return make_catalog_domain("disc")

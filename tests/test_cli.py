@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_rel
+from conftest import MALFORMED_DOMAIN_SPECS, assert_rel
 from pbergman.cli import main
 
 
@@ -92,6 +92,15 @@ class TestNorm:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "spec", [s if isinstance(s, str) else json.dumps(s) for s in MALFORMED_DOMAIN_SPECS if not isinstance(s, tuple)]
+    )
+    def test_malformed_domain_exit_two(self, capsys, spec):
+        code, out, err = run_cli(capsys, ["norm", "--domain", spec, "--exp", "1", "--p", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestKernel:
@@ -191,10 +200,8 @@ class TestScenarioCommand:
         assert err.startswith("error:")
 
     def test_out_file_and_report_roundtrip(self, capsys, tmp_path):
-        # the saved file has sorted keys, so a scenario whose observed value is
-        # a dict with unsorted keys (punctured-disc at p=1) renders them in
-        # another order; the scenarios here have none
-        for argv in (["roundtrip-identity"], ["punctured-disc", "--p", "2"], ["roundtrip-mobius"]):
+        # punctured-disc at p=1 observes a dict whose keys the saved file sorts
+        for argv in (["roundtrip-identity"], ["punctured-disc", "--p", "2"], ["punctured-disc", "--p", "1"], ["roundtrip-mobius"]):
             path = tmp_path / "report.json"
             code, out_run, _ = run_cli(capsys, ["scenario", "run", *argv, "--out", str(path)])
             assert code == 0
@@ -343,6 +350,34 @@ class TestOperatorFileCommands:
         ids=["weight-not-a-term-list", "member-term-without-exp", "test-term-without-re", "box-corner-not-a-list", "box-corner-not-a-number"],
     )
     def test_malformed_scenario_content_exit_two(self, capsys, tmp_path, command, spec):
+        path = write_spec(tmp_path, spec)
+        code, out, err = run_cli(capsys, [command, "--scenario", path, "--samples", "100000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,spec",
+        [
+            ("equimeasure", {"operator": {"kind": "identity", "domain": "disc(1)", "p": "two"}}),
+            ("equimeasure", {"operator": {"kind": "counterexample", "k": "x"}}),
+            ("equimeasure", {"operator": {"kind": "counterexample", "k": 3.5}}),
+            ("equimeasure", {**IDENTITY_SPEC, "family": {"kind": "degree", "max_degree": "3.5"}}),
+            ("equimeasure", {**IDENTITY_SPEC, "family": {"kind": "pullback", "extra": [[1.5]]}}),
+            ("equimeasure", {**IDENTITY_SPEC, "family": {"kind": "pullback", "extra": [[1, 2]]}}),
+            ("verify-isometry", {**IDENTITY_SPEC, "tolerance": "x"}),
+            ("equimeasure", {**WEIGHT_MUTANT_SPEC, "operator": {**WEIGHT_MUTANT_SPEC["operator"], "exponents": [[1.5]]}}),
+            ("equimeasure", {**WEIGHT_MUTANT_SPEC, "operator": {**WEIGHT_MUTANT_SPEC["operator"], "exponents": [[1, 0]]}}),
+            ("equimeasure", {**WEIGHT_MUTANT_SPEC, "operator": {**WEIGHT_MUTANT_SPEC["operator"], "weight": [{"exp": [1.5], "re": 1.0}]}}),
+            ("equimeasure", {**IDENTITY_SPEC, "operator": {"kind": "identity", "domain": "ball(two)"}}),
+        ],
+        ids=[
+            "p-not-a-number", "k-not-a-number", "k-not-integral", "max-degree-not-integral", "extra-not-integral",
+            "extra-wrong-length", "tolerance-not-a-number", "exponent-not-integral", "exponents-not-square",
+            "weight-exponent-not-integral", "domain-malformed",
+        ],
+    )
+    def test_malformed_scenario_number_exit_two(self, capsys, tmp_path, command, spec):
         path = write_spec(tmp_path, spec)
         code, out, err = run_cli(capsys, [command, "--scenario", path, "--samples", "100000"])
         assert code == 2

@@ -88,6 +88,13 @@ class TestLaurentPolynomial:
         with pytest.raises(ConfigError):
             LaurentPolynomial.from_json_obj(2, obj)
 
+    def test_non_integral_exponent_refused(self):
+        with pytest.raises(ValueError):
+            LaurentPolynomial.monomial(2, (1.7, -0.2))
+        with pytest.raises(ConfigError):
+            LaurentPolynomial.from_json_obj(1, [{"exp": [1.5], "re": 1.0}])
+        assert LaurentPolynomial.monomial(2, (2.0, np.int64(-1))) == LaurentPolynomial.monomial(2, (2, -1))
+
 
 class TestMonomialMap:
     def test_evaluate_matches_formula(self):

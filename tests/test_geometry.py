@@ -1,14 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import assert_rel
+from conftest import MALFORMED_DOMAIN_SPECS, assert_rel
 from pbergman import (
-    BoundedDomain,
     ConfigError,
     DegenerateDomainError,
-    UnsupportedDomainError,
     boundary_distance,
     interior_closure_probe,
     make_catalog_domain,
@@ -17,7 +16,7 @@ from pbergman import (
     sample_radial_weighted,
 )
 from pbergman._rng import TAG_REJECTION, substream
-from pbergman.geometry import _direction_battery
+from pbergman.geometry import _direction_battery, sample_moduli_weighted
 
 
 class TestMembership:
@@ -168,6 +167,40 @@ class TestLabelsAndJson:
         with pytest.raises(ConfigError):
             make_catalog_domain(("disc", -1.0))
 
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "disc(0.7)",
+            "punctured_disc(1.3)",
+            "polydisc(2;0.5,1.5)",
+            "ball(2)",
+            "ball(3;0.37)",
+            "hartogs(3)",
+            "fk_ball_prime(2)",
+            "product(ball(2),hartogs(3))",
+            "product(punctured_disc(1),fk_ball_prime(3),ball(1;0.37))",
+        ],
+    )
+    def test_every_form_roundtrips(self, label):
+        D = parse_domain(label)
+        assert D.label == label
+        for form in (D.descriptor, list(D.descriptor), D.to_json_obj(), json.dumps(D.to_json_obj())):
+            E = make_catalog_domain(form)
+            assert (E.label, E.descriptor, E.to_json_obj()) == (D.label, D.descriptor, D.to_json_obj())
+            assert (E.bounding_box, E.null_exclusions) == (D.bounding_box, D.null_exclusions)
+
+    def test_separators_and_defaults(self):
+        assert parse_domain("polydisc(3,0.5,1,2)").label == "polydisc(3;0.5,1,2)"
+        assert parse_domain("ball(2,1.3)").descriptor == ("ball", 2, 1.3)
+        assert parse_domain("polydisc(2)").descriptor == ("polydisc", 2, (1.0, 1.0))
+        assert make_catalog_domain({"kind": "polydisc", "params": {"n": 3, "radii": [0.5]}}).bounding_box == (0.5,) * 3
+        assert make_catalog_domain({"kind": "disc"}).descriptor == ("disc", 1.0)
+
+    @pytest.mark.parametrize("spec", MALFORMED_DOMAIN_SPECS, ids=repr)
+    def test_malformed_spec_refused(self, spec):
+        with pytest.raises(ConfigError):
+            make_catalog_domain(spec)
+
 
 class TestVolume:
     def test_disc_volume(self, disc):
@@ -186,16 +219,6 @@ class TestVolume:
     def test_fk_volume(self, fk3):
         # (2 pi)^2 * (1/2) * (1/2) B(4, 2) with B(4, 2) = 3!1!/5! = 1/20
         assert_rel(fk3.volume, math.pi**2 / 20.0, 1e-12)
-
-    def test_volume_needs_profile(self):
-        D = BoundedDomain(
-            dimension=1,
-            membership=lambda pts: np.abs(pts[:, 0]) < 1.0,
-            bounding_box=(1.0,),
-            label="custom",
-        )
-        with pytest.raises(UnsupportedDomainError):
-            D.volume
 
 
 class TestSampling:
@@ -233,14 +256,10 @@ class TestSampling:
         assert not np.array_equal(sample(disc, 0, 50).points, sample(disc, 1, 50).points)
 
     def test_degenerate_domain_detected(self):
-        empty = BoundedDomain(
-            dimension=1,
-            membership=lambda pts: np.zeros(pts.shape[0], dtype=bool),
-            bounding_box=(1.0,),
-            label="empty",
-        )
+        # the unit ball of C^10 fills pi^10 / (10! 2^20), about 2.5e-8, of its
+        # bounding box: no proposal of the first 4 * 10^6 lands in it
         with pytest.raises(DegenerateDomainError):
-            sample(empty, 0, 10)
+            sample(parse_domain("ball(10)"), 0, 10)
 
     def test_count_validation(self, disc):
         with pytest.raises(ConfigError):
@@ -267,6 +286,13 @@ class TestWeightedSampling:
     def test_fk_weighted_members(self, fk3):
         pts = sample_radial_weighted(fk3, (-1.0, 1.0), 0, 2000)
         assert np.all(fk3.contains(pts))
+
+    def test_matches_polar_formula(self, hartogs3):
+        # moduli, then uniform phases, from the one substream of the seed
+        g = substream(11, TAG_REJECTION, 0)
+        r = sample_moduli_weighted(hartogs3.radial_profile, (2.0, 4.0), g, 1000)
+        theta = g.random((1000, 2)) * 2.0 * np.pi
+        assert np.array_equal(sample_radial_weighted(hartogs3, (2.0, 4.0), 11, 1000), r * np.exp(1j * theta))
 
 
 class TestBoundaryDistance:
