@@ -25,7 +25,11 @@ from .isometry import Box, equimeasure_check, verify_isometry
 from .kernel import OptimizerConfig, degree_basis, pbergman_min_norm
 from .reconstruct import SolverConfig, grid_points, reconstruct_map
 from .scenarios import (
+    MUTATION_SHRUNKEN_DOMAIN,
+    OPERATOR_MUTATIONS,
+    SCENARIOS,
     family_from_spec,
+    mutated,
     operator_from_spec,
     render_summary,
     run_named_scenario,
@@ -100,22 +104,13 @@ def _fmt_point(z: np.ndarray) -> str:
     return " ".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in np.atleast_1d(z))
 
 
-def _load_scenario_file(path: str) -> dict:
-    with open(path) as fh:
+def _scenario_operator(args):
+    """The operator of the scenario file --scenario, mutated by --mutate, and the file's object."""
+    with open(args.scenario) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
-        raise ConfigError(f"scenario file {path} must contain a JSON object")
-    return obj
-
-
-def _operator_with_mutation(obj: dict, mutate: str | None):
-    op_spec = obj.get("operator", obj)
-    if mutate is not None:
-        if op_spec.get("kind") != "counterexample":
-            raise ConfigError("--mutate applies to the counterexample operator only")
-        op_spec = dict(op_spec)
-        op_spec["mutate"] = mutate
-    return operator_from_spec(op_spec), obj
+        raise ConfigError(f"scenario file {args.scenario} must contain a JSON object")
+    return mutated(operator_from_spec(obj.get("operator", obj)), args.mutate), obj
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -171,8 +166,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_verify_isometry(args) -> int:
-    obj = _load_scenario_file(args.scenario)
-    T, obj = _operator_with_mutation(obj, args.mutate)
+    T, obj = _scenario_operator(args)
     tests = tests_from_spec(obj.get("tests"), T, seed=args.seed)
     method = obj.get("method", "closed")
     tol = number_from_json(obj.get("tolerance", 1e-9 if method == "closed" else 1e-2), "tolerance")
@@ -199,8 +193,7 @@ def _cmd_verify_isometry(args) -> int:
 
 
 def _cmd_equimeasure(args) -> int:
-    obj = _load_scenario_file(args.scenario)
-    T, obj = _operator_with_mutation(obj, args.mutate)
+    T, obj = _scenario_operator(args)
     family = family_from_spec(obj.get("family"), T)
     boxes = None
     if "boxes" in obj:
@@ -213,8 +206,7 @@ def _cmd_equimeasure(args) -> int:
 
 
 def _cmd_reconstruct_map(args) -> int:
-    obj = _load_scenario_file(args.scenario)
-    T, obj = _operator_with_mutation(obj, args.mutate)
+    T, obj = _scenario_operator(args)
     family = family_from_spec(obj.get("family", {"kind": "pullback"}), T)
     grid = grid_points(T.source, args.grid)
     cfg = SolverConfig(tol=args.tol, starts=args.starts, seed=args.seed, threads=args.threads)
@@ -241,17 +233,8 @@ def _cmd_reconstruct_map(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    rep = run_named_scenario(
-        args.name,
-        k=args.k,
-        m=args.m,
-        p=args.p,
-        a=complex(args.a),
-        seed=args.seed,
-        samples=args.samples,
-        threads=args.threads,
-        mutate=args.mutate,
-    )
+    keys = ("name", "k", "m", "p", "a", "seed", "samples", "threads", "mutate")
+    rep = run_named_scenario(**{key: getattr(args, key) for key in keys})
     for line in rep.summary_lines():
         print(line)
     if args.out:
@@ -279,10 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pbergman {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(sp, samples_default=1_000_000):
-        sp.add_argument("--samples", type=int, default=samples_default)
+    def common(sp, samples=1_000_000, threads=1):
+        sp.add_argument("--samples", type=int, default=samples)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=threads)
+
+    def scenario_file_command(name, help, func):
+        sp = subs.add_parser(name, help=help)
+        sp.add_argument("--scenario", required=True)
+        sp.add_argument("--mutate", choices=OPERATOR_MUTATIONS)
+        sp.set_defaults(func=func)
+        return sp
 
     sp = subs.add_parser("norm", parents=[], help="p-norm of a monomial on a catalog domain")
     sp.add_argument("--domain", required=True)
@@ -302,43 +292,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_kernel)
 
-    sp = subs.add_parser("verify-isometry", help="norm battery plus equimeasurability for an operator")
-    sp.add_argument("--scenario", required=True)
-    sp.add_argument("--mutate", choices=("drop-weight", "wrong-weight-exponent"))
-    common(sp)
-    sp.set_defaults(func=_cmd_verify_isometry)
+    common(scenario_file_command("verify-isometry", "norm battery plus equimeasurability for an operator", _cmd_verify_isometry))
+    common(scenario_file_command("equimeasure", "pushforward-mass comparison only", _cmd_equimeasure))
 
-    sp = subs.add_parser("equimeasure", help="pushforward-mass comparison only")
-    sp.add_argument("--scenario", required=True)
-    sp.add_argument("--mutate", choices=("drop-weight", "wrong-weight-exponent"))
-    common(sp)
-    sp.set_defaults(func=_cmd_equimeasure)
-
-    sp = subs.add_parser("reconstruct-map", help="recover the point map from an operator")
-    sp.add_argument("--scenario", required=True)
-    sp.add_argument("--mutate", choices=("drop-weight", "wrong-weight-exponent"))
+    sp = scenario_file_command("reconstruct-map", "recover the point map from an operator", _cmd_reconstruct_map)
     sp.add_argument("--grid", type=int, default=5, help="grid nodes per axis direction")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--starts", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=1)
-    sp.set_defaults(func=_cmd_reconstruct_map)
 
     sp = subs.add_parser("scenario", help="packaged experiments")
     ssubs = sp.add_subparsers(dest="verb", metavar="verb")
-    sr = ssubs.add_parser("run")
-    sr.add_argument(
-        "name",
-        help="counterexample | punctured-disc | roundtrip-identity | roundtrip-mobius | "
-        "roundtrip-unitary | roundtrip-counterexample",
-    )
-    sr.add_argument("--k", type=int, default=3)
-    sr.add_argument("--m", type=int, default=2)
-    sr.add_argument("--p", type=float, default=None)
-    sr.add_argument("--a", default="0.3", help="Moebius parameter")
-    sr.add_argument("--mutate", choices=("drop-weight", "wrong-weight-exponent", "shrunken-domain"))
+    sr = ssubs.add_parser("run", description="A parameter that the scenario does not take is refused.")
+    sr.add_argument("name", choices=SCENARIOS, metavar="name", help=" | ".join(SCENARIOS))
+    sr.add_argument("--k", type=int)
+    sr.add_argument("--m", type=int)
+    sr.add_argument("--p", type=float)
+    sr.add_argument("--a", help="Moebius parameter")
+    sr.add_argument("--mutate", choices=(*OPERATOR_MUTATIONS, MUTATION_SHRUNKEN_DOMAIN))
     sr.add_argument("--out", help="write the JSON report here")
-    common(sr)
+    common(sr, samples=None, threads=None)
     sr.set_defaults(func=_cmd_scenario)
 
     sp = subs.add_parser("report", help="render a saved report")

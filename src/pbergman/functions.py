@@ -1,6 +1,7 @@
 """Exact symbolic layer: Laurent polynomials, the point maps (monomial,
 Moebius, linear), their Jacobian determinants, each map's single-valued
-branch of the Jacobian power J^{2/p}, and the readers of input numbers.
+branch of the Jacobian power J^{2/p}, and the readers of input numbers and
+of the parameters of table-described specs.
 
 Everything an operator produces from a finite Laurent expansion stays in
 closed form; numeric fallbacks live in :class:`AnalyticFunction`.
@@ -89,6 +90,28 @@ def number_from_json(v, name: str, integer: bool = False):
     if not math.isfinite(x) or (integer and not x.is_integer()):
         raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}, got {v!r}")
     return int(x) if integer else x
+
+
+REQUIRED = object()  # a parameter default meaning: no default, the value must be given
+
+
+def read_params(table: Mapping[str, dict], kind, given, noun: str) -> tuple[dict, str]:
+    """The given parameters of `kind`, by name in a dict or by position in a
+    tuple, over its defaults in `table` (kind -> {name: default or REQUIRED}),
+    and the kind's usage line; ConfigError when any of them does not fit."""
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {noun} {kind!r}; known: {', '.join(table)}")
+    names = list(table[kind])
+    usage = f"{kind}({', '.join(names)})"
+    if isinstance(given, tuple) and len(given) <= len(names):
+        given = dict(zip(names, given))
+    if not isinstance(given, dict) or not set(given) <= set(names):
+        extra = {key: v for key, v in given.items() if key not in names} if isinstance(given, dict) else given
+        raise ConfigError(f"{usage} cannot take {extra!r}")
+    params = {**table[kind], **given}
+    if any(v is REQUIRED for v in params.values()):
+        raise ConfigError(f"{usage} needs {', '.join(name for name, v in params.items() if v is REQUIRED)}")
+    return params, usage
 
 
 class LaurentPolynomial:

@@ -20,7 +20,7 @@ from scipy.special import betaln, gammaln
 
 from ._rng import CHUNK, TAG_DIRECTIONS, TAG_PROBE, TAG_REJECTION, stable_key, substream
 from .errors import ConfigError, DegenerateDomainError, DivergentIntegralError, UnsupportedDomainError
-from .functions import _as_points, number_from_json
+from .functions import REQUIRED, _as_points, number_from_json, read_params
 
 
 # -- radial profiles --------------------------------------------------------
@@ -240,16 +240,16 @@ class SampleBatch:
 
 
 # The parameter names of each catalog kind in descriptor order, with their
-# defaults (None: required). Labels and tuples give them by position, JSON
-# objects by name; polydisc radii and product factors take the remaining values.
+# defaults. Labels and tuples give them by position, JSON objects by name;
+# polydisc radii and product factors take the remaining values.
 _PARAMS = {
     "disc": {"radius": 1.0},
     "punctured_disc": {"radius": 1.0},
-    "polydisc": {"n": None, "radii": 1.0},
-    "ball": {"n": None, "radius": 1.0},
-    "hartogs": {"k": None},
-    "fk_ball_prime": {"k": None},
-    "product": {"factors": None},
+    "polydisc": {"n": REQUIRED, "radii": 1.0},
+    "ball": {"n": REQUIRED, "radius": 1.0},
+    "hartogs": {"k": REQUIRED},
+    "fk_ball_prime": {"k": REQUIRED},
+    "product": {"factors": REQUIRED},
 }
 
 
@@ -263,22 +263,14 @@ def _spec_params(spec) -> tuple[str, dict, str]:
     if isinstance(spec, dict):
         kind, given = spec.get("kind"), spec.get("params", {})
     elif isinstance(spec, (tuple, list)) and spec:
-        kind, *values = spec
+        kind, *given = spec
         names = list(_PARAMS.get(kind, ())) if isinstance(kind, str) else []
-        if kind == "product" or (len(values) > len(names) and names[-1:] == ["radii"]):
-            values[len(names) - 1 :] = [tuple(values[len(names) - 1 :])]
-        given = dict(zip(names, values)) if len(values) <= len(names) else values
+        if kind == "product" or (len(given) > len(names) and names[-1:] == ["radii"]):
+            given[len(names) - 1 :] = [tuple(given[len(names) - 1 :])]
+        given = tuple(given)
     else:
         raise ConfigError(f"unrecognized domain spec {spec!r}")
-    if not isinstance(kind, str) or kind not in _PARAMS:
-        raise ConfigError(f"unknown catalog kind {kind!r}; known: {', '.join(_PARAMS)}")
-    usage = f"{kind}({', '.join(_PARAMS[kind])})"
-    if not isinstance(given, dict) or not set(given) <= set(_PARAMS[kind]):
-        raise ConfigError(f"{usage} cannot take {given!r}")
-    params = {**_PARAMS[kind], **given}
-    if None in params.values():
-        raise ConfigError(f"{usage} needs {', '.join(name for name, v in params.items() if v is None)}")
-    return kind, params, usage
+    return kind, *read_params(_PARAMS, kind, given, "catalog kind")
 
 
 def make_catalog_domain(spec) -> BoundedDomain:
@@ -341,7 +333,8 @@ def _label_of(desc: tuple) -> str:
         values = [values[0], *values[1]]
     if kind == "ball" and values[1] == 1.0:
         values = values[:1]
-    head, *rest = (f"{v:g}" if isinstance(v, float) else str(v) for v in values)
+    # %g unless that loses digits, so that parsing the label gives the descriptor back
+    head, *rest = ((f"{v:g}" if float(f"{v:g}") == v else repr(v)) if isinstance(v, float) else str(v) for v in values)
     return f"{kind}({head}" + (";" + ",".join(rest) if rest else "") + ")"
 
 

@@ -29,7 +29,7 @@ from .functions import (
     MonomialMap,
     complex_from_json,
 )
-from .geometry import BoundedDomain, box_proposals, sample, sample_radial_weighted
+from .geometry import BoundedDomain, box_proposals, make_catalog_domain, sample, sample_radial_weighted
 from .integrate import chunked_mean, closed_norm, mc_norm_batch
 
 
@@ -237,8 +237,6 @@ def identity_operator(D: BoundedDomain, p: float, lam: complex = 1.0) -> Composi
 def mobius_operator(params, p: float, lam: complex = 1.0) -> CompositionIsometry:
     """Self-map operator of the disc (or polydisc) induced by coordinate-wise
     automorphisms w_j -> (a_j - w_j)/(1 - conj(a_j) w_j)."""
-    from .geometry import make_catalog_domain
-
     if isinstance(params, (int, float, complex)):
         params = (params,)
     params = tuple(params)

@@ -12,14 +12,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from ._rng import TAG_BATTERY, TAG_PROBE, substream
 from ._version import __version__
 from .errors import ConfigError, DivergentIntegralError, PBergmanError
-from .functions import LaurentPolynomial, MonomialMap, complex_from_json, fd_jacobian_det, number_from_json
+from .functions import (
+    REQUIRED,
+    LaurentPolynomial,
+    LinearMap,
+    MonomialMap,
+    complex_from_json,
+    fd_jacobian_det,
+    number_from_json,
+    read_params,
+)
 from .geometry import (
     boundary_distance,
     interior_closure_probe,
@@ -124,11 +132,12 @@ def _check(name: str, claim: str, expected, observed, tolerance, ok: bool) -> Ch
     )
 
 
-# -- the counterexample operator ----------------------------------------------
+# -- the counterexample operator and the operator mutations --------------------
 
 MUTATION_DROP_WEIGHT = "drop-weight"
 MUTATION_WRONG_EXPONENT = "wrong-weight-exponent"
 MUTATION_SHRUNKEN_DOMAIN = "shrunken-domain"
+OPERATOR_MUTATIONS = (MUTATION_DROP_WEIGHT, MUTATION_WRONG_EXPONENT)
 
 
 def build_counterexample(
@@ -137,7 +146,7 @@ def build_counterexample(
     """Isometry between D1 = ball(2) x hartogs(k) and D2 = fk_ball_prime(k) x
     polydisc(2) at p = 2k/m, with map G(w) = (w1, w1^-k w2, w3, w3^k w4) and
     weight (w1^-1 w3)^m. Requires p not an even integer, i.e. m does not
-    divide k. Mutations deliberately break the weight and skip validation.
+    divide k. A mutation breaks the weight as `mutated` does.
     """
     k, m = int(k), int(m)
     if k < 1 or m < 1:
@@ -146,29 +155,41 @@ def build_counterexample(
         raise ConfigError(
             f"p = 2*{k}/{m} = {2 * k // m} is an even integer; the construction needs 2k/m not even"
         )
-    p = 2.0 * k / m
-    D1 = make_catalog_domain(("product", ("ball", 2), ("hartogs", k)))
-    D2 = make_catalog_domain(("product", ("fk_ball_prime", k), ("polydisc", 2, (1.0, 1.0))))
-    G = MonomialMap(((1, 0, 0, 0), (-k, 1, 0, 0), (0, 0, 1, 0), (0, 0, k, 1)))
-    if mutate is None:
-        weight = LaurentPolynomial.monomial(4, (-m, 0, m, 0))
-    elif mutate == MUTATION_DROP_WEIGHT:
-        weight = LaurentPolynomial.one(4)
-    elif mutate == MUTATION_WRONG_EXPONENT:
-        weight = LaurentPolynomial.monomial(4, (-(m + 1), 0, m + 1, 0))
-    else:
-        raise ConfigError(f"unknown mutation {mutate!r}")
-    label = f"counterexample(k={k},m={m})" + (f"[{mutate}]" if mutate else "")
-    return CompositionIsometry(
-        source=D1,
-        target=D2,
-        mapping=G,
-        weight=weight,
-        p=p,
+    T = CompositionIsometry(
+        source=make_catalog_domain(("product", ("ball", 2), ("hartogs", k))),
+        target=make_catalog_domain(("product", ("fk_ball_prime", k), ("polydisc", 2, (1.0, 1.0)))),
+        mapping=MonomialMap(((1, 0, 0, 0), (-k, 1, 0, 0), (0, 0, 1, 0), (0, 0, k, 1))),
+        weight=LaurentPolynomial.monomial(4, (-m, 0, m, 0)),
+        p=2.0 * k / m,
         lam=lam,
-        label=label,
-        validate=mutate is None,
+        label=f"counterexample(k={k},m={m})",
     )
+    return mutated(T, mutate)
+
+
+def mutated(T: CompositionIsometry, name: str | None) -> CompositionIsometry:
+    """T with its weight deliberately broken, unvalidated, labelled "T.label[name]"
+    (T itself for no name). drop-weight replaces the weight by 1;
+    wrong-weight-exponent moves each nonzero exponent of a Laurent-monomial
+    weight one step away from 0. One that would not change the weight is refused.
+    """
+    if name is None:
+        return T
+    weight = T.weight
+    if name == MUTATION_DROP_WEIGHT:
+        weight = LaurentPolynomial.one(T.target.dimension)
+        if weight == T.weight:
+            raise ConfigError(f"mutation {name!r} leaves {T.label} unchanged: its weight is already 1")
+    elif name == MUTATION_WRONG_EXPONENT:
+        if not (isinstance(weight, LaurentPolynomial) and weight.is_monomial):
+            raise ConfigError(f"mutation {name!r} needs a Laurent-monomial weight; {T.label} has {weight!r}")
+        exp, coeff = weight.single_term()
+        if not any(exp):
+            raise ConfigError(f"mutation {name!r} leaves {T.label} unchanged: its weight is constant")
+        weight = LaurentPolynomial.monomial(weight.dimension, tuple(e + (e > 0) - (e < 0) for e in exp), coeff)
+    else:
+        raise ConfigError(f"unknown mutation {name!r}")
+    return CompositionIsometry(T.source, T.target, T.mapping, weight, T.p, T.lam, f"{T.label}[{name}]", validate=False)
 
 
 def battery_monomials(T: CompositionIsometry, count: int = 30, seed: int = 0) -> list[LaurentPolynomial]:
@@ -545,29 +566,29 @@ def punctured_disc_scenario(p: float, seed: int = 0, mutate: str | None = None) 
 # -- round trips ----------------------------------------------------------------
 
 
-def _roundtrip_grid(T: CompositionIsometry, seed: int, count: int = 12) -> np.ndarray:
+def _roundtrip_grid(T: CompositionIsometry, anchor, seed: int, count: int = 12) -> np.ndarray:
     """Member points clustered around a positive-real anchor so that the
     inverse weight branch is evaluated far from any power-function cut."""
-    n = T.source.dimension
-    if n == 1:
-        anchor = np.array([0.25 + 0.0j])
-    elif n == 2:
-        anchor = np.array([0.35 + 0.0j, 0.25 + 0.0j])
-    else:
-        anchor = np.array([0.3, 0.2, 0.5, 0.05], dtype=complex)
-    pts = []
-    i = 0
-    guard = 0
-    while len(pts) < count and guard < 1000:
+    anchor, pts = np.asarray(anchor, dtype=complex), []
+    for i in range(1000):
         g = substream(int(seed), TAG_PROBE, "roundtrip", i)
-        i += 1
-        guard += 1
-        z = anchor * (1.0 + 0.12 * (g.random(n) - 0.5) + 0.12j * (g.random(n) - 0.5))
+        z = anchor * (1.0 + 0.12 * (g.random(anchor.size) - 0.5) + 0.12j * (g.random(anchor.size) - 0.5))
         if T.source.contains(z.reshape(1, -1))[0]:
             pts.append(z)
-    if len(pts) < count:
-        raise ConfigError("could not place the round-trip grid inside the source domain")
-    return np.asarray(pts)
+            if len(pts) == count:
+                return np.asarray(pts)
+    raise ConfigError("could not place the round-trip grid inside the source domain")
+
+
+# The round trips: per operator kind, the anchor of its grid, the exponents of
+# its test monomials (None: a seeded battery of 10 admissible ones) and its
+# reconstruction family.
+_ROUNDTRIPS = {
+    "identity": ((0.25,), [(j,) for j in range(4)], "degree"),
+    "mobius": ((0.25,), [(j,) for j in range(4)], "degree"),
+    "unitary": ((0.35, 0.25), [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)], "degree"),
+    "counterexample": ((0.3, 0.2, 0.5, 0.05), None, "pullback"),
+}
 
 
 def roundtrip_scenario(map_spec, p: float | None = None, seed: int = 0, mutate: str | None = None) -> Report:
@@ -575,69 +596,25 @@ def roundtrip_scenario(map_spec, p: float | None = None, seed: int = 0, mutate: 
     operator alone, and check T(phi)(F(z)) * branch(J_F)(z) = lambda * phi(z)
     pointwise, phase included.
 
-    map_spec: "identity" | ("mobius", a) | "unitary" | ("counterexample", k, m).
+    map_spec: an operator spec of a kind in `_ROUNDTRIPS`, in any form that
+    `operator_from_spec` reads, such as "identity", ("mobius", a) or
+    ("counterexample", k, m); p, when given, replaces the spec's.
     """
-    if isinstance(map_spec, str):
-        map_spec = (map_spec,)
-    kind = map_spec[0]
-    if kind == "identity":
-        p = 2.0 if p is None else float(p)
-        T = identity_operator(make_catalog_domain(("disc", 1.0)), p)
-        tests = [LaurentPolynomial.monomial(1, (j,)) for j in range(4)]
-        family = degree_family(1, 3)
-    elif kind == "mobius":
-        a = complex(map_spec[1]) if len(map_spec) > 1 else 0.3
-        p = 1.0 if p is None else float(p)
-        T = mobius_operator(a, p)
-        tests = [LaurentPolynomial.monomial(1, (j,)) for j in range(4)]
-        family = degree_family(1, 3)
-    elif kind == "unitary":
-        p = 2.0 if p is None else float(p)
-        from .functions import LinearMap
-
-        c, s = math.cos(0.7), math.sin(0.7)
-        D = make_catalog_domain(("ball", 2))
-        T = CompositionIsometry(
-            source=D,
-            target=D,
-            mapping=LinearMap(((c, -s), (s, c))),
-            weight=LaurentPolynomial.one(2),
-            p=p,
-            label="unitary-rotation",
-        )
-        tests = [
-            LaurentPolynomial.monomial(2, e) for e in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0))
-        ]
-        family = degree_family(2, 3)
-    elif kind == "counterexample":
-        k = int(map_spec[1]) if len(map_spec) > 1 else 3
-        m = int(map_spec[2]) if len(map_spec) > 2 else 2
-        T = build_counterexample(k, m, mutate=mutate)
-        p = T.p
+    kind, params, _ = _read_spec(OPERATORS, map_spec, "operator")
+    if kind not in _ROUNDTRIPS:
+        raise ConfigError(f"no round trip for operator kind {kind!r}; known: {', '.join(_ROUNDTRIPS)}")
+    T = mutated(operator_from_spec({"kind": kind, **params, **({} if p is None else {"p": p})}), mutate)
+    anchor, exponents, family = _ROUNDTRIPS[kind]
+    if T.source.dimension != len(anchor):
+        raise ConfigError(f"the {kind} round trip is packaged in dimension {len(anchor)}, not {T.source.dimension}")
+    if exponents is None:
         tests = battery_monomials(T, 10, seed)
-        family = pullback_family(T)
     else:
-        raise ConfigError(f"unknown round-trip map {kind!r}")
-    if mutate is not None and kind != "counterexample":
-        if mutate != MUTATION_DROP_WEIGHT:
-            raise ConfigError(f"unknown mutation {mutate!r}")
-        dropped = LaurentPolynomial.one(T.source.dimension)
-        if T.weight == dropped:
-            raise ConfigError(
-                f"mutation {mutate!r} leaves roundtrip-{kind} unchanged: its weight is already 1"
-            )
-        T = CompositionIsometry(
-            source=T.source,
-            target=T.target,
-            mapping=T.mapping,
-            weight=dropped,
-            p=T.p,
-            label=T.label + "[drop-weight]",
-            validate=False,
-        )
+        tests = [LaurentPolynomial.monomial(T.source.dimension, e) for e in exponents]
+    family = family_from_spec(family, T)
 
     checks = []
-    grid = _roundtrip_grid(T, seed)
+    grid = _roundtrip_grid(T, anchor, seed)
     # the unimodular check below resolves 1e-10, so the solve must be tighter still
     cfg = SolverConfig(seed=seed, starts=6, tol=1e-13)
     rec = reconstruct_map(T, family, grid, cfg)
@@ -707,113 +684,145 @@ def roundtrip_scenario(map_spec, p: float | None = None, seed: int = 0, mutate: 
     )
 
 
-# -- CLI scenario plumbing -------------------------------------------------------
+# -- specs: operators, families, test batteries and scenario names ---------------
 
 
-def _integer_rows(obj: dict, key: str, width: int | None = None) -> list[tuple]:
-    """Exponent rows of a scenario file: lists of integers, `width` long if given."""
-    rows = obj.get(key, [])
-    if not isinstance(rows, list) or not all(isinstance(row, list) and width in (None, len(row)) for row in rows):
-        raise ConfigError(f"{key} must be a list of integer rows{'' if width is None else f' of length {width}'}, got {rows!r}")
-    return [tuple(number_from_json(e, key, integer=True) for e in row) for row in rows]
+def _integer_rows(rows, name: str, width: int | None = None) -> list[tuple]:
+    """Exponent rows of a spec: lists of integers, `width` long if given."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(row, list) and width in (None, len(row)) for row in rows):
+        raise ConfigError(f"{name} must be a list of integer rows{'' if width is None else f' of length {width}'}, got {rows!r}")
+    return [tuple(number_from_json(e, name, integer=True) for e in row) for row in rows]
 
 
-def operator_from_spec(obj: dict) -> CompositionIsometry:
-    """Operator described by a JSON object (CLI scenario files)."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("operator spec must be an object with a 'kind' field")
-    kind = obj["kind"]
+def _term_lists(obj, name: str, dimension: int) -> list[LaurentPolynomial]:
+    if not isinstance(obj, list):
+        raise ConfigError(f"{name} must be a list of Laurent term lists, got {obj!r}")
+    return [LaurentPolynomial.from_json_obj(dimension, terms) for terms in obj]
+
+
+def _read_spec(table: dict, spec, noun: str) -> tuple[str, dict, str]:
+    """Kind, parameters and usage line of a spec read through `table`: a kind
+    name, a tuple (kind, values by position) or an object {"kind": ..., name: value}."""
+    if isinstance(spec, str):
+        spec = (spec,)
+    if isinstance(spec, dict):
+        kind, given = spec.get("kind"), {key: v for key, v in spec.items() if key != "kind"}
+    elif isinstance(spec, tuple) and spec:
+        kind, given = spec[0], spec[1:]
+    else:
+        raise ConfigError(f"a {noun} spec is a kind name or an object with a 'kind' field, got {spec!r}")
+    return kind, *read_params(table, kind, given, f"{noun} kind")
+
+
+# The keys of each packaged operator kind in spec order, with their defaults.
+# A tuple such as ("mobius", 0.3) gives them by position, an object such as
+# {"kind": "mobius", "a": 0.3} by name.
+OPERATORS = {
+    "counterexample": {"k": 3, "m": 2, "lambda": 1.0},
+    "identity": {"domain": "disc(1)", "p": 2.0, "lambda": 1.0},
+    "mobius": {"a": 0.3, "p": 1.0, "lambda": 1.0},
+    "unitary": {"p": 2.0, "lambda": 1.0},
+    "custom": {"source": REQUIRED, "target": REQUIRED, "exponents": REQUIRED, "coeffs": None, "weight": REQUIRED,
+               "p": REQUIRED, "lambda": 1.0, "label": "custom", "validate": True},
+}
+
+
+def operator_from_spec(spec) -> CompositionIsometry:
+    """The operator of a spec read through `OPERATORS`: the counterexample;
+    the identity on a domain; the Moebius self-map of the disc, or of the
+    polydisc when `a` is a list; the rotation of ball(2) by the angle 0.7; or
+    a custom monomial map (exponent rows, unimodular coeffs) and Laurent weight."""
+    kind, q, usage = _read_spec(OPERATORS, spec, "operator")
+
+    def number(key, integer=False):
+        return number_from_json(q[key], f"{usage}: {key}", integer)
+
+    lam = complex_from_json(q["lambda"])
     if kind == "counterexample":
-        return build_counterexample(
-            k=number_from_json(obj.get("k", 3), "k", integer=True),
-            m=number_from_json(obj.get("m", 2), "m", integer=True),
-            lam=complex_from_json(obj.get("lambda", 1.0)),
-            mutate=obj.get("mutate"),
-        )
+        return build_counterexample(number("k", True), number("m", True), lam=lam)
     if kind == "identity":
-        D = parse_domain(obj.get("domain", "disc(1)"))
-        return identity_operator(D, number_from_json(obj.get("p", 2.0), "p"), lam=complex_from_json(obj.get("lambda", 1.0)))
+        return identity_operator(parse_domain(q["domain"]), number("p"), lam=lam)
     if kind == "mobius":
-        a = obj.get("a", 0.3)
-        params = tuple(complex_from_json(v) for v in a) if isinstance(a, list) else complex_from_json(a)
-        return mobius_operator(params, number_from_json(obj.get("p", 1.0), "p"), lam=complex_from_json(obj.get("lambda", 1.0)))
-    if kind == "custom":
-        for key in ("source", "target", "exponents", "weight", "p"):
-            if key not in obj:
-                raise ConfigError(f"custom operator spec is missing {key!r}")
-        source = parse_domain(obj["source"])
-        target = parse_domain(obj["target"])
-        try:
-            mapping = MonomialMap(
-                _integer_rows(obj, "exponents"),
-                tuple(complex_from_json(c) for c in obj["coeffs"]) if "coeffs" in obj else None,
-            )
-        except ValueError as e:
-            raise ConfigError(f"custom operator map: {e}") from None
-        weight = LaurentPolynomial.from_json_obj(target.dimension, obj["weight"])
-        return CompositionIsometry(
-            source=source,
-            target=target,
-            mapping=mapping,
-            weight=weight,
-            p=number_from_json(obj["p"], "p"),
-            lam=complex_from_json(obj.get("lambda", 1.0)),
-            label=obj.get("label", "custom"),
-            validate=bool(obj.get("validate", True)),
-        )
-    raise ConfigError(f"unknown operator kind {kind!r}")
+        a = q["a"]
+        a = tuple(map(complex_from_json, a)) if isinstance(a, (list, tuple)) else complex_from_json(a)
+        return mobius_operator(a, number("p"), lam=lam)
+    if kind == "unitary":
+        c, s = math.cos(0.7), math.sin(0.7)
+        D = make_catalog_domain(("ball", 2))
+        return CompositionIsometry(D, D, LinearMap(((c, -s), (s, c))), LaurentPolynomial.one(2), number("p"), lam, "unitary-rotation")
+    source, target = parse_domain(q["source"]), parse_domain(q["target"])
+    try:
+        coeffs = None if q["coeffs"] is None else tuple(map(complex_from_json, q["coeffs"]))
+        mapping = MonomialMap(_integer_rows(q["exponents"], f"{usage}: exponents"), coeffs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{usage}: map: {e}") from None
+    weight = LaurentPolynomial.from_json_obj(target.dimension, q["weight"])
+    return CompositionIsometry(source, target, mapping, weight, number("p"), lam, q["label"], bool(q["validate"]))
 
 
-def family_from_spec(obj, T: CompositionIsometry) -> FunctionFamily:
+# The keys of each reconstruction-family kind, read like OPERATORS.
+FAMILIES = {
+    "coordinates": {},
+    "degree": {"max_degree": 3, "lead": None},
+    "pullback": {"extra": ()},
+    "members": {"members": REQUIRED},
+}
+
+
+def family_from_spec(spec, T: CompositionIsometry) -> FunctionFamily:
+    """The family on T's source of a spec read through `FAMILIES` (None: coordinates)."""
     n = T.source.dimension
-    if obj is None or isinstance(obj, str):
-        obj = {"kind": "coordinates" if obj is None else obj}
-    kind = obj.get("kind")
+    kind, q, usage = _read_spec(FAMILIES, "coordinates" if spec is None else spec, "family")
     if kind == "coordinates":
         return FunctionFamily.coordinates(n)
     if kind == "degree":
-        lead = None
-        if "lead" in obj:
-            lead = LaurentPolynomial.from_json_obj(n, obj["lead"])
-        return degree_family(n, number_from_json(obj.get("max_degree", 3), "max_degree", integer=True), lead=lead)
+        lead = None if q["lead"] is None else LaurentPolynomial.from_json_obj(n, q["lead"])
+        return degree_family(n, number_from_json(q["max_degree"], f"{usage}: max_degree", integer=True), lead=lead)
     if kind == "pullback":
-        return pullback_family(T, extra_monomials=_integer_rows(obj, "extra", n))
-    if kind == "members":
-        members = tuple(LaurentPolynomial.from_json_obj(n, mo) for mo in obj["members"])
-        return FunctionFamily(dimension=n, members=members, label="custom")
-    raise ConfigError(f"unknown family kind {obj!r}")
+        return pullback_family(T, extra_monomials=_integer_rows(q["extra"], f"{usage}: extra", n))
+    return FunctionFamily(dimension=n, members=tuple(_term_lists(q["members"], f"{usage}: members", n)), label="custom")
 
 
 def tests_from_spec(obj, T: CompositionIsometry, seed: int = 0) -> list[LaurentPolynomial]:
     if obj is None:
         return battery_monomials(T, 30, seed)
-    return [LaurentPolynomial.from_json_obj(T.source.dimension, mo) for mo in obj]
+    return _term_lists(obj, "tests", T.source.dimension)
+
+
+def _roundtrip(kind: str, *keys: str) -> tuple:
+    """The SCENARIOS entry of the round trip of an operator kind, taking these keys."""
+
+    def run(seed, mutate, **q):
+        return roundtrip_scenario({"kind": kind, **q}, seed=seed, mutate=mutate)
+
+    return {key: OPERATORS[kind][key] for key in keys}, run
+
+
+# The packaged scenarios by name: the parameters each takes besides seed and
+# mutate, with their defaults, and how it runs.
+SCENARIOS = {
+    "counterexample": ({"k": 3, "m": 2, "samples": 1_000_000, "threads": 1}, lambda **q: counterexample_scenario(**q)),
+    "punctured-disc": ({"p": 1.0}, lambda **q: punctured_disc_scenario(**q)),
+    "roundtrip-identity": _roundtrip("identity", "p"),
+    "roundtrip-mobius": _roundtrip("mobius", "a", "p"),
+    "roundtrip-unitary": _roundtrip("unitary", "p"),
+    "roundtrip-counterexample": _roundtrip("counterexample", "k", "m"),
+}
 
 
 def run_named_scenario(
     name: str,
-    k: int = 3,
-    m: int = 2,
+    k: int | None = None,
+    m: int | None = None,
     p: float | None = None,
-    a: complex = 0.3,
+    a: complex | str | None = None,
     seed: int = 0,
-    samples: int = 1_000_000,
-    threads: int = 1,
+    samples: int | None = None,
+    threads: int | None = None,
     mutate: str | None = None,
 ) -> Report:
-    if name == "counterexample":
-        return counterexample_scenario(k=k, m=m, seed=seed, samples=samples, threads=threads, mutate=mutate)
-    if name == "punctured-disc":
-        return punctured_disc_scenario(1.0 if p is None else p, seed=seed, mutate=mutate)
-    if name == "roundtrip-identity":
-        return roundtrip_scenario("identity", p=p, seed=seed, mutate=mutate)
-    if name == "roundtrip-mobius":
-        return roundtrip_scenario(("mobius", a), p=p, seed=seed, mutate=mutate)
-    if name == "roundtrip-unitary":
-        return roundtrip_scenario("unitary", p=p, seed=seed, mutate=mutate)
-    if name == "roundtrip-counterexample":
-        return roundtrip_scenario(("counterexample", k, m), p=p, seed=seed, mutate=mutate)
-    raise ConfigError(
-        f"unknown scenario {name!r}; available: counterexample, punctured-disc, "
-        "roundtrip-identity, roundtrip-mobius, roundtrip-unitary, roundtrip-counterexample"
-    )
+    """Run the scenario `name` of SCENARIOS. A parameter left None takes the
+    scenario's default; a given one that the scenario does not take is refused."""
+    given = {key: v for key, v in dict(k=k, m=m, p=p, a=a, samples=samples, threads=threads).items() if v is not None}
+    params, _ = read_params({key: entry[0] for key, entry in SCENARIOS.items()}, name, given, "scenario")
+    return SCENARIOS[name][1](**params, seed=seed, mutate=mutate)

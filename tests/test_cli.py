@@ -217,6 +217,11 @@ class TestScenarioCommand:
             assert code == 0
             assert out_text.strip().splitlines() == out_run.strip().splitlines()
 
+    def test_parameter_the_scenario_does_not_take_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, ["scenario", "run", "roundtrip-counterexample", "--p", "3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: roundtrip-counterexample(k, m) cannot take") and err.count("\n") == 1
+
     @pytest.mark.parametrize("name", ["roundtrip-identity", "roundtrip-unitary"])
     def test_no_op_mutant_exit_two(self, capsys, name):
         code, out, err = run_cli(capsys, ["scenario", "run", name, "--mutate", "drop-weight"])
@@ -270,6 +275,9 @@ WEIGHT_MUTANT_SPEC = {
 }
 
 
+MOBIUS_SPEC = {"operator": {"kind": "mobius", "a": 0.3, "p": 1}, "family": "coordinates"}
+
+
 def write_spec(tmp_path, obj, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -317,13 +325,28 @@ class TestOperatorFileCommands:
             assert abs(float(fields[0]) - float(fields[2])) < 1e-6
             assert abs(float(fields[1]) - float(fields[3])) < 1e-6
 
-    def test_mutate_requires_counterexample_operator(self, capsys, tmp_path):
+    def test_drop_weight_refused_when_weight_is_already_one(self, capsys, tmp_path):
+        # the identity's weight is 1, so dropping it would run the true operator under a mutant's name
         path = write_spec(tmp_path, IDENTITY_SPEC)
         code, _, err = run_cli(
             capsys, ["equimeasure", "--scenario", path, "--mutate", "drop-weight"]
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_drop_weight_mutant_of_mobius_fails(self, capsys, tmp_path):
+        path = write_spec(tmp_path, MOBIUS_SPEC)
+        code, out, _ = run_cli(
+            capsys, ["equimeasure", "--scenario", path, "--samples", "100000", "--mutate", "drop-weight"]
+        )
+        assert code == 1
+        assert json.loads(out)["verdict"] == "FAIL"
+
+    def test_operator_key_typo_refused(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"operator": {"kind": "identity", "P": 3, "domian": "ball(2)"}})
+        code, out, err = run_cli(capsys, ["verify-isometry", "--scenario", path, "--samples", "100000"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: identity(domain, p, lambda) cannot take") and err.count("\n") == 1
 
     def test_malformed_scenario_file_exit_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -370,11 +393,13 @@ class TestOperatorFileCommands:
             ("equimeasure", {**WEIGHT_MUTANT_SPEC, "operator": {**WEIGHT_MUTANT_SPEC["operator"], "exponents": [[1, 0]]}}),
             ("equimeasure", {**WEIGHT_MUTANT_SPEC, "operator": {**WEIGHT_MUTANT_SPEC["operator"], "weight": [{"exp": [1.5], "re": 1.0}]}}),
             ("equimeasure", {**IDENTITY_SPEC, "operator": {"kind": "identity", "domain": "ball(two)"}}),
+            ("equimeasure", {**IDENTITY_SPEC, "family": [1]}),
+            ("verify-isometry", {**IDENTITY_SPEC, "tests": 5}),
         ],
         ids=[
             "p-not-a-number", "k-not-a-number", "k-not-integral", "max-degree-not-integral", "extra-not-integral",
             "extra-wrong-length", "tolerance-not-a-number", "exponent-not-integral", "exponents-not-square",
-            "weight-exponent-not-integral", "domain-malformed",
+            "weight-exponent-not-integral", "domain-malformed", "family-not-a-spec", "tests-not-a-list",
         ],
     )
     def test_malformed_scenario_number_exit_two(self, capsys, tmp_path, command, spec):

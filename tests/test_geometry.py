@@ -179,6 +179,8 @@ class TestLabelsAndJson:
             "fk_ball_prime(2)",
             "product(ball(2),hartogs(3))",
             "product(punctured_disc(1),fk_ball_prime(3),ball(1;0.37))",
+            "ball(2;1.267083178292732)",
+            "disc(0.30000000000000004)",
         ],
     )
     def test_every_form_roundtrips(self, label):

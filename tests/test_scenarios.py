@@ -1,21 +1,36 @@
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import assert_rel
 from pbergman import (
     CheckResult,
+    CompositionIsometry,
     ConfigError,
+    FunctionFamily,
     LaurentPolynomial,
+    LinearMap,
+    MonomialMap,
     Report,
     battery_monomials,
     build_counterexample,
     closed_norm,
     counterexample_scenario,
+    identity_operator,
+    make_catalog_domain,
+    mobius_operator,
+    mutated,
     punctured_disc_scenario,
     roundtrip_scenario,
     run_named_scenario,
+    sample,
 )
+from pbergman.scenarios import OPERATORS, SCENARIOS, operator_from_spec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 COUNTEREXAMPLE_CHECKS = {
     "isometry-battery",
@@ -66,6 +81,115 @@ class TestBuildCounterexample:
         want = (math.pi**4 / 80.0) ** (1.0 / 3.0)
         assert_rel(closed_norm(T.source, phi, 3.0).value, want, 1e-12)
         assert_rel(closed_norm(T.target, T.apply(phi), 3.0).value, want, 1e-12)
+
+
+CUSTOM_SPEC = {
+    "kind": "custom",
+    "source": "disc(1)",
+    "target": "disc(1)",
+    "exponents": [[1]],
+    "weight": [{"exp": [0], "re": 1.0}],
+    "p": 2.0,
+}
+
+
+def _rotation():
+    c, s = math.cos(0.7), math.sin(0.7)
+    D = make_catalog_domain(("ball", 2))
+    return CompositionIsometry(D, D, LinearMap(((c, -s), (s, c))), LaurentPolynomial.one(2), 2.0, label="unitary-rotation")
+
+
+# per operator kind: its spec with only the required keys, its label, and the
+# same operator built directly, without the table
+REFERENCE_OPERATORS = {
+    "counterexample": (
+        "counterexample",
+        "counterexample(k=3,m=2)",
+        lambda: CompositionIsometry(
+            make_catalog_domain(("product", ("ball", 2), ("hartogs", 3))),
+            make_catalog_domain(("product", ("fk_ball_prime", 3), ("polydisc", 2, (1.0, 1.0)))),
+            MonomialMap(((1, 0, 0, 0), (-3, 1, 0, 0), (0, 0, 1, 0), (0, 0, 3, 1))),
+            LaurentPolynomial.monomial(4, (-2, 0, 2, 0)),
+            3.0,
+            label="counterexample(k=3,m=2)",
+        ),
+    ),
+    "identity": ("identity", "identity", lambda: identity_operator(make_catalog_domain(("disc", 1.0)), 2.0)),
+    "mobius": ("mobius", "mobius((0.3+0j),)", lambda: mobius_operator(complex(0.3), 1.0)),
+    "unitary": ("unitary", "unitary-rotation", _rotation),
+    "custom": (
+        CUSTOM_SPEC,
+        "custom",
+        lambda: CompositionIsometry(
+            make_catalog_domain("disc(1)"), make_catalog_domain("disc(1)"), MonomialMap([[1]]), LaurentPolynomial.one(1), 2.0, label="custom"
+        ),
+    ),
+}
+
+
+class TestOperatorSpecs:
+    @pytest.mark.parametrize("kind", list(OPERATORS))
+    def test_table_defaults_build_the_reference_operator(self, kind):
+        spec, label, reference = REFERENCE_OPERATORS[kind]
+        T, ref = operator_from_spec(spec), reference()
+        assert (T.label, ref.label) == (label, label)
+        assert (T.p, T.lam, T.laurent_data) == (ref.p, ref.lam, ref.laurent_data)
+        family = FunctionFamily.coordinates(T.source.dimension)
+        pts = sample(T.target, 0, 16).points
+        assert np.array_equal(T.apply_family(family).values(pts), ref.apply_family(family).values(pts))
+
+    def test_tuple_forms_map_by_position(self):
+        assert operator_from_spec(("counterexample", 5, 2)).label == "counterexample(k=5,m=2)"
+        T = operator_from_spec(("mobius", 0.5, 3))
+        assert (T.label, T.p) == ("mobius((0.5+0j),)", 3.0)
+        assert operator_from_spec(("identity", "ball(2)")).source.label == "ball(2)"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "identity", "P": 3},
+            {"kind": "custom", "source": "disc(1)"},
+            {"kind": "spiral"},
+            {"p": 2.0},
+            ("counterexample", 3, 2, 1.0, "extra"),
+            ["identity"],
+            5,
+            {"kind": "counterexample", "mutate": "drop-weight"},
+        ],
+        ids=repr,
+    )
+    def test_malformed_spec_refused(self, spec):
+        with pytest.raises(ConfigError):
+            operator_from_spec(spec)
+
+
+class TestMutated:
+    def test_none_is_the_operator(self):
+        T = build_counterexample()
+        assert mutated(T, None) is T
+
+    def test_drop_weight_on_a_pointwise_weight(self):
+        T = mutated(operator_from_spec("mobius"), "drop-weight")
+        assert T.weight == LaurentPolynomial.one(1)
+        assert T.label == "mobius((0.3+0j),)[drop-weight]"
+
+    def test_wrong_exponent_steps_away_from_zero(self):
+        spec = {**CUSTOM_SPEC, "source": "polydisc(2)", "target": "polydisc(2)", "exponents": [[1, 0], [0, 1]]}
+        T = operator_from_spec({**spec, "weight": [{"exp": [1, -2], "re": 0.0, "im": 1.0}], "validate": False})
+        assert mutated(T, "wrong-weight-exponent").weight == LaurentPolynomial.monomial(2, (2, -3), 1j)
+
+    @pytest.mark.parametrize(
+        "spec,name,match",
+        [
+            ("identity", "drop-weight", "already 1"),
+            ("identity", "wrong-weight-exponent", "unchanged"),
+            ("mobius", "wrong-weight-exponent", "Laurent-monomial"),
+            ("counterexample", "shrunken-domain", "unknown mutation"),
+        ],
+    )
+    def test_refusals(self, spec, name, match):
+        with pytest.raises(ConfigError, match=match):
+            mutated(operator_from_spec(spec), name)
 
 
 class TestBattery:
@@ -174,6 +298,13 @@ class TestRoundtrips:
         with pytest.raises(ConfigError):
             roundtrip_scenario("spiral")
 
+    @pytest.mark.parametrize(
+        "spec,p", [("custom", None), (("counterexample", 3, 2), 3.0), (("identity", "ball(2)"), None), ({"kind": "mobius", "a": [0.3, 0.2]}, None)]
+    )
+    def test_kind_without_round_trip_or_key_rejected(self, spec, p):
+        with pytest.raises(ConfigError):
+            roundtrip_scenario(spec, p=p)
+
 
 class TestReportPlumbing:
     def test_check_result_verdict(self):
@@ -204,3 +335,25 @@ class TestRunNamed:
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             run_named_scenario("nonsense")
+
+    @pytest.mark.parametrize(
+        "name,given", [("roundtrip-counterexample", {"p": 3.0}), ("punctured-disc", {"samples": 10}), ("roundtrip-identity", {"a": 0.5})]
+    )
+    def test_parameter_not_taken_refused(self, name, given):
+        with pytest.raises(ConfigError, match=re.escape(f"{name}(")):
+            run_named_scenario(name, **given)
+
+
+class TestDocsInSync:
+    def test_formats_operator_table_lists_every_kind_and_key(self):
+        doc = (ROOT / "docs" / "formats.md").read_text()
+        section = re.search(r"^## Operator specs\n(.*?)^## ", doc, re.S | re.M).group(1)
+        rows = re.findall(r"^\| `(\w+)`\s*\|[^|]*\|([^|]*)\|", section, re.M)
+        assert [kind for kind, _ in rows] == list(OPERATORS)
+        for kind, keys in rows:
+            assert re.findall(r"`(\w+)`", keys) == list(OPERATORS[kind])
+
+    def test_readme_lists_every_scenario(self):
+        readme = (ROOT / "README.md").read_text()
+        line = re.search(r"Scenario names: (.*?)\.\n", readme, re.S).group(1)
+        assert re.findall(r"`([\w-]+)`", line) == list(SCENARIOS)
