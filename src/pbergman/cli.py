@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DivergentIntegralError, PBergmanError
+from .errors import ConfigError, DivergentIntegralError, NonInvertibleMapError, PBergmanError
 from .functions import LaurentPolynomial, number_from_json
 from .geometry import parse_domain
 from .integrate import closed_norm, mc_norm, quadrature_norm
@@ -207,7 +207,11 @@ def _cmd_equimeasure(args) -> int:
 
 def _cmd_reconstruct_map(args) -> int:
     T, obj = _scenario_operator(args)
-    family = family_from_spec(obj.get("family", {"kind": "pullback"}), T)
+    try:
+        family = family_from_spec(obj.get("family", {"kind": "pullback"}), T)
+    except NonInvertibleMapError as e:  # the pullback family needs T^-1: a mutated weight has none
+        print(f"FAIL: operator {T.label} has no inverse: {e}", file=sys.stderr)
+        return 1
     grid = grid_points(T.source, args.grid)
     cfg = SolverConfig(tol=args.tol, starts=args.starts, seed=args.seed, threads=args.threads)
     rec = reconstruct_map(T, family, grid, cfg)

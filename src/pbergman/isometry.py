@@ -316,12 +316,7 @@ class Box:
         return len(self.lo)
 
     def __call__(self, vals: np.ndarray) -> np.ndarray:
-        ok = np.ones(vals.shape[0], dtype=bool)
-        for j, (a, b) in enumerate(zip(self.lo, self.hi)):
-            a, b = complex(a), complex(b)
-            re, im = vals[:, j].real, vals[:, j].imag
-            ok &= (re >= a.real) & (re <= b.real) & (im >= a.imag) & (im <= b.imag)
-        return ok.astype(float)
+        return box_masks([self], vals)[0].astype(float)
 
     def to_json_obj(self) -> dict:
         return {
@@ -341,6 +336,35 @@ class Box:
             hi=tuple(complex_from_json(c) for c in obj["hi"]),
             label=obj.get("label", ""),
         )
+
+
+def box_masks(boxes: Sequence[Box], vals: np.ndarray) -> np.ndarray:
+    """(B, N) bool mask of the rows of the (N, d) ratio matrix `vals` that lie
+    in each of the B boxes, all of one dimension d.
+
+    Each ratio column is split once into contiguous real and imaginary parts
+    and compared against the (B, 1) columns of every box's corners at once.
+    """
+    ok = np.ones((len(boxes), vals.shape[0]), dtype=bool)
+    if not boxes:
+        return ok
+    lo = np.array([[complex(c) for c in b.lo] for b in boxes])
+    hi = np.array([[complex(c) for c in b.hi] for b in boxes])
+    cmp = np.empty_like(ok)
+    for j in range(lo.shape[1]):
+        for part, a, b in ((vals[:, j].real, lo.real, hi.real), (vals[:, j].imag, lo.imag, hi.imag)):
+            x = np.ascontiguousarray(part)
+            ok &= np.greater_equal(x, a[:, j, None], out=cmp)
+            ok &= np.less_equal(x, b[:, j, None], out=cmp)
+    return ok
+
+
+def _region_ys(regions: Sequence, vals: np.ndarray):
+    """Each region's values on the ratio matrix `vals`, in region order: the
+    boxes from one `box_masks` call, a row at a time, the others one by one."""
+    masks = iter(box_masks([u for u in regions if isinstance(u, Box)], vals))
+    for u in regions:
+        yield next(masks).astype(float) if isinstance(u, Box) else u(vals)
 
 
 @dataclass(frozen=True)
@@ -433,8 +457,8 @@ def _pushforward_stats(
         def chunk_ys(i: int, size: int):
             gen = substream(seed, TAG_PUSHFORWARD, key, i)
             vals, good, _ = ratio_matrix(family.values(sample_radial_weighted(D, t, gen, size)))
-            for u in regions:
-                yield u(vals) * good
+            for y in _region_ys(regions, vals):
+                yield y * good
 
     else:
         factor = D.box_volume
@@ -447,8 +471,8 @@ def _pushforward_stats(
                 return
             vals, good, lead_vals = ratio_matrix(family.values(members))
             w = np.abs(lead_vals) ** p * good
-            for u in regions:
-                yield u(vals) * w
+            for y in _region_ys(regions, vals):
+                yield y * w
 
     stats = chunked_mean(samples, chunk_ys, threads)
     return np.array([factor * mean for mean, _ in stats]), np.array([factor * se for _, se in stats])

@@ -325,6 +325,15 @@ class TestOperatorFileCommands:
             assert abs(float(fields[0]) - float(fields[2])) < 1e-6
             assert abs(float(fields[1]) - float(fields[3])) < 1e-6
 
+    def test_reconstruct_map_of_non_invertible_mutant_fails(self, capsys, tmp_path):
+        # the default pullback family inverts the operator, and the dropped weight leaves no inverse
+        path = write_spec(tmp_path, {"operator": {"kind": "counterexample", "k": 3, "m": 2}})
+        code, out, err = run_cli(
+            capsys, ["reconstruct-map", "--scenario", path, "--grid", "2", "--mutate", "drop-weight"]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("FAIL: ") and "weight correction is not constant" in err and err.count("\n") == 1
+
     def test_drop_weight_refused_when_weight_is_already_one(self, capsys, tmp_path):
         # the identity's weight is 1, so dropping it would run the true operator under a mutant's name
         path = write_spec(tmp_path, IDENTITY_SPEC)

@@ -65,8 +65,11 @@ class TestMembership:
             "disc(0.7)",
             "punctured_disc(1.3)",
             "polydisc(2;0.5,1.5)",
+            "polydisc(3;0.5,1,1.5)",
             "ball(1)",
             "ball(3;0.37)",
+            "ball(7)",
+            "ball(8;0.9)",
             "ball(2;1.3)",
             "ball(2;1.267083178292732)",
             "hartogs(1)",

@@ -10,12 +10,14 @@ from pbergman import (
     CompositionIsometry,
     ConfigError,
     FunctionFamily,
+    GaussianBump,
     LaurentPolynomial,
     LinearMap,
     MobiusFactors,
     MonomialMap,
     NonInvertibleMapError,
     PoleProximityWarning,
+    SigmoidProduct,
     build_counterexample,
     equimeasure_check,
     identity_operator,
@@ -24,10 +26,11 @@ from pbergman import (
     random_boxes,
     verify_isometry,
 )
+from pbergman import isometry
 from pbergman._rng import TAG_PUSHFORWARD, substream
 from pbergman.geometry import sample_radial_weighted
 from pbergman.integrate import closed_norm
-from pbergman.isometry import _side_key
+from pbergman.isometry import _region_ys, _side_key, box_masks, ratio_matrix
 
 SWAP = MonomialMap(((0, 1), (1, 0)))
 
@@ -340,6 +343,47 @@ class TestBoxes:
         vals = np.array([[0.5 + 0.5j], [1.5 + 0.5j], [0.5 - 0.5j]])
         assert list(box(vals)) == [1.0, 0.0, 0.0]
 
+    def test_one_pass_masks_match_per_box_comparisons(self):
+        T = build_counterexample()
+        family = FunctionFamily.coordinates(4)
+        boxes = random_boxes(T, family, seed=0)
+        pts = sample_radial_weighted(T.target, (-3.0, 0.0, 3.0, 0.0), substream(0, TAG_PUSHFORWARD, 0), 4096)
+        vals, _, _ = ratio_matrix(T.apply_family(family).values(pts))
+        vals = np.concatenate([vals, _edge_rows(boxes)])
+        regions = [GaussianBump(), *boxes[:7], SigmoidProduct(), *boxes[7:]]
+        _assert_matches_per_box(regions, vals)
+
+    def test_one_pass_masks_on_one_coordinate(self):
+        boxes = [Box(lo=(-0.5 - 0.25j,), hi=(0.5 + 0.25j,)), Box(lo=(-0.0,), hi=(0.0,)), Box(lo=(0.1,), hi=(0.3 + 1j,))]
+        re = np.array([-0.5, 0.5, 0.0, -0.0, 0.3, 0.7, np.nan, np.inf, -np.inf])
+        vals = np.empty((re.size, re.size), dtype=complex)
+        vals.real, vals.imag = re[:, None], re[None, :]
+        vals = vals.reshape(-1, 1)
+        vals = np.concatenate([vals, _edge_rows(boxes)])
+        _assert_matches_per_box([SigmoidProduct(), *boxes, GaussianBump()], vals)
+
+    def test_one_pass_masks_without_boxes(self):
+        vals = np.array([[0.1 + 0.2j, np.nan], [-0.0, 0.3j]])
+        assert box_masks([], vals).shape == (0, 2)
+        _assert_matches_per_box([GaussianBump(), SigmoidProduct()], vals)
+
+    @pytest.mark.parametrize("count", [1, 20])
+    @pytest.mark.parametrize("operator", ["counterexample", "mobius"])
+    def test_one_box_evaluation_per_chunk(self, monkeypatch, operator, count):
+        # mobius: the target lead T(1) is not a monomial, so that side samples by rejection
+        T = build_counterexample() if operator == "counterexample" else mobius_operator(0.3, 1.0)
+        family = FunctionFamily.coordinates(T.source.dimension)
+        boxes = random_boxes(T, family, seed=0, count=count)
+        calls = []
+
+        def counted(bs, vals):
+            calls.append(len(bs))
+            return box_masks(bs, vals)
+
+        monkeypatch.setattr(isometry, "box_masks", counted)
+        equimeasure_check(T, family, boxes=boxes, samples=200_000, seed=0)
+        assert calls == [count] * 2 * math.ceil(200_000 / 65536)
+
     def test_random_boxes_deterministic(self, disc):
         T = identity_operator(disc, 2.0)
         family = FunctionFamily.coordinates(1)
@@ -348,6 +392,42 @@ class TestBoxes:
         assert [x.to_json_obj() for x in a] == [y.to_json_obj() for y in b]
         c = random_boxes(T, family, seed=5, count=5)
         assert [x.to_json_obj() for x in a] != [y.to_json_obj() for y in c]
+
+
+def _box_reference(box, vals):
+    """One box's membership mask, one coordinate at a time."""
+    ok = np.ones(vals.shape[0], dtype=bool)
+    for j, (a, b) in enumerate(zip(box.lo, box.hi)):
+        a, b = complex(a), complex(b)
+        re, im = vals[:, j].real, vals[:, j].imag
+        ok &= (re >= a.real) & (re <= b.real) & (im >= a.imag) & (im <= b.imag)
+    return ok
+
+
+def _edge_rows(boxes):
+    """Rows on each box's lo and hi corners and on mixed corners, then rows
+    holding NaN, +-inf and -0.0 in the real or imaginary part."""
+    rows = []
+    for b in boxes:
+        lo, hi = np.array(b.lo, dtype=complex), np.array(b.hi, dtype=complex)
+        rows += [lo, hi, lo.real + 1j * hi.imag, hi.real + 1j * lo.imag]
+    d = boxes[0].dimension
+    for x in (np.nan, np.inf, -np.inf, -0.0):
+        rows += [np.full(d, complex(x, 0.0)), np.full(d, complex(0.0, x)), np.full(d, complex(x, x))]
+        corner = np.array(boxes[0].lo, dtype=complex)
+        corner[0] = complex(x, corner[0].imag)
+        rows.append(corner)
+    return np.array(rows)
+
+
+def _assert_matches_per_box(regions, vals):
+    boxes = [u for u in regions if isinstance(u, Box)]
+    want = [_box_reference(u, vals).astype(float) if isinstance(u, Box) else u(vals) for u in regions]
+    masks = box_masks(boxes, vals)
+    assert masks.dtype == bool and masks.shape == (len(boxes), vals.shape[0])
+    assert [m.tobytes() for m in masks] == [_box_reference(b, vals).tobytes() for b in boxes]
+    assert [b(vals).tobytes() for b in boxes] == [w.tobytes() for u, w in zip(regions, want) if isinstance(u, Box)]
+    assert [y.tobytes() for y in _region_ys(regions, vals)] == [w.tobytes() for w in want]
 
 
 class TestFunctionFamily:
