@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -327,13 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise _UsageError("pbergman: a subcommand is required (see --help)")
-        return args.func(args)
+        # a warning names no source line here: under the console script that
+        # line would be the launcher's, not the user's
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return args.func(args)
     except SystemExit as e:  # --help / --version
         return int(e.code or 0)
     except _UsageError as e:

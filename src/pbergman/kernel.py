@@ -6,6 +6,14 @@ over monomial spans. The supremum is computed through the equivalent
 min-norm interpolation problem: minimize ||phi||_p subject to phi(z) = 1,
 whose optimum m gives B_p(z) = 1/m^2. Estimates are always lower bounds of
 the true kernel (the sup over all of A^p is never claimed).
+
+For p >= 1 the problem is convex, and a constrained Newton method runs once,
+from the feasible start with the best certificate, smoothed by eps below
+p = 2 (Chen and Zhang, "On the p-Bergman theory", Adv. Math. 405 (2022),
+for the variational kernel). Its Hessian is assembled from angular
+transforms of the node weights at index differences and index sums, in
+blocks of radial rows, never from the dense node matrix. For p < 1
+reweighted least squares runs from every start.
 """
 
 from __future__ import annotations
@@ -89,9 +97,10 @@ class KernelEstimate:
         }
 
 
-_MAX_ITERS = 400  # iterations of one descent run; each of the 8 IRLS stages gets an eighth
-_TOL = 1e-9  # projected-gradient stop, relative to 1 + the smoothed objective
+_STAGES = 8  # smoothing continuation stages below p = 2
+_STAGE_ITERS = 50  # iteration cap of one stage; a run that reaches it is not converged
 _RESTARTS = 2  # seeded random starts
+_BLOCK = 256  # radial rows per block of the transform passes
 
 
 @dataclass(frozen=True)
@@ -128,7 +137,7 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
         value=value,
         z=tuple(zz),
         basis=basis,
-        optimizer_report={"iterations": 0, "final_gradient_norm": 0.0, "restarts": 0},
+        optimizer_report={"iterations": 0, "final_gradient_norm": 0.0, "restarts": 0, "converged": True},
     )
 
 
@@ -159,6 +168,7 @@ class _SliceProblem:
                 "reduce nodes or basis degree"
             )
         self.indices = basis.indices
+        self._grid = grid
         self.phases = grid.phases
         self.w = grid.nodes[1]
         self.P, self.E = grid.monomial_factors(basis.indices)
@@ -181,12 +191,13 @@ class _SliceProblem:
         a2 = np.abs(self.phi(c)) ** 2 + eps2
         return float(self.w @ np.sum(a2 ** (self.p / 2.0), axis=1))
 
-    def grad(self, c: np.ndarray, eps2: float) -> np.ndarray:
-        phi = self.phi(c)
-        a2 = np.abs(phi) ** 2 + eps2
-        X = a2 ** (self.p / 2.0 - 1.0) * phi
-        W = ((self.P.T * self.w) @ X.view(float)).view(complex)  # K x A
-        return (self.p / 2.0) * np.sum(np.conj(self.E) * W, axis=1)
+    def _blocks(self, c: np.ndarray):
+        """phi and |phi|^2 on blocks of _BLOCK radial rows, so that no R x A
+        temporary outlives its block."""
+        for i in range(0, self.P.shape[0], _BLOCK):
+            rows = slice(i, i + _BLOCK)
+            phi = _span_values(self.P[rows], self.E, c)
+            yield rows, phi, np.abs(phi) ** 2
 
     @cached_property
     def _difference_groups(self):
@@ -203,41 +214,114 @@ class _SliceProblem:
         pairs = np.split(np.argsort(pos, kind="stable"), np.cumsum(np.bincount(pos))[:-1])
         return chars, [(j, pair_weights[j]) for j in pairs]
 
+    @cached_property
+    def _sum_table(self):
+        """At the distinct index sums s = a + b: the conjugate characters
+        e^{-i s.theta} (A x S), the radial weights w_r r^s (R x S) and, per
+        flattened pair (a, b), the position of its sum. r^a r^b = r^(a+b), so
+        a pair's whole node sum depends on its index sum alone."""
+        alpha = np.array(self.indices)
+        n = alpha.shape[1]
+        sums, pos = np.unique((alpha[None, :, :] + alpha[:, None, :]).reshape(-1, n), axis=0, return_inverse=True)
+        radial, chars = self._grid.monomial_factors(sums)
+        return np.conj(chars).T, radial * self.w[:, None], pos.reshape(-1)
+
+    def _at_differences(self, F: np.ndarray) -> np.ndarray:
+        """M_ab = sum_r w_r P_ra P_rb F_r[b - a] from the R x 2D transform F."""
+        K = self.P.shape[1]
+        M = np.empty((K * K, 2))
+        for d, (j, weights) in enumerate(self._difference_groups[1]):
+            M[j] = weights @ F[:, 2 * d : 2 * d + 2]
+        return M.view(complex).reshape(K, K)
+
     def irls_matrix(self, c: np.ndarray, eps2: float) -> np.ndarray:
         """M = B^H diag(w (|phi|^2 + eps2)^(p/2-1)) B for the dense node
         matrix B, assembled as M_ab = sum_r w_r P_ra P_rb F_r[b - a], where
         F_r[d] = sum_theta (|phi|^2 + eps2)^(p/2-1) e^{i d.theta} is the
         angular transform of the weights at the distinct differences d."""
-        chars, groups = self._difference_groups
-        u = (np.abs(self.phi(c)) ** 2 + eps2) ** (self.p / 2.0 - 1.0)
-        F = u @ chars  # R x 2D: re, im of F_r[d] side by side
-        K = self.P.shape[1]
-        M = np.empty((K * K, 2))
-        for d, (j, weights) in enumerate(groups):
-            M[j] = weights @ F[:, 2 * d : 2 * d + 2]
-        return M.view(complex).reshape(K, K)
+        chars = self._difference_groups[0]
+        F = np.empty((self.P.shape[0], chars.shape[1]))  # re, im of F_r[d] side by side
+        for rows, _, a2 in self._blocks(c):
+            F[rows] = (a2 + eps2) ** (self.p / 2.0 - 1.0) @ chars
+        return self._at_differences(F)
+
+    def newton_parts(self, c: np.ndarray, eps2: float):
+        """Gradient G and Hessian parts A, C of sum w s^(p/2), s = |phi|^2 + eps2:
+
+            G_a  = sum w (p/2) s^(p/2-1) phi conj(b_a)
+            A_ab = sum w (p/2) [s^(p/2-1) + (p/2-1) s^(p/2-2) |phi|^2] conj(b_a) b_b
+            C_ab = sum w (p/2) (p/2-1) s^(p/2-2) phi^2 conj(b_a) conj(b_b)
+
+        A is taken at index differences like `irls_matrix`, C at index sums.
+        Where s = 0 (eps2 = 0 and phi = 0, used only for p >= 2) s^(p/2-2)
+        is read as 0, the limit of both terms it enters."""
+        p2 = self.p / 2.0
+        chars_d = self._difference_groups[0]
+        chars_s, radial_s, pos_s = self._sum_table
+        F = np.empty((self.P.shape[0], chars_d.shape[1]))
+        W = np.zeros((self.P.shape[1], 2 * self.E.shape[1]))
+        c_sums = np.zeros(chars_s.shape[1], dtype=complex)
+        for rows, phi, a2 in self._blocks(c):
+            s = a2 + eps2
+            h = s ** (p2 - 1.0)
+            q = np.divide(h, s, out=np.zeros_like(s), where=s > 0)
+            W += (self.P[rows].T * self.w[rows]) @ (h * phi).view(float)
+            F[rows] = (p2 * (h + (p2 - 1.0) * q * a2)) @ chars_d
+            c_sums += np.sum(radial_s[rows] * ((p2 * (p2 - 1.0)) * q * phi * phi @ chars_s), axis=0)
+        G = p2 * np.sum(np.conj(self.E) * W.view(complex), axis=1)
+        return G, self._at_differences(F), c_sums[pos_s].reshape(G.shape[0], G.shape[0])
+
+
+def _real_hessian(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Hessian in the real coordinates (Re c, Im c) from the parts A, C."""
+    return 2.0 * np.block([[(A + C).real, (C - A).imag], [(C - A).imag.T, (A - C).real]])
+
+
+def _newton_step(prob: _SliceProblem, c: np.ndarray, eps2: float):
+    """Newton direction d with d.bz = 0 at c, and the gradient G there.
+
+    In real coordinates (Re c, Im c) the smoothed objective has gradient
+    g = 2 (Re G, Im G) and Hessian H = `_real_hessian(A, C)`; d solves the
+    KKT system of H with the two real rows J of c.bz = 1. Returns
+    (d, decrement -g.d, G), or (None, None, G) when the KKT solve fails."""
+    G, A, C = prob.newton_parts(c, eps2)
+    K = G.shape[0]
+    b = prob.bz
+    J = np.array([np.concatenate([b.real, -b.imag]), np.concatenate([b.imag, b.real])])
+    kkt = np.block([[_real_hessian(A, C), J.T], [J, np.zeros((2, 2))]])
+    g = 2.0 * np.concatenate([G.real, G.imag])
+    try:
+        x = np.linalg.solve(kkt, np.concatenate([-g, [0.0, 0.0]]))[: 2 * K]
+    except np.linalg.LinAlgError:
+        return None, None, G
+    decrement = float(-g @ x)
+    if not math.isfinite(decrement):
+        return None, None, G
+    return x[:K] + 1j * x[K:], decrement, G
+
+
+def _stage_eps2(prob: _SliceProblem, c: np.ndarray, stage: int) -> float:
+    """Smoothing eps^2 of continuation stage 0..7 below p = 2: 10^(-2(stage+1)) ||phi||_p^2."""
+    return 10.0 ** (-2 * (stage + 1)) * max(prob.norm_p(c), _Z_TINY) ** (2.0 / prob.p)
 
 
 def _irls(prob: _SliceProblem, c0: np.ndarray):
-    """Reweighted least squares for p < 2, with smoothing continuation.
+    """Reweighted least squares for p < 1, with smoothing continuation.
 
     With t = |phi|^2 and p/2 < 1 the map t -> (t + eps^2)^{p/2} is concave,
     so its tangent quadratic at the current iterate majorizes the smoothed
     objective; each step minimizes that quadratic exactly over the affine
     constraint set, hence the smoothed objective decreases monotonically.
-    For p >= 1 the problem is convex and the minimum is global.
     """
-    p = prob.p
     a = np.conj(prob.bz)
     c = prob.retract(c0.astype(complex))
     it = 0
-    inner_cap = max(10, _MAX_ITERS // 8)
+    converged = True
     eps2 = None
-    for stage in range(8):
-        scale2 = max(prob.norm_p(c), _Z_TINY) ** (2.0 / p)
-        eps2 = 10.0 ** (-2 * (stage + 1)) * scale2
+    for stage in range(_STAGES):
+        eps2 = _stage_eps2(prob, c, stage)
         s_sm = prob.norm_p(c, eps2)
-        for _ in range(inner_cap):
+        for _ in range(_STAGE_ITERS):
             it += 1
             M = prob.irls_matrix(c, eps2)
             M.flat[:: M.shape[0] + 1] += 1e-14 * np.trace(M).real / M.shape[0]
@@ -253,49 +337,51 @@ def _irls(prob: _SliceProblem, c0: np.ndarray):
             c, s_sm = cand, s_new
             if done:
                 break
-    grad_norm = float(np.linalg.norm(prob.project(prob.grad(c, eps2))))
-    return c, prob.norm_p(c), grad_norm, it
+        else:
+            converged = False
+    # the gradient (p/2) B^H (w s^(p/2-1) phi) is (p/2) M c
+    grad_norm = float(np.linalg.norm(prob.project((prob.p / 2.0) * (prob.irls_matrix(c, eps2) @ c))))
+    return c, prob.norm_p(c), grad_norm, it, converged
 
 
-def _descend(prob: _SliceProblem, c0: np.ndarray):
+def _newton(prob: _SliceProblem, c0: np.ndarray):
+    """Constrained Newton method for p >= 1, where the problem is convex.
+
+    Below p = 2 it minimizes sum w (|phi|^2 + eps^2)^(p/2) over the same 8
+    continuation stages as `_irls`; from p = 2 on eps = 0, and at p = 2 the
+    objective is quadratic, so one step is exact. Each step backtracks
+    (Armijo) on the smoothed objective. A stage ends when the Newton
+    decrement is at most 1e-15 of the objective, when no step decreases it,
+    or when the KKT solve fails; these are its own stop tests, and a stage
+    that runs out of iterations instead makes the run unconverged.
+    """
     p = prob.p
     c = prob.retract(c0.astype(complex))
-    s_cur = prob.norm_p(c)
-    eps2 = 0.0 if p >= 2 else (1e-8 * max(s_cur, _Z_TINY) ** (1.0 / p)) ** 2
-    prev_c = None
-    prev_g = None
-    grad_norm = math.inf
     it = 0
-    for it in range(1, _MAX_ITERS + 1):
-        g = prob.project(prob.grad(c, eps2))
-        grad_norm = float(np.linalg.norm(g))
-        s_smooth = prob.norm_p(c, eps2)
-        if grad_norm <= _TOL * (1.0 + abs(s_smooth)):
-            break
-        # Barzilai-Borwein step with Armijo backtracking
-        if prev_c is None:
-            tau = 1.0 / max(grad_norm, 1e-12)
-        else:
-            s = c - prev_c
-            y = g - prev_g
-            denom = float(np.real(np.vdot(s, y)))
-            tau = float(np.real(np.vdot(s, s))) / denom if denom > 0 else 1.0 / max(grad_norm, 1e-12)
-            tau = min(max(tau, 1e-12), 1e12)
-        prev_c, prev_g = c, g
-        accepted = False
-        for _ in range(40):
-            cand = prob.retract(c - tau * g)
-            s_new = prob.norm_p(cand, eps2)
-            if s_new <= s_smooth - 1e-4 * tau * 2.0 * grad_norm**2:
-                c = cand
-                accepted = True
+    converged = True
+    for stage in range(_STAGES if p < 2.0 else 1):
+        eps2 = _stage_eps2(prob, c, stage) if p < 2.0 else 0.0
+        f = prob.norm_p(c, eps2)
+        for _ in range(_STAGE_ITERS):
+            it += 1
+            d, decrement, G = _newton_step(prob, c, eps2)
+            if d is None or decrement <= 1e-15 * f:
                 break
-            tau *= 0.5
-        if not accepted:
-            break
-        if p < 2:
-            eps2 = (1e-8 * max(prob.norm_p(c), _Z_TINY) ** (1.0 / p)) ** 2
-    return c, prob.norm_p(c), grad_norm, it
+            t = 1.0
+            for _ in range(40):
+                cand = prob.retract(c + t * d)
+                f_new = prob.norm_p(cand, eps2)
+                if f_new <= f - 1e-4 * t * decrement:
+                    break
+                t *= 0.5
+            else:
+                break
+            c, f = cand, f_new
+        else:  # out of iterations: the last step moved c past its gradient
+            converged = False
+            G = prob.newton_parts(c, eps2)[0]
+    grad_norm = float(np.linalg.norm(prob.project(G)))
+    return c, prob.norm_p(c), grad_norm, it, converged
 
 
 def pbergman_min_norm(
@@ -305,16 +391,17 @@ def pbergman_min_norm(
     p: float | None = None,
     cfg: OptimizerConfig | None = None,
 ) -> KernelEstimate:
-    """Lower bound of B_p(z) over the basis span by constrained descent.
+    """Lower bound of B_p(z) over the basis span by constrained optimization.
 
     Starts from the p = 2 Gram minimizer plus single-monomial candidates
     e_a / z^a (each feasible), any warm starts from the caller, and seeded
     random restarts; the reported value dominates every start's certificate
     value |phi(z)|^2/||phi||_p^2, so single-candidate lower bounds are never
-    lost. The optimizer (reweighted least squares for p < 2, Barzilai-Borwein
-    descent for p >= 2) runs from the 3 starts with the best certificates
-    when p >= 1, where the problem is convex, and from every start when
-    p < 1, where only multi-start is attempted and no global claim is made.
+    lost. For p >= 1, where the problem is convex, the Newton method runs
+    once, from the start with the best certificate. For p < 1 reweighted
+    least squares runs from every start; only multi-start is attempted there
+    and no global claim is made. `optimizer_report["converged"]` is false
+    when any run stopped at its iteration cap rather than on a stop test.
     """
     p = basis.p if p is None else float(p)
     cfg = cfg or OptimizerConfig()
@@ -362,15 +449,13 @@ def pbergman_min_norm(
     best_norm_p = min(certs)  # certificates: every start is feasible
     best_grad = math.inf
     total_iters = 0
-    # for p >= 1 the problem is convex, so runs from different starts end at
-    # the same minimum and the 3 best certificates suffice; below 1 every
-    # start is tried
+    converged = True
     order = np.argsort(certs)
-    chosen = order if p < 1.0 else order[:3]
-    method = _irls if p < 2.0 else _descend
+    chosen, method = (order, _irls) if p < 1.0 else (order[:1], _newton)
     for i in chosen:
-        c, s_final, grad_norm, it = method(prob, retracted[i])
+        c, s_final, grad_norm, it, run_converged = method(prob, retracted[i])
         total_iters += it
+        converged &= run_converged
         if s_final < best_norm_p:
             best_norm_p = s_final
             best_grad = grad_norm
@@ -388,6 +473,7 @@ def pbergman_min_norm(
             "iterations": int(total_iters),
             "final_gradient_norm": float(best_grad if math.isfinite(best_grad) else 0.0),
             "restarts": len(starts) - 1,
+            "converged": bool(converged),
         },
     )
 

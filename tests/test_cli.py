@@ -30,6 +30,16 @@ class TestNorm:
         assert obj["std_error"] == 0.0
         assert obj["method"] == "closed"
 
+    def test_warning_is_one_stderr_line(self, capsys):
+        # 1/z has an infinite second moment at p = 1, so the MC estimate warns
+        argv = ["norm", "--domain", "punctured_disc(1)", "--exp", "-1", "--p", "1", "--method", "mc"]
+        code, out, err = run_cli(capsys, argv + ["--samples", "2000"])
+        assert code == 0
+        assert json.loads(out)["method"] == "mc"
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("warning: PoleProximityWarning: |f|^1.0 has divergent sample variance"), err
+
     def test_quadrature_matches_closed(self, capsys):
         argv = ["norm", "--domain", "ball(2)", "--exp", "1,2", "--p", "2"]
         code, out, _ = run_cli(capsys, argv + ["--method", "closed"])

@@ -16,7 +16,7 @@ from pbergman import (
     sample_radial_weighted,
 )
 from pbergman._rng import TAG_REJECTION, substream
-from pbergman.geometry import _direction_battery, sample_moduli_weighted
+from pbergman.geometry import _direction_battery, box_proposals, sample_moduli_weighted
 
 
 class TestMembership:
@@ -256,6 +256,20 @@ class TestSampling:
         assert np.array_equal(batch.points, np.concatenate(kept)[:100_000])
         assert batch.proposals == proposed
         assert batch.acceptance_rate == sum(k.shape[0] for k in kept) / proposed
+
+    @pytest.mark.parametrize(
+        "spec", [("ball", 2), "disc", ("hartogs", 3), "polydisc(3;0.5,1,1.5)", ("product", ("ball", 2), ("hartogs", 3))]
+    )
+    def test_box_proposals_match_assembled_form(self, spec):
+        # the in-place complex view gives the bits of (u_re + 1j u_im) * box, signed zeros included
+        D = make_catalog_domain(spec)
+        pts, inside = box_proposals(D, substream(11, TAG_REJECTION, 0), 100_000)
+        u = substream(11, TAG_REJECTION, 0).random((100_000, 2 * D.dimension)) * 2.0 - 1.0
+        ref = (u[:, ::2] + 1j * u[:, 1::2]) * np.asarray(D.bounding_box)
+        assert pts.shape == ref.shape and pts.dtype == ref.dtype
+        assert pts.tobytes() == ref.tobytes()
+        assert np.array_equal(np.signbit(pts.view(float)), np.signbit(ref.view(float)))
+        assert np.array_equal(inside, D.contains(ref))
 
     def test_distinct_seeds_differ(self, disc):
         assert not np.array_equal(sample(disc, 0, 50).points, sample(disc, 1, 50).points)

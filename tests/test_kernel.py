@@ -18,7 +18,7 @@ from pbergman import (
 )
 from pbergman.functions import monomial_values
 from pbergman.integrate import _radial_grid
-from pbergman.kernel import _SliceProblem
+from pbergman.kernel import _newton_step, _real_hessian, _SliceProblem
 
 # deg-20 partial sum of sum (k+1) |z|^{2k} / pi at z = 0.5
 DISC_DEG20_AT_HALF = 0.5658842421023615
@@ -131,7 +131,9 @@ class TestMinNorm:
         assert rep["iterations"] > 0
         assert math.isfinite(rep["final_gradient_norm"])
         assert rep["restarts"] >= 1
+        assert rep["converged"] is True
         obj = est.to_json_obj()
+        assert obj["optimizer_report"]["converged"] is True
         assert obj["basis_size"] == basis.size
         assert obj["is_lower_bound"] is True
 
@@ -250,9 +252,15 @@ class TestFactoredGrid:
             phi = B @ c
             a2 = np.abs(phi) ** 2 + eps2
             weights = w * a2 ** (p / 2.0 - 1.0)
+            G, A, C = prob.newton_parts(c, eps2)
             assert _rel(prob.norm_p(c, eps2), np.dot(w, a2 ** (p / 2.0))) <= 1e-12
-            assert _rel(prob.grad(c, eps2), (p / 2.0) * (B.conj().T @ (weights * phi))) <= 1e-12
+            assert _rel(G, (p / 2.0) * (B.conj().T @ (weights * phi))) <= 1e-12
             assert _rel(prob.irls_matrix(c, eps2), (B.conj().T * weights) @ B) <= 1e-12
+            if eps2 > 0 or p >= 2:
+                curv = w * (p / 2.0) * (p / 2.0 - 1.0) * a2 ** (p / 2.0 - 2.0)
+                dense_A = (B.conj().T * ((p / 2.0) * weights + curv * np.abs(phi) ** 2)) @ B
+                assert _rel(A, dense_A) <= 1e-12
+                assert _rel(C, (B.conj().T * (curv * phi**2)) @ B.conj()) <= 1e-12
 
     def test_product_domain_matches_dense_formulas(self):
         # the kernel grid flattens the product's factor grids; 4^4 radial x 3^4 angular nodes
@@ -267,13 +275,68 @@ class TestFactoredGrid:
         phi = B @ c
         weights = w * np.abs(phi) ** (p - 2.0)
         assert _rel(prob.norm_p(c), np.dot(w, np.abs(phi) ** p)) <= 1e-12
-        assert _rel(prob.grad(c, 0.0), (p / 2.0) * (B.conj().T @ (weights * phi))) <= 1e-12
+        assert _rel(prob.newton_parts(c, 0.0)[0], (p / 2.0) * (B.conj().T @ (weights * phi))) <= 1e-12
         assert _rel(prob.irls_matrix(c, 0.0), (B.conj().T * weights) @ B) <= 1e-12
 
 
+    @pytest.mark.parametrize("p, eps2", [(1.5, 1e-4), (3.0, 0.0)])
+    def test_real_hessian_matches_gradient_differences(self, ball2, p, eps2):
+        # H from A and C against central differences of the real gradient 2 (Re G, Im G)
+        z = np.array([0.3, 0.4], dtype=complex)
+        prob = _SliceProblem(ball2, degree_basis(ball2, 2, p), z, p, OptimizerConfig())
+        rng = np.random.default_rng(7)
+        K = prob.P.shape[1]
+        c = prob.retract(rng.standard_normal(K) + 1j * rng.standard_normal(K))
+        delta = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        _, A, C = prob.newton_parts(c, eps2)
+
+        def real_grad(x):
+            G = prob.newton_parts(x, eps2)[0]
+            return 2.0 * np.concatenate([G.real, G.imag])
+
+        h = 1e-6
+        diff = (real_grad(c + h * delta) - real_grad(c - h * delta)) / (2 * h)
+        assert _rel(_real_hessian(A, C) @ np.concatenate([delta.real, delta.imag]), diff) <= 1e-7
+
+    @pytest.mark.parametrize("r", [0.5, 0.9])
+    def test_one_newton_step_is_exact_at_p2(self, disc, r):
+        # the quadratic objective is minimized by one step from the constant 1;
+        # the degree-20 grid integrates |phi|^2 exactly
+        basis = degree_basis(disc, 20, 2.0)
+        prob = _SliceProblem(disc, basis, np.array([r], dtype=complex), 2.0, OptimizerConfig())
+        c0 = prob.retract(np.eye(basis.size, dtype=complex)[0])
+        d, decrement, _ = _newton_step(prob, c0, 0.0)
+        assert decrement > 0
+        value = 1.0 / prob.norm_p(prob.retract(c0 + d))
+        assert_rel(value, bergman2_gram(disc, basis, r).value, 1e-12)
+
+
+class TestNewtonCost:
+    """Iterations, not time: every kernel benchmark case ends on a stop test
+    of the Newton method, within 40 iterations."""
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_ball2_degree2(self, ball2, p):
+        rep = pbergman_min_norm(ball2, degree_basis(ball2, 2, p), (0.3, 0.4)).optimizer_report
+        assert rep["converged"] and rep["iterations"] <= 40, rep
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("r", [0.5, 0.9])
+    def test_disc_degree20(self, disc, p, r):
+        rep = pbergman_min_norm(disc, degree_basis(disc, 20, p), r).optimizer_report
+        assert rep["converged"] and rep["iterations"] <= 40, rep
+
+    @pytest.mark.parametrize("z", [0.1, 0.05, 0.01])
+    def test_punctured_disc_p1(self, punctured, z):
+        # the basis of the punctured-disc scenario's kernel check
+        basis = BasisSpec.validated(punctured, [(-1,), (0,), (1,), (2,), (3,)], 1.0)
+        rep = pbergman_min_norm(punctured, basis, z).optimizer_report
+        assert rep["converged"] and rep["iterations"] <= 40, rep
+
+
 class TestPrunedStarts:
-    """Only the 3 best certificates are optimized for p >= 1; the certified
-    bounds must not fall below those found by optimizing every start."""
+    """For p >= 1 only the start with the best certificate is optimized; the
+    certified bounds must not fall below those found by optimizing every start."""
 
     @pytest.mark.parametrize("p, recorded", [(1.0, BALL2_DEG2_P1), (3.0, BALL2_DEG2_P3)])
     def test_ball2_degree2(self, ball2, p, recorded):
