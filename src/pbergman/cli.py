@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--starts", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help="accepted; no effect (points are solved in lockstep)")
 
     sp = subs.add_parser("scenario", help="packaged experiments")
     ssubs = sp.add_subparsers(dest="verb", metavar="verb")

@@ -504,8 +504,18 @@ class LinearMap:
         return np.asarray(self.matrix, dtype=complex)
 
     def evaluate(self, points):
+        """Each output column is the left-to-right sum of the products
+        M_kj z_j. Unlike ``pts @ M.T``, whose BLAS kernel rounds a row
+        differently in a batch of many rows than alone, this gives every row
+        the same bits whatever the batch (on one row it equals the matmul)."""
         pts, single = _as_points(points, self.dimension)
-        out = pts @ self._mat().T
+        M = self._mat()
+        out = np.empty((pts.shape[0], M.shape[0]), dtype=complex)
+        for k, row in enumerate(M):
+            col = pts[:, 0] * row[0]
+            for j in range(1, pts.shape[1]):
+                col = col + pts[:, j] * row[j]
+            out[:, k] = col
         return out[0] if single else out
 
     __call__ = evaluate
@@ -558,19 +568,32 @@ class AnalyticFunction:
 # -- finite differences ----------------------------------------------------
 
 
-def fd_jacobian_matrix(map_like, z, h: float = 1e-5) -> np.ndarray:
-    """Full complex Jacobian matrix of a map at a point by the fourth-order
-    central difference, from one evaluation of the 4n shifted points
-    z + (2h, h, -h, -2h) e_j."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    n = z.shape[0]
-    evaluate = map_like.evaluate if hasattr(map_like, "evaluate") else map_like
-    pts = np.tile(z, (4 * n, 1))
+def fd_stencil(z: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """The 4n shifted points z + (2h, h, -h, -2h) e_j of every row of a
+    complex (m, n) batch, as an (m, 4n, n) array."""
+    n = z.shape[1]
+    pts = np.repeat(z[:, None, :], 4 * n, axis=1)
     for j in range(n):
-        pts[4 * j : 4 * j + 2, j] += (2.0 * h, h)
-        pts[4 * j + 2 : 4 * j + 4, j] -= (h, 2.0 * h)
-    vals = np.asarray(evaluate(pts), dtype=complex).reshape(n, 4, -1)
-    return ((-vals[:, 0] + 8.0 * vals[:, 1] - 8.0 * vals[:, 2] + vals[:, 3]) / (12.0 * h)).T
+        pts[:, 4 * j : 4 * j + 2, j] += (2.0 * h, h)
+        pts[:, 4 * j + 2 : 4 * j + 4, j] -= (h, 2.0 * h)
+    return pts
+
+
+def fd_stencil_jacobians(vals: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Complex Jacobian matrices, (m, N, n), by the fourth-order central
+    difference of a map's (m, 4n, N) values at the :func:`fd_stencil` points."""
+    m, rows, width = vals.shape
+    v = vals.reshape(m, rows // 4, 4, width)
+    return ((-v[:, :, 0] + 8.0 * v[:, :, 1] - 8.0 * v[:, :, 2] + v[:, :, 3]) / (12.0 * h)).transpose(0, 2, 1)
+
+
+def fd_jacobian_matrix(map_like, z, h: float = 1e-5) -> np.ndarray:
+    """Full complex Jacobian matrix of a map at a point, from one evaluation
+    of its 4n stencil points."""
+    pts = fd_stencil(np.asarray(z, dtype=complex).reshape(1, -1), h)[0]
+    evaluate = map_like.evaluate if hasattr(map_like, "evaluate") else map_like
+    vals = np.asarray(evaluate(pts), dtype=complex)
+    return fd_stencil_jacobians(vals.reshape(1, pts.shape[0], -1), h)[0]
 
 
 def fd_jacobian_det(map_like, z, h: float = 1e-5) -> complex:

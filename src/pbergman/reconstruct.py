@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Callable, Sequence
@@ -25,7 +24,7 @@ from .errors import (
     PoleEvaluationError,
     PoleProximityWarning,
 )
-from .functions import LaurentPolynomial, fd_jacobian_det, fd_jacobian_matrix
+from .functions import LaurentPolynomial, fd_jacobian_det, fd_stencil, fd_stencil_jacobians
 from .geometry import BoundedDomain, sample
 from .isometry import CompositionIsometry, FunctionFamily, ratio_matrix
 
@@ -36,6 +35,8 @@ STATUS_UNRESOLVED = "unresolved-budget"
 
 # exclusion threshold relative to the grid median of |phi_0|
 _EXCLUSION_REL = 1e-8
+# image pairs compared per block of the injectivity count
+_PAIR_BLOCK = 1 << 16
 
 
 # -- oracle -------------------------------------------------------------------
@@ -186,6 +187,10 @@ def degree_family(dimension: int, max_degree: int = 3, lead=None) -> FunctionFam
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Gauss-Newton settings. ``threads`` is accepted and has no effect: the
+    points of a grid are solved in lockstep, so there is no per-point work to
+    hand to threads."""
+
     tol: float = 1e-9
     starts: int = 8
     max_iters: int = 80
@@ -211,72 +216,117 @@ class PointSolve:
         }
 
 
-def _gn_from_start(maps: RatioMaps, target_vec: np.ndarray, w0: np.ndarray, cfg: SolverConfig):
-    """Gauss-Newton descent of ||J_N(w) - I_N(z)||; iterates stay members of
-    the target domain. Returns (w, residual, iterations, stalled)."""
-
-    def residual(w):
-        return np.asarray(maps.target_ratios(w.reshape(1, -1))[0]) - target_vec
-
-    w = w0.copy()
+def _blocks_or_poles(evaluate: Callable, blocks: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values of ``evaluate`` on an (m, k, n) stack of k-point blocks, as
+    (m, k, width), and the mask of blocks that evaluated. The stack goes in
+    one call; if that call meets a pole, block by block, so that a pole marks
+    only its own block."""
+    m, k, n = blocks.shape
     try:
-        r = residual(w)
+        return evaluate(blocks.reshape(m * k, n)).reshape(m, k, width), np.ones(m, dtype=bool)
     except PoleEvaluationError:
-        return w, math.inf, 0, True
-    res = float(np.linalg.norm(r))
-    stalled = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        if res < cfg.tol:
-            break
+        pass
+    vals = np.full((m, k, width), np.nan, dtype=complex)
+    ok = np.zeros(m, dtype=bool)
+    for i in range(m):
         try:
-            jac = fd_jacobian_matrix(maps.target_ratios, w)
+            vals[i] = evaluate(blocks[i])
+            ok[i] = True
         except PoleEvaluationError:
-            stalled = True
+            pass
+    return vals, ok
+
+
+def _gn_lockstep(maps: RatioMaps, targets: np.ndarray, w0: np.ndarray, cfg: SolverConfig):
+    """Gauss-Newton descent of ||J_N(w) - I_N(z_i)|| from the start w0, for
+    every row i of ``targets`` at once; iterates stay members of the target
+    domain. Returns per-row arrays (w, residual, iterations, stalled).
+
+    Rows advance in lockstep, each by the arithmetic it would get alone: the
+    maps evaluate a row the same way whatever the batch, and ``lstsq`` and
+    ``norm`` are taken one row at a time. A row leaves once its residual is
+    below tol, or stalls on a pole in its stencil or on 30 step halvings
+    without a decrease.
+    """
+    m, width = targets.shape
+    w = np.tile(w0, (m, 1))
+    res = np.full(m, math.inf)
+    iterations = np.zeros(m, dtype=int)
+    vals, ok = _blocks_or_poles(maps.target_ratios, w[:, None, :], width)
+    r = vals[:, 0] - targets
+    for i in np.flatnonzero(ok):
+        res[i] = float(np.linalg.norm(r[i]))
+    stalled = ~ok
+    live = np.flatnonzero(ok)
+    dw = np.empty_like(w)
+    for it in range(1, cfg.max_iters + 1):
+        iterations[live] = it
+        live = live[~(res[live] < cfg.tol)]
+        if live.size == 0:
             break
-        dw, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        vals, ok = _blocks_or_poles(maps.target_ratios, fd_stencil(w[live]), width)
+        stalled[live[~ok]] = True
+        live = live[ok]
+        for jac, i in zip(fd_stencil_jacobians(vals[ok]), live):
+            dw[i] = np.linalg.lstsq(jac, -r[i], rcond=None)[0]
+        searching = live
         step = 1.0
-        improved = False
         for _ in range(30):
-            w_new = w + step * dw
-            if maps.target.contains(w_new.reshape(1, -1))[0]:
-                try:
-                    r_new = residual(w_new)
-                    res_new = float(np.linalg.norm(r_new))
-                except PoleEvaluationError:
-                    res_new = math.inf
-                if res_new < res:
-                    w, r, res = w_new, r_new, res_new
-                    improved = True
-                    break
+            if searching.size == 0:
+                break
+            w_new = w[searching] + step * dw[searching]
+            inside = maps.target.contains(w_new)
+            tried, w_new = searching[inside], w_new[inside]
+            if tried.size:
+                vals, ok = _blocks_or_poles(maps.target_ratios, w_new[:, None, :], width)
+                r_new = vals[:, 0] - targets[tried]
+                improved = []
+                for j, i in enumerate(tried):
+                    res_new = float(np.linalg.norm(r_new[j])) if ok[j] else math.inf
+                    if res_new < res[i]:
+                        w[i], r[i], res[i] = w_new[j], r_new[j], res_new
+                        improved.append(i)
+                searching = np.setdiff1d(searching, improved, assume_unique=True)
             step *= 0.5
-        if not improved:
-            stalled = True
-            break
-    return w, res, it, stalled
+        stalled[searching] = True
+        live = live[~np.isin(live, searching)]
+    return w, res, iterations, stalled
 
 
-def _solve_against(maps: RatioMaps, z: np.ndarray, starts: np.ndarray, cfg: SolverConfig, lead_floor: float) -> PointSolve:
-    ratios, good, lead = ratio_matrix(maps.family.values(z.reshape(1, -1)))
-    if not good[0] or abs(complex(lead[0])) <= lead_floor:
-        return PointSolve(z=tuple(z), status=STATUS_EXCLUDED_ZERO, w=None, residual=math.inf, iterations=0)
-    target_vec = ratios[0]
-    best_w = None
-    best_res = math.inf
-    total_it = 0
-    all_stalled = True
-    for w0 in starts:
-        w, res, it, stalled = _gn_from_start(maps, target_vec, np.asarray(w0, dtype=complex), cfg)
-        total_it += it
-        all_stalled &= stalled
-        if res < best_res:
-            best_res, best_w = res, w
-        if best_res < cfg.tol:
+def _solve_lockstep(maps: RatioMaps, zs: np.ndarray, cfg: SolverConfig, lead_floor: float) -> list:
+    """Multi-start Gauss-Newton for every row of ``zs`` in lockstep. The
+    shared starts run in order; a point stops at the first start after which
+    its best residual is below tol. Points whose |phi_0| is at most
+    ``lead_floor`` are excluded without solving."""
+    m = zs.shape[0]
+    ratios, good, lead = ratio_matrix(maps.family.values(zs))
+    solvable = np.array([bool(good[i]) and abs(complex(lead[i])) > lead_floor for i in range(m)], dtype=bool)
+    best_res = np.full(m, math.inf)
+    best_w = [None] * m
+    iterations = np.zeros(m, dtype=int)
+    all_stalled = np.ones(m, dtype=bool)
+    live = np.flatnonzero(solvable)
+    for w0 in _shared_starts(maps, cfg):
+        if live.size == 0:
             break
-    if best_res < cfg.tol:
-        return PointSolve(z=tuple(z), status=STATUS_MAPPED, w=tuple(best_w), residual=best_res, iterations=total_it)
-    status = STATUS_EXCLUDED_NO_PREIMAGE if all_stalled else STATUS_UNRESOLVED
-    return PointSolve(z=tuple(z), status=status, w=None, residual=best_res, iterations=total_it)
+        w, res, its, stalled = _gn_lockstep(maps, ratios[live], np.asarray(w0, dtype=complex), cfg)
+        iterations[live] += its
+        all_stalled[live] &= stalled
+        for j, i in enumerate(live):
+            if res[j] < best_res[i]:
+                best_res[i], best_w[i] = res[j], w[j]
+        live = live[~(best_res[live] < cfg.tol)]
+    records = []
+    for i in range(m):
+        z = tuple(zs[i])
+        if not solvable[i]:
+            records.append(PointSolve(z, STATUS_EXCLUDED_ZERO, None, math.inf, 0))
+        elif best_res[i] < cfg.tol:
+            records.append(PointSolve(z, STATUS_MAPPED, tuple(best_w[i]), float(best_res[i]), int(iterations[i])))
+        else:
+            status = STATUS_EXCLUDED_NO_PREIMAGE if all_stalled[i] else STATUS_UNRESOLVED
+            records.append(PointSolve(z, status, None, float(best_res[i]), int(iterations[i])))
+    return records
 
 
 def _shared_starts(maps: RatioMaps, cfg: SolverConfig) -> np.ndarray:
@@ -285,7 +335,8 @@ def _shared_starts(maps: RatioMaps, cfg: SolverConfig) -> np.ndarray:
 
 
 def solve_point(maps: RatioMaps, z, cfg: SolverConfig | None = None, lead_floor: float = 0.0) -> PointSolve:
-    """Solve J_N(w) = I_N(z) for one source point by multi-start Gauss-Newton.
+    """Solve J_N(w) = I_N(z) for one source point by multi-start Gauss-Newton:
+    the one-point case of the grid solver of :func:`reconstruct_map`.
 
     ``lead_floor`` is the absolute |phi_0| exclusion threshold (callers with a
     grid derive it from the grid median); below it the point is excluded
@@ -295,7 +346,7 @@ def solve_point(maps: RatioMaps, z, cfg: SolverConfig | None = None, lead_floor:
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.size != maps.source.dimension:
         raise ConfigError("point dimension mismatch")
-    return _solve_against(maps, z, _shared_starts(maps, cfg), cfg, lead_floor)
+    return _solve_lockstep(maps, z.reshape(1, -1), cfg, lead_floor)[0]
 
 
 # -- grid reconstruction ------------------------------------------------------
@@ -352,6 +403,20 @@ def grid_points(D: BoundedDomain, n_per_dim: int) -> np.ndarray:
     return pts
 
 
+def _merged_pairs(images: np.ndarray, merge_tol: float) -> int:
+    """Number of pairs a < b of images closer than merge_tol, counted in
+    blocks of rows a, so memory stays O(block x len(images))."""
+    count = len(images)
+    block = max(1, _PAIR_BLOCK // max(count, 1))
+    merged = 0
+    for a0 in range(0, count, block):
+        diff = images[None, a0 + 1 :] - images[a0 : a0 + block, None]
+        close = np.linalg.norm(diff.reshape(-1, images.shape[1]), axis=1).reshape(diff.shape[:2]) < merge_tol
+        # row i is image a0 + i and column c is image a0 + 1 + c, a later image when c >= i
+        merged += int(np.count_nonzero(np.triu(close)))
+    return merged
+
+
 def reconstruct_map(
     oracle: IsometryOracle | CompositionIsometry,
     family: FunctionFamily,
@@ -371,24 +436,9 @@ def reconstruct_map(
     if median == 0.0:
         raise ConfigError("|phi_0| vanishes at more than half the grid; family is unusable")
     floor = _EXCLUSION_REL * median
-    starts = _shared_starts(maps, cfg)
-
-    def solve_one(i: int) -> PointSolve:
-        return _solve_against(maps, pts[i], starts, cfg, floor)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            records = list(pool.map(solve_one, range(pts.shape[0])))
-    else:
-        records = [solve_one(i) for i in range(pts.shape[0])]
-
-    # pairs of mapped points whose images merge, one row of pairs at a time
+    records = _solve_lockstep(maps, pts, cfg, floor)
     images = np.array([r.w for r in records if r.status == STATUS_MAPPED], dtype=complex)
-    merge_tol = max(10.0 * cfg.tol, 1e-12)
-    violations = sum(
-        int(np.count_nonzero(np.linalg.norm(images[a + 1 :] - images[a], axis=1) < merge_tol))
-        for a in range(len(images))
-    )
+    violations = _merged_pairs(images, max(10.0 * cfg.tol, 1e-12))
     return ReconstructionResult(
         records=tuple(records),
         threshold=floor,

@@ -18,7 +18,7 @@ from pbergman import (
     fd_jacobian_det,
     fd_jacobian_matrix,
 )
-from pbergman.functions import monomial_values
+from pbergman.functions import fd_stencil, fd_stencil_jacobians, monomial_values
 
 
 def L(dim, terms):
@@ -242,3 +242,58 @@ class TestSharedEvaluators:
                 axis=1,
             )
             assert np.array_equal(fd_jacobian_matrix(F, z, h), want)
+
+    def test_fd_stencil_batch_matches_one_point(self):
+        F = build_counterexample(3, 2).mapping.inverse()
+        zs = np.random.default_rng(2).uniform(-0.6, 0.6, (9, 8)).view(complex)
+        pts = fd_stencil(zs)
+        assert pts.shape == (9, 16, 4)
+        jacs = fd_stencil_jacobians(F(pts.reshape(-1, 4)).reshape(9, 16, 4))
+        for z, jac in zip(zs, jacs):
+            assert np.array_equal(jac, fd_jacobian_matrix(F, z))
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(np.asarray(a, dtype=complex)).view(float)
+
+
+_ROTATION = LinearMap(((math.cos(0.7), -math.sin(0.7)), (math.sin(0.7), math.cos(0.7))))
+
+
+class TestRowInvariance:
+    """A batch evaluates each row to the same bits as that row alone (signed
+    zeros included), which the lockstep Gauss-Newton solver relies on."""
+
+    @staticmethod
+    def _points(n, count=257):
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-0.6, 0.6, (count, n)) + 1j * rng.uniform(-0.6, 0.6, (count, n))
+        pts.imag[::7] = -0.0  # negative zeros
+        pts.real[3::11] = -0.0
+        pts[pts == 0] = 0.25  # keep Laurent poles off the coordinate hyperplanes
+        return pts
+
+    @pytest.mark.parametrize(
+        "F, p",
+        [
+            (MonomialMap(((1, 0, 0, 0), (-3, 1, 0, 0), (0, 0, 1, 0), (0, 0, 3, 1))), 3.0),
+            (MonomialMap(((2, 1), (1, 1)), (1j, np.exp(0.3j))), 1.0),
+            (_ROTATION, 2.0),
+            (LinearMap(((0.3 + 0.1j, -0.5, 0.2j), (0.1, 0.7 - 0.2j, 0.4), (-0.6j, 0.2, 0.5 + 0.5j))), 1.5),
+            (MobiusFactors((0.3,)), 1.0),
+            (MobiusFactors((0.3 + 0.1j, None, -0.2 + 0.4j)), 3.0),
+        ],
+        ids=["monomial-4", "monomial-2", "rotation", "linear-3", "mobius-1", "mobius-3"],
+    )
+    def test_map_and_weight_branch(self, F, p):
+        pts = self._points(F.dimension)
+        for f in (F, F.weight_branch(p)):
+            batch = f(pts)
+            rows = np.array([f(pts[i : i + 1])[0] for i in range(pts.shape[0])])
+            assert np.array_equal(_bits(batch), _bits(rows))
+
+    def test_linear_rows_match_one_row_matmul(self):
+        M = np.asarray(_ROTATION.matrix, dtype=complex)
+        pts = self._points(2)
+        want = np.array([(pts[i : i + 1] @ M.T)[0] for i in range(pts.shape[0])])
+        assert np.array_equal(_bits(_ROTATION(pts)), _bits(want))

@@ -30,9 +30,31 @@ from pbergman import (
     verify_modulus_identity,
     verify_proportionality,
 )
+from pbergman.reconstruct import _PAIR_BLOCK, RatioMaps, _merged_pairs, _shared_starts
 
 ONE = LaurentPolynomial.one(1)
 Z = LaurentPolynomial.coordinate(1, 0)
+
+BENCH_OPERATORS = ["mobius", "unitary", "counterexample"]
+
+
+def bench_operator(kind):
+    """The operator and family of one reconstruct operation of the benchmark."""
+    if kind == "mobius":
+        return mobius_operator(0.3, 1.0), degree_family(1, 3)
+    if kind == "unitary":
+        c, s = math.cos(0.7), math.sin(0.7)
+        ball = make_catalog_domain(("ball", 2))
+        T = CompositionIsometry(
+            source=ball,
+            target=ball,
+            mapping=LinearMap(((c, -s), (s, c))),
+            weight=LaurentPolynomial.one(2),
+            p=2.0,
+        )
+        return T, degree_family(2, 3)
+    T = build_counterexample(3, 2)
+    return T, pullback_family(T)
 
 
 class TestOracle:
@@ -110,29 +132,26 @@ class TestRatioMaps:
         maps.target_ratios(np.array([[0.2 + 0.1j], [-0.4 + 0.3j]]))
         assert calls == [2]
 
-    @pytest.mark.parametrize("kind", ["mobius", "unitary", "counterexample"])
+    @pytest.mark.parametrize("kind", BENCH_OPERATORS)
     def test_target_ratios_equal_member_image_quotients(self, kind):
-        if kind == "mobius":
-            T, family = mobius_operator(0.3, 1.0), degree_family(1, 3)
-        elif kind == "unitary":
-            c, s = math.cos(0.7), math.sin(0.7)
-            ball = make_catalog_domain(("ball", 2))
-            T = CompositionIsometry(
-                source=ball,
-                target=ball,
-                mapping=LinearMap(((c, -s), (s, c))),
-                weight=LaurentPolynomial.one(2),
-                p=2.0,
-            )
-            family = degree_family(2, 3)
-        else:
-            T = build_counterexample(3, 2)
-            family = pullback_family(T)
+        T, family = bench_operator(kind)
         pts = sample(T.target, 5, 40).points
         got = build_ratio_maps(T, family).target_ratios(pts)
         lead = np.asarray(T.apply(family.lead)(pts))
         want = np.stack([np.asarray(T.apply(f)(pts)) / lead for f in family.members[1:]], axis=1)
         assert (got == want).all()
+
+
+    @pytest.mark.parametrize("kind", BENCH_OPERATORS)
+    def test_image_family_rows_do_not_depend_on_the_batch(self, kind):
+        T, family = bench_operator(kind)
+        maps = build_ratio_maps(T, family)
+        pts = sample(T.target, 11, 257).points
+        pts.imag[::5] = -0.0  # negative zeros, so their sign bits are compared too
+        for f in (maps.image_family.values, maps.target_ratios):
+            batch = f(pts)
+            rows = np.concatenate([f(pts[i : i + 1]) for i in range(pts.shape[0])])
+            assert np.array_equal(batch.view(float), rows.view(float))
 
 
 class TestFamilies:
@@ -265,6 +284,132 @@ class TestReconstruct:
             "status_counts",
             "diagnostics",
         }
+
+
+# the disc oracle of TestLockstep: ratio z on the source, 0.2 w on the target
+# (so |z| > 0.2 has no preimage), a lead that vanishes at z = 0.5, and images
+# with a pole wherever Re w > _POLE_RE
+_LEAD = ONE - 2.0 * Z
+_POLE_RE = 0.55
+
+
+def _pole_oracle(disc, raised):
+    def ev(phi):
+        image = phi if phi == _LEAD else phi * 0.2
+
+        def fn(pts):
+            bad = pts[:, 0].real > _POLE_RE
+            if np.any(bad):
+                raised.append((len(pts), int(np.count_nonzero(bad))))
+                raise PoleEvaluationError("pole of the image family")
+            return np.asarray(image(pts))
+
+        return AnalyticFunction(1, fn, "pole-image")
+
+    return IsometryOracle(source=disc, target=disc, p=2.0, evaluator=ev)
+
+
+def _blowdown_slice(count):
+    rng = np.random.default_rng(8)
+    pts = 0.3 * (rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4)))
+    pts[:, 0] = 0.0
+    return pts
+
+
+class TestLockstep:
+    """Grid points are solved in lockstep; each record equals the one-point
+    solve of its point."""
+
+    @staticmethod
+    def _assert_equals_one_point_solves(oracle, family, grid, cfg):
+        result = reconstruct_map(oracle, family, grid, cfg)
+        maps = build_ratio_maps(oracle, family)
+        one = [solve_point(maps, z, cfg, result.threshold) for z in grid]
+        assert [r.to_json_obj() for r in result.records] == [r.to_json_obj() for r in one]
+        return result
+
+    def test_counterexample_grid(self):
+        T = build_counterexample(3, 2)
+        grid = np.concatenate([sample(T.source, 4, 30).points, _blowdown_slice(2)])
+        result = self._assert_equals_one_point_solves(T, pullback_family(T), grid, SolverConfig(starts=4, seed=1))
+        assert result.status_counts() == {"mapped": 30, "excluded-zero-weight": 2}
+
+    def test_mixed_grid_with_a_pole_at_a_start(self, disc):
+        raised = []
+        oracle = _pole_oracle(disc, raised)
+        family = FunctionFamily(1, (_LEAD, _LEAD * Z))
+        cfg = SolverConfig(seed=3, starts=6)
+        assert _shared_starts(build_ratio_maps(oracle, family), cfg)[0, 0].real > _POLE_RE
+        mapped = [0.05, -0.1j, 0.08 + 0.05j, -0.15 + 0.02j, 0.02 - 0.12j]
+        # 0.14: its preimage 0.7 lies at the pole; 0.5: zero lead; 0.9: no preimage in the disc
+        grid = np.array(mapped + [0.14 + 0.01j, 0.5, 0.9], dtype=complex).reshape(-1, 1)
+        result = self._assert_equals_one_point_solves(oracle, family, grid, cfg)
+        assert [r.status for r in result.records] == ["mapped"] * 5 + [
+            "excluded-no-preimage",
+            "excluded-zero-weight",
+            "excluded-no-preimage",
+        ]
+        # the start at the pole adds no iteration; the linear ratio map then
+        # converges in one step, and the iteration that sees res < tol counts
+        for r in result.mapped:
+            assert abs(r.w[0] - 5.0 * r.z[0]) < 1e-9
+            assert r.iterations == 2
+        # the first start's residual batch failed whole; some batches failed on only some rows
+        assert (len(grid) - 1, len(grid) - 1) in raised
+        assert any(0 < bad < rows for rows, bad in raised)
+
+    def test_zero_iteration_budget(self, disc):
+        grid = grid_points(disc, 5)
+        result = reconstruct_map(identity_operator(disc, 2.0), degree_family(1, 2), grid, SolverConfig(max_iters=0))
+        assert result.status_counts() == {"unresolved-budget": grid.shape[0]}
+        assert all(r.iterations == 0 for r in result.records)
+
+    def test_passes_do_not_grow_with_the_grid(self, monkeypatch):
+        T = build_counterexample(3, 2)
+        family = pullback_family(T)
+        calls = []
+        target_ratios = RatioMaps.target_ratios
+
+        def counting(self, points):
+            calls.append(len(points))
+            return target_ratios(self, points)
+
+        monkeypatch.setattr(RatioMaps, "target_ratios", counting)
+        counts = {}
+        for size in (10, 100):
+            calls.clear()
+            result = reconstruct_map(T, family, sample(T.source, 6, size).points, SolverConfig(starts=6))
+            assert result.status_counts() == {"mapped": size}
+            counts[size] = len(calls)
+        assert counts[100] <= counts[10] + 5
+
+
+class TestInjectivityCount:
+    @staticmethod
+    def _pairwise_loop(images, merge_tol):
+        return sum(
+            int(np.count_nonzero(np.linalg.norm(images[a + 1 :] - images[a], axis=1) < merge_tol))
+            for a in range(len(images))
+        )
+
+    def test_blocks_match_the_pairwise_loop(self):
+        rng = np.random.default_rng(3)
+        for n, count in ((1, 5), (2, 300), (4, 700)):  # 1, 2 and 8 blocks
+            centres = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+            images = centres[rng.integers(0, 40, count)] + 1e-13 * rng.standard_normal((count, n))
+            for tol in (1e-12, 1e-14):
+                assert _merged_pairs(images, tol) == self._pairwise_loop(images, tol)
+        assert _merged_pairs(np.zeros((0, 2), dtype=complex), 1e-12) == 0
+
+    def test_constant_ratio_family_merges_every_pair(self, disc):
+        # the source ratio is 0.3 everywhere and so is the target ratio: every
+        # point is mapped to the first start
+        family = FunctionFamily(dimension=1, members=(ONE, 0.3 * ONE))
+        grid = grid_points(disc, 21)
+        result = reconstruct_map(identity_operator(disc, 2.0), family, grid)
+        images = np.array([r.w for r in result.mapped])
+        assert len(images) == grid.shape[0] > _PAIR_BLOCK // grid.shape[0]
+        assert result.injectivity_violations == self._pairwise_loop(images, 1e-8) == len(images) * (len(images) - 1) // 2
 
 
 class TestModulusIdentity:
