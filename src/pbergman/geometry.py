@@ -440,16 +440,24 @@ def sample(D: BoundedDomain, rng, count: int) -> SampleBatch:
     return SampleBatch(points=points, acceptance_rate=accepted / proposed, proposals=proposed)
 
 
-def sample_radial_weighted(D: BoundedDomain, t: Sequence[float], rng, count: int) -> np.ndarray:
-    """Sample points of D from the density proportional to prod |z_j|^{t_j}
-    (times Lebesgue measure), exactly, using the radial profile. Phases are
-    uniform and independent.
-    """
+def sample_polar_weighted(D: BoundedDomain, t: Sequence[float], rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The moduli r and phases theta of `sample_radial_weighted`'s points
+    z = r e^{i theta}, as two (count, n) arrays: the moduli are drawn first,
+    then theta = 2 pi u from one uniform (count, n) draw."""
     gen = rng if isinstance(rng, np.random.Generator) else substream(int(rng), TAG_REJECTION, 0)
     r = sample_moduli_weighted(D.radial_profile, t, gen, count)
     theta = gen.random((count, D.dimension))
     theta *= 2.0
     theta *= np.pi
+    return r, theta
+
+
+def sample_radial_weighted(D: BoundedDomain, t: Sequence[float], rng, count: int) -> np.ndarray:
+    """Sample points of D from the density proportional to prod |z_j|^{t_j}
+    (times Lebesgue measure), exactly, using the radial profile. Phases are
+    uniform and independent.
+    """
+    r, theta = sample_polar_weighted(D, t, rng, count)
     z = np.multiply(theta, 1j)
     np.exp(z, out=z)
     z *= r

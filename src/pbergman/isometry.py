@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from ._rng import TAG_BOXES, TAG_PUSHFORWARD, TAG_WEIGHTED, stable_key, substream
 from .errors import (
@@ -29,7 +28,14 @@ from .functions import (
     MonomialMap,
     complex_from_json,
 )
-from .geometry import BoundedDomain, box_proposals, make_catalog_domain, sample, sample_radial_weighted
+from .geometry import (
+    BoundedDomain,
+    box_proposals,
+    make_catalog_domain,
+    sample,
+    sample_polar_weighted,
+    sample_radial_weighted,
+)
 from .integrate import chunked_mean, closed_norm, mc_norm_batch
 
 
@@ -361,10 +367,11 @@ def box_masks(boxes: Sequence[Box], vals: np.ndarray) -> np.ndarray:
 
 def _region_ys(regions: Sequence, vals: np.ndarray):
     """Each region's values on the ratio matrix `vals`, in region order: the
-    boxes from one `box_masks` call, a row at a time, the others one by one."""
+    boxes as bool rows of one `box_masks` call (their sums of y and y^2 are
+    exact counts), the others one by one."""
     masks = iter(box_masks([u for u in regions if isinstance(u, Box)], vals))
     for u in regions:
-        yield next(masks).astype(float) if isinstance(u, Box) else u(vals)
+        yield next(masks) if isinstance(u, Box) else u(vals)
 
 
 @dataclass(frozen=True)
@@ -376,22 +383,35 @@ class GaussianBump:
     label: str = "gaussian-bump"
 
     def __call__(self, vals: np.ndarray) -> np.ndarray:
-        d2 = np.sum(np.abs(vals - self.center) ** 2, axis=1)
-        return np.exp(-d2 / (2.0 * self.width**2))
+        c = complex(self.center)
+        d2 = np.zeros(vals.shape[0])
+        for j in range(vals.shape[1]):
+            for x, c_x in ((vals[:, j].real, c.real), (vals[:, j].imag, c.imag)):
+                x = x - c_x
+                x *= x
+                d2 += x
+        d2 /= -2.0 * self.width**2
+        return np.exp(d2, out=d2)
 
 
 @dataclass(frozen=True)
 class SigmoidProduct:
-    """Smooth test u(v) = prod_j s(Re v_j/scale) s(Im v_j/scale), s logistic."""
+    """Smooth test u(v) = prod_j s(Re v_j/scale) s(Im v_j/scale), s logistic,
+    computed as 1/prod_j (1 + e^{-Re v_j/scale})(1 + e^{-Im v_j/scale})."""
 
     scale: float = 0.3
     label: str = "sigmoid-product"
 
     def __call__(self, vals: np.ndarray) -> np.ndarray:
-        out = np.ones(vals.shape[0])
-        for j in range(vals.shape[1]):
-            out = out * expit(vals[:, j].real / self.scale) * expit(vals[:, j].imag / self.scale)
-        return out
+        den = np.ones(vals.shape[0])
+        with np.errstate(over="ignore"):  # e^{-x} = inf makes den inf and u = 0, the limit
+            for j in range(vals.shape[1]):
+                for x in (vals[:, j].real, vals[:, j].imag):
+                    x = np.divide(x, -self.scale)
+                    np.exp(x, out=x)
+                    x += 1.0
+                    den *= x
+        return np.reciprocal(den, out=den)
 
 
 # -- pushforward mass ---------------------------------------------------------
@@ -415,6 +435,54 @@ def ratio_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return values[:, 1:], good, lead
 
 
+@dataclass(frozen=True)
+class _PolarRatios:
+    """The ratios of a family of Laurent monomials c_k z^{beta_k}, computed
+    from moduli and phases: with B the integer matrix of rows beta_k - beta_0
+    and C_k = c_k/c_0, the ratios at z = r e^{i theta} are
+    C exp(B log r + i B theta), one real matmul each for the moduli and the
+    phases and one complex exp, without forming z. Only the axes some member
+    depends on enter: `used` lists them and B keeps their columns."""
+
+    B: np.ndarray
+    C: np.ndarray | None  # None when every C_k is 1
+    used: list
+
+    @classmethod
+    def of(cls, family: FunctionFamily) -> "_PolarRatios | None":
+        """The polar form of the family, or None when a member is not a
+        single-term Laurent polynomial."""
+        if not all(isinstance(f, LaurentPolynomial) and f.is_monomial for f in family.members):
+            return None
+        (a0, c0), *rest = [f.single_term() for f in family.members]
+        exps = np.array([a0] + [e for e, _ in rest])
+        used = [j for j in range(family.dimension) if exps[:, j].any()]
+        B = (exps[1:, used] - exps[0, used]).astype(float)
+        C = np.array([c / c0 for _, c in rest])
+        return cls(B=B, C=None if np.all(C == 1.0) else C, used=used)
+
+    def __call__(self, r: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, N) ratio matrix at the points r e^{i theta} and the mask of
+        rows whose moduli are positive on every used axis; masked rows carry
+        finite values. Overwrites r."""
+        if len(self.used) < r.shape[1]:
+            r, theta = r[:, self.used], theta[:, self.used]
+        good = np.ones(r.shape[0], dtype=bool)
+        for j in range(r.shape[1]):
+            good &= r[:, j] > 0.0
+        with np.errstate(divide="ignore"):
+            log_r = np.log(r, out=r)
+        if not good.all():
+            log_r[~good] = 0.0
+        vals = np.empty((r.shape[0], self.B.shape[0]), dtype=complex)
+        np.matmul(log_r, self.B.T, out=vals.real)
+        np.matmul(theta, self.B.T, out=vals.imag)
+        np.exp(vals, out=vals)
+        if self.C is not None:
+            vals *= self.C
+        return vals, good
+
+
 def _pushforward_stats(
     D: BoundedDomain,
     family: FunctionFamily,
@@ -429,8 +497,10 @@ def _pushforward_stats(
 
     When the lead is a Laurent monomial with |lead|^p integrable the points
     are drawn exactly from the normalized density |lead|^p/C, leaving the
-    bounded estimand C*u; rejection sampling with explicit |lead|^p weights
-    (whose variance may diverge) is the fallback.
+    bounded estimand C*u; the ratios then come in polar form from the drawn
+    moduli and phases when every member is a Laurent monomial. Rejection
+    sampling with explicit |lead|^p weights (whose variance may diverge) is
+    the fallback.
     """
     seed = int(seed)
     if samples < 1_000:
@@ -453,12 +523,17 @@ def _pushforward_stats(
     if weighted:
         exp, _ = lead.single_term()
         t = tuple(p * e for e in exp)
+        polar = _PolarRatios.of(family)
 
         def chunk_ys(i: int, size: int):
             gen = substream(seed, TAG_PUSHFORWARD, key, i)
-            vals, good, _ = ratio_matrix(family.values(sample_radial_weighted(D, t, gen, size)))
+            if polar is None:
+                vals, good, _ = ratio_matrix(family.values(sample_radial_weighted(D, t, gen, size)))
+            else:
+                vals, good = polar(*sample_polar_weighted(D, t, gen, size))
             for y in _region_ys(regions, vals):
-                yield y * good
+                y *= good
+                yield y
 
     else:
         factor = D.box_volume

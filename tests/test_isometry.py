@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import assert_rel, members
 from pbergman import (
@@ -28,7 +29,7 @@ from pbergman import (
 )
 from pbergman import isometry
 from pbergman._rng import TAG_PUSHFORWARD, substream
-from pbergman.geometry import sample_radial_weighted
+from pbergman.geometry import make_catalog_domain, sample_polar_weighted, sample_radial_weighted
 from pbergman.integrate import closed_norm
 from pbergman.isometry import _region_ys, _side_key, box_masks, ratio_matrix
 
@@ -362,6 +363,17 @@ class TestBoxes:
         vals = np.concatenate([vals, _edge_rows(boxes)])
         _assert_matches_per_box([SigmoidProduct(), *boxes, GaussianBump()], vals)
 
+    def test_smooth_regions_match_their_formulas(self):
+        # column loops in place of np.abs(v - c)**2 and of 2N expit calls:
+        # the same values up to rounding, and the same limits at +-inf and NaN
+        g = np.random.default_rng(0)
+        vals = g.normal(size=(2000, 3)) + 1j * g.normal(size=(2000, 3))
+        vals[:4, 0] = [np.inf, complex(-np.inf, 1.0), complex(-1e4, 3.0), complex(np.nan, 0.0)]
+        bump = np.exp(-np.sum(np.abs(vals - 0.2 - 0.1j) ** 2, axis=1) / (2.0 * 0.4**2))
+        sigmoid = np.prod(expit(vals.real / 0.3) * expit(vals.imag / 0.3), axis=1)
+        assert np.allclose(GaussianBump()(vals), bump, rtol=1e-12, atol=0.0, equal_nan=True)
+        assert np.allclose(SigmoidProduct()(vals), sigmoid, rtol=1e-13, atol=0.0, equal_nan=True)
+
     def test_one_pass_masks_without_boxes(self):
         vals = np.array([[0.1 + 0.2j, np.nan], [-0.0, 0.3j]])
         assert box_masks([], vals).shape == (0, 2)
@@ -421,13 +433,119 @@ def _edge_rows(boxes):
 
 
 def _assert_matches_per_box(regions, vals):
+    # boxes reach the chunk sums as bool masks, whose y and y^2 sums are the
+    # same exact counts as those of 0/1 floats; Box.__call__ keeps floats
     boxes = [u for u in regions if isinstance(u, Box)]
-    want = [_box_reference(u, vals).astype(float) if isinstance(u, Box) else u(vals) for u in regions]
+    want = [_box_reference(u, vals) if isinstance(u, Box) else u(vals) for u in regions]
     masks = box_masks(boxes, vals)
     assert masks.dtype == bool and masks.shape == (len(boxes), vals.shape[0])
     assert [m.tobytes() for m in masks] == [_box_reference(b, vals).tobytes() for b in boxes]
-    assert [b(vals).tobytes() for b in boxes] == [w.tobytes() for u, w in zip(regions, want) if isinstance(u, Box)]
-    assert [y.tobytes() for y in _region_ys(regions, vals)] == [w.tobytes() for w in want]
+    assert [b(vals).tobytes() for b in boxes] == [_box_reference(b, vals).astype(float).tobytes() for b in boxes]
+    got = list(_region_ys(regions, vals))
+    assert [y.dtype for y in got] == [w.dtype for w in want]
+    assert [y.tobytes() for y in got] == [w.tobytes() for w in want]
+
+
+def _mixed_family(n):
+    """Lead (0.5-0.25j) z_1^2; members with negative exponents and non-unit
+    complex coefficients."""
+    mono = LaurentPolynomial.monomial
+    lead = mono(n, (2,) + (0,) * (n - 1), 0.5 - 0.25j)
+    tail = (1,) * (n - 1)
+    members = [
+        mono(n, (1,) + (0,) * (n - 1)),
+        mono(n, (-1,) + tail, 2.0 + 1.0j),
+        mono(n, (3,) + tuple(-e for e in tail), -0.3j),
+        mono(n, (0,) * n, 1.5),
+    ]
+    return FunctionFamily(n, (lead, *members))
+
+
+class TestPolarRatios:
+    DOMAINS = [
+        "disc",
+        "polydisc(2;0.5,2)",
+        "ball(2)",
+        "hartogs(3)",
+        "fk_ball_prime(3)",
+        "product(ball(2),hartogs(3))",
+        "product(fk_ball_prime(3),polydisc(2;1,1))",
+    ]
+
+    @pytest.mark.parametrize("spec", DOMAINS)
+    @pytest.mark.parametrize("kind", ["coordinates", "mixed"])
+    def test_agrees_with_cartesian_ratios(self, spec, kind):
+        D = make_catalog_domain(spec)
+        n = D.dimension
+        family, p = (FunctionFamily.coordinates(n), 2.0) if kind == "coordinates" else (_mixed_family(n), 1.5)
+        t = tuple(p * e for e in family.lead.single_term()[0])
+        r, theta = sample_polar_weighted(D, t, substream(0, TAG_PUSHFORWARD, 0), 8192)
+        pts = sample_radial_weighted(D, t, substream(0, TAG_PUSHFORWARD, 0), 8192)
+        vals, good = isometry._PolarRatios.of(family)(r, theta)
+        want, want_good, _ = ratio_matrix(family.values(pts))
+        assert good.all() and want_good.all()
+        assert np.max(np.abs(vals - want) / np.abs(want)) <= 1e-13
+
+    def test_only_monomial_families(self, disc):
+        z = LaurentPolynomial.coordinate(1, 0)
+        assert isometry._PolarRatios.of(FunctionFamily(1, (LaurentPolynomial.one(1), z + 1.0))) is None
+        T = mobius_operator(0.3, 1.0)
+        assert isometry._PolarRatios.of(T.apply_family(FunctionFamily.coordinates(1))) is None
+
+    def test_zero_modulus_rows_masked_with_finite_values(self, polydisc2):
+        # the family uses axis 0 only: a zero modulus there masks its row, one
+        # on the unused axis 1 does not
+        family = FunctionFamily(2, (LaurentPolynomial.one(2), LaurentPolynomial.monomial(2, (-1, 0), 1j)))
+        r = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.0, 0.0]])
+        theta = np.full((4, 2), 0.25)
+        vals, good = isometry._PolarRatios.of(family)(r.copy(), theta)
+        assert good.tolist() == [True, False, True, False]
+        assert np.all(np.isfinite(vals))
+        want = 1j / (0.5 * np.exp(0.25j))
+        assert abs(vals[0, 0] - want) <= 1e-15 and abs(vals[2, 0] - want) <= 1e-15
+
+    def test_zero_modulus_draw_drops_out_of_the_mass(self, monkeypatch, polydisc2):
+        # a zero first modulus would make z_1^-1 a pole and, through 0 * log 0
+        # in the column of z_2, NaN; the draw is masked instead
+        mono = LaurentPolynomial.monomial
+        family = FunctionFamily(2, (LaurentPolynomial.one(2), mono(2, (-1, 0)), mono(2, (0, 1))))
+        draw = isometry.sample_polar_weighted
+
+        def with_zeros(*args):
+            r, theta = draw(*args)
+            r[:3, 0] = 0.0
+            return r, theta
+
+        monkeypatch.setattr(isometry, "sample_polar_weighted", with_zeros)
+        box = Box(lo=(-1.0 - 1.0j, -1.0 - 1.0j), hi=(1.0 + 1.0j, 1.0 + 1.0j))
+        for region in (box, GaussianBump(), SigmoidProduct()):
+            mass, sigma = pushforward_mass(polydisc2, family.lead, family, region, 2.0, samples=100_000, seed=1)
+            assert math.isfinite(mass) and math.isfinite(sigma)
+
+    def test_chunks_do_not_evaluate_the_family(self, monkeypatch):
+        # both sides of the counterexample are Laurent monomial families
+        T = build_counterexample()
+        family = FunctionFamily.coordinates(4)
+        boxes = random_boxes(T, family, seed=0, count=3)
+        calls = []
+        values = FunctionFamily.values
+
+        def counted(self, pts):
+            calls.append(pts.shape[0])
+            return values(self, pts)
+
+        monkeypatch.setattr(FunctionFamily, "values", counted)
+        equimeasure_check(T, family, boxes=boxes, samples=100_000, seed=0)
+        assert calls == []
+
+    def test_counterexample_report_bytes_independent_of_threads(self):
+        T = build_counterexample()
+        family = FunctionFamily.coordinates(4)
+        reports = [
+            json.dumps(equimeasure_check(T, family, samples=150_000, seed=5, threads=t).to_json_obj(), sort_keys=True)
+            for t in (1, 2)
+        ]
+        assert reports[0] == reports[1]
 
 
 class TestFunctionFamily:

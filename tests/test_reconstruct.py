@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import pbergman
 from pbergman import (
     AnalyticFunction,
     CompositionIsometry,
@@ -14,6 +16,7 @@ from pbergman import (
     MonomialMap,
     NoBasisSupportError,
     PoleEvaluationError,
+    PoleProximityWarning,
     SolverConfig,
     build_counterexample,
     build_ratio_maps,
@@ -30,6 +33,7 @@ from pbergman import (
     verify_modulus_identity,
     verify_proportionality,
 )
+from pbergman.functions import fd_jacobian_det
 from pbergman.reconstruct import _PAIR_BLOCK, RatioMaps, _merged_pairs, _shared_starts
 
 ONE = LaurentPolynomial.one(1)
@@ -436,6 +440,53 @@ class TestModulusIdentity:
 
         pts = np.array([[0.2 + 0.1j], [-0.3 + 0.2j]])
         assert verify_modulus_identity(T, F, pts, [ONE, Z]) < 1e-6
+
+    @pytest.mark.parametrize("case", ["counterexample", "mobius-exact", "mobius-fd"])
+    def test_batch_matches_per_point_loop(self, case):
+        if case == "counterexample":
+            T = build_counterexample()
+            F, pts = T.mapping.inverse(), sample(T.source, 0, 100).points
+            tests = [LaurentPolynomial.one(4), LaurentPolynomial.monomial(4, (2, 0, 0, 0)),
+                     LaurentPolynomial.monomial(4, (0, 0, 1, 1))]
+        else:
+            T = mobius_operator(0.3, 1.0)
+            F = T.mapping if case == "mobius-exact" else (lambda batch: T.mapping(batch))
+            pts, tests = np.array([[0.2 + 0.1j], [-0.3 + 0.2j]]), [ONE, Z]
+        assert abs(verify_modulus_identity(T, F, pts, tests) - _modulus_identity_per_point(T, F, pts, tests)) <= 1e-15
+
+    def test_singular_fd_jacobian_warning_names_caller(self, disc):
+        # a caller compiled under a package file name stands for a scenario
+        # calling the check: the warning still names this file
+        T = identity_operator(disc, 2.0)
+        scope = {"verify_modulus_identity": verify_modulus_identity}
+        code = "def from_package(*args):\n    return verify_modulus_identity(*args)\n"
+        exec(compile(code, os.path.join(os.path.dirname(pbergman.__file__), "scenarios.py"), "exec"), scope)
+
+        def constant(batch):
+            return 0.0 * batch + 0.1
+
+        pts = np.array([[0.2 + 0.1j], [-0.3 + 0.2j]])
+        for check in (verify_modulus_identity, scope["from_package"]):
+            with pytest.warns(PoleProximityWarning, match="2 of 2 points") as rec:
+                check(T, constant, pts, [ONE])
+            assert [w.filename for w in rec] == [__file__]
+
+
+def _modulus_identity_per_point(T, F, pts, tests):
+    """verify_modulus_identity written one point at a time."""
+    jacobian = getattr(F, "jacobian_det", None)
+    images = [T.apply(phi) for phi in tests]
+    worst = 0.0
+    for z in pts:
+        z = z.reshape(1, -1)
+        w = np.asarray(F(z)).reshape(1, -1)
+        jf = complex(np.asarray(jacobian(z)).reshape(-1)[0]) if jacobian is not None else fd_jacobian_det(F, z[0], 1e-3)
+        factor = abs(jf) ** (2.0 / T.p)
+        for phi, image in zip(tests, images):
+            rhs = abs(complex(np.asarray(phi(z))[0]))
+            if rhs != 0.0:
+                worst = max(worst, abs(abs(complex(np.asarray(image(w))[0])) * factor - rhs) / rhs)
+    return worst
 
 
 class TestProportionality:
