@@ -591,6 +591,27 @@ _ROUNDTRIPS = {
 }
 
 
+def _transport_ratios(records, branch, tests, images) -> np.ndarray:
+    """T(phi)(w) * branch(z) / phi(z) at each mapped pair (z, w) and each test
+    phi not vanishing at z, point-major and test-minor. The branch, each test
+    and each image are evaluated once on the whole batch, the images only at
+    the rows where their test does not vanish."""
+    z = np.array([r.z for r in records], dtype=complex)
+    w = np.array([r.w for r in records], dtype=complex)
+    bz = np.asarray(branch(z), dtype=complex).reshape(-1)
+    pz = np.column_stack([np.asarray(phi(z), dtype=complex).reshape(-1) for phi in tests])
+    keep = np.abs(pz) >= 1e-12
+    tw = np.zeros_like(pz)
+    for j, image in enumerate(images):
+        live = keep[:, j]
+        if live.any():
+            tw[live, j] = np.asarray(image(w[live]), dtype=complex).reshape(-1)
+    # Python's complex product and quotient keep the reported spread's last
+    # bits; numpy's complex product and quotient round differently
+    triples = zip(tw[keep].tolist(), bz[np.nonzero(keep)[0]].tolist(), pz[keep].tolist())
+    return np.array([t * b / v for t, b, v in triples], dtype=complex)
+
+
 def roundtrip_scenario(map_spec, p: float | None = None, seed: int = 0, mutate: str | None = None) -> Report:
     """Build an operator from a known map, reconstruct the map from the
     operator alone, and check T(phi)(F(z)) * branch(J_F)(z) = lambda * phi(z)
@@ -638,19 +659,7 @@ def roundtrip_scenario(map_spec, p: float | None = None, seed: int = 0, mutate: 
         except PBergmanError as e:
             spread, observed = math.inf, f"no inverse weight branch: {e}"
         else:
-            images = [T.apply(phi) for phi in tests]
-            ratios = []
-            for r in rec.records:
-                z = np.asarray(r.z, dtype=complex).reshape(1, -1)
-                w = np.asarray(r.w, dtype=complex).reshape(1, -1)
-                bz = complex(np.asarray(branch(z))[0])
-                for phi, image in zip(tests, images):
-                    pz = complex(np.asarray(phi(z))[0])
-                    if abs(pz) < 1e-12:
-                        continue
-                    tw = complex(np.asarray(image(w))[0])
-                    ratios.append(tw * bz / pz)
-            ratios = np.asarray(ratios)
+            ratios = _transport_ratios(rec.records, branch, tests, [T.apply(phi) for phi in tests])
             lam = complex(np.mean(ratios))
             spread = float(np.max(np.abs(ratios - lam)) / abs(lam)) if len(ratios) else math.inf
             observed = spread

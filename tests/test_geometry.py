@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betaln, gammaln
 
 from conftest import MALFORMED_DOMAIN_SPECS, assert_rel
 from pbergman import (
     ConfigError,
     DegenerateDomainError,
+    DivergentIntegralError,
     boundary_distance,
     interior_closure_probe,
     make_catalog_domain,
@@ -16,7 +18,7 @@ from pbergman import (
     sample_radial_weighted,
 )
 from pbergman._rng import TAG_REJECTION, substream
-from pbergman.geometry import _direction_battery, box_proposals, sample_moduli_weighted
+from pbergman.geometry import _direction_battery, box_proposals, log_radial_moment, sample_moduli_weighted
 
 
 class TestMembership:
@@ -224,6 +226,88 @@ class TestVolume:
     def test_fk_volume(self, fk3):
         # (2 pi)^2 * (1/2) * (1/2) B(4, 2) with B(4, 2) = 3!1!/5! = 1/20
         assert_rel(fk3.volume, math.pi**2 / 20.0, 1e-12)
+
+
+def scipy_log_radial_moment(profile, t):
+    """The closed moments of ball and graph_with_factor profiles, guards
+    included, through scipy's gammaln and betaln; the other kinds need
+    neither."""
+    t = np.asarray(t, dtype=float)
+    if profile.kind == "ball":
+        if np.any(t / 2.0 + 1.0 <= 0.0):
+            raise DivergentIntegralError("ball")
+        n = profile.n
+        log_unit = float(np.sum(gammaln(t / 2.0 + 1.0)) - gammaln(n + np.sum(t) / 2.0 + 1.0)) - n * math.log(2.0)
+        return log_unit + float(np.sum(t) + 2 * n) * math.log(profile.radius)
+    if profile.kind == "graph_with_factor":
+        outer = t[0] + profile.k * (t[1] + 2.0) + 2.0
+        if t[1] + 2.0 <= 0.0 or outer <= 0.0:
+            raise DivergentIntegralError("graph")
+        return -math.log(t[1] + 2.0) - math.log(2.0) + float(betaln(outer / 2.0, (t[1] + 4.0) / 2.0))
+    if profile.kind == "product":
+        return sum(scipy_log_radial_moment(f, t[cols]) for f, cols in profile.factor_columns())
+    return log_radial_moment(profile, t)
+
+
+MOMENT_DOMAINS = (
+    [f"ball({n})" for n in range(1, 5)]
+    + [f"ball({n};1.3)" for n in range(1, 5)]
+    + [f"{kind}({k})" for kind in ("hartogs", "fk_ball_prime") for k in range(1, 6)]
+    + ["product(ball(2;1.3),fk_ball_prime(3))"]
+)
+
+
+def moment_exponents(n, seed):
+    """Exponent rows alpha up to degree 20: each axis alone at degree 20, and
+    seeded rows of every degree, one axis lowered to -1 in a third of them."""
+    rng = np.random.default_rng(seed)
+    rows = [np.zeros(n, dtype=int)] + [20 * np.eye(n, dtype=int)[j] for j in range(n)]
+    for degree in range(21):
+        for _ in range(6):
+            alpha = rng.multinomial(degree, np.full(n, 1.0 / n))
+            if rng.random() < 1.0 / 3.0:
+                alpha[rng.integers(n)] = -1
+            rows.append(alpha)
+    return rows
+
+
+class TestLogRadialMoment:
+    @pytest.mark.parametrize("label", MOMENT_DOMAINS)
+    def test_matches_scipy_reference(self, label):
+        profile = parse_domain(label).radial_profile
+        checked = 0
+        for p in (0.5, 0.75, 1.5, 3.0):
+            for alpha in moment_exponents(profile.dimension, seed=len(label)):
+                t = p * alpha
+                try:
+                    expected = scipy_log_radial_moment(profile, t)
+                except DivergentIntegralError:
+                    with pytest.raises(DivergentIntegralError):
+                        log_radial_moment(profile, t)
+                    continue
+                got = log_radial_moment(profile, t)
+                assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected)), (label, p, tuple(alpha), got, expected)
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("label", MOMENT_DOMAINS)
+    def test_divergent_exponents_raise_divergent_integral_error(self, label):
+        profile = parse_domain(label).radial_profile
+        n = profile.dimension
+        rows = []
+        for f, cols in profile.factor_columns() if profile.kind == "product" else [(profile, slice(0, n))]:
+            if f.kind == "ball":
+                rows += [-2.0 * np.eye(n)[j] for j in range(cols.start, cols.stop)]
+            else:
+                # t1 = -2 and outer = t0 + k (t1 + 2) + 2 at 0 and below; t0 = -2 converges
+                rows.append(-2.0 * np.eye(n)[cols.start + 1])
+                for t0 in (-(2.0 * f.k + 2.0), -(2.0 * f.k + 3.0)):
+                    t = np.zeros(n)
+                    t[cols.start] = t0
+                    rows.append(t)
+        for t in rows:
+            with pytest.raises(DivergentIntegralError):
+                log_radial_moment(profile, t)
 
 
 class TestSampling:

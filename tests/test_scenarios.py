@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from pathlib import Path
@@ -28,6 +29,7 @@ from pbergman import (
     run_named_scenario,
     sample,
 )
+from pbergman import scenarios
 from pbergman.scenarios import OPERATORS, SCENARIOS, operator_from_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -297,6 +299,32 @@ class TestRoundtrips:
     def test_unknown_map_rejected(self):
         with pytest.raises(ConfigError):
             roundtrip_scenario("spiral")
+
+    @pytest.mark.parametrize(
+        "name,mutate",
+        [("roundtrip-identity", None), ("roundtrip-mobius", None), ("roundtrip-unitary", None), ("roundtrip-counterexample", None), ("roundtrip-mobius", "drop-weight")],
+    )
+    def test_batched_ratios_match_the_per_point_loop(self, name, mutate, monkeypatch):
+        def per_point(records, branch, tests, images):
+            ratios = []
+            for r in records:
+                z = np.asarray(r.z, dtype=complex).reshape(1, -1)
+                w = np.asarray(r.w, dtype=complex).reshape(1, -1)
+                bz = complex(np.asarray(branch(z))[0])
+                for phi, image in zip(tests, images):
+                    pz = complex(np.asarray(phi(z))[0])
+                    if abs(pz) < 1e-12:
+                        continue
+                    tw = complex(np.asarray(image(w))[0])
+                    ratios.append(tw * bz / pz)
+            return np.asarray(ratios)
+
+        for seed in range(4):
+            batched = json.dumps(run_named_scenario(name, seed=seed, mutate=mutate).to_json_obj(), sort_keys=True)
+            with monkeypatch.context() as m:
+                m.setattr(scenarios, "_transport_ratios", per_point)
+                oracle = json.dumps(run_named_scenario(name, seed=seed, mutate=mutate).to_json_obj(), sort_keys=True)
+            assert batched == oracle, (name, seed)
 
     @pytest.mark.parametrize(
         "spec,p", [("custom", None), (("counterexample", 3, 2), 3.0), (("identity", "ball(2)"), None), ({"kind": "mobius", "a": [0.3, 0.2]}, None)]
