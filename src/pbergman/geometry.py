@@ -513,15 +513,18 @@ def boundary_distance(D: BoundedDomain, w, tol: float = 1e-6) -> float:
         """Whether w + t d lies on w's side of the boundary, for the directions d in rows."""
         return D.contains(w + t[:, None] * dirs[rows]) == inside
 
-    # all directions at once: double the step from tol while it stays on w's
-    # side; directions still on it at diam have no crossing
-    lo = np.zeros(len(dirs))
-    hi = np.full(len(dirs), tol)
-    same = same_side(hi, slice(None))
-    while np.any(grow := same & (hi < diam)):
-        rows = np.flatnonzero(grow)
-        lo[rows], hi[rows] = hi[rows], hi[rows] * 2.0
-        same[rows] = same_side(hi[rows], rows)
+    # every direction at every step of the doubling ladder tol 2^k, up to the
+    # first step >= diam, in one membership call; a direction's bracket is its
+    # first step off w's side, and directions on it throughout have no crossing
+    ladder = [tol]
+    while ladder[-1] < diam:
+        ladder.append(ladder[-1] * 2.0)
+    ladder = np.asarray(ladder)
+    off = D.contains((w + ladder[:, None, None] * dirs).reshape(-1, D.dimension)).reshape(len(ladder), -1) != inside
+    first = np.argmax(off, axis=0)
+    same = ~off[first, np.arange(len(dirs))]
+    hi = ladder[first]
+    lo = np.where(first > 0, ladder[first - 1], 0.0)
     # then bisect each bracketing step to a width below tol / 4, 80 halvings at most
     active = ~same & (hi - lo >= tol / 4.0)
     for _ in range(80):

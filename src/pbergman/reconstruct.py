@@ -16,6 +16,7 @@ from itertools import product as iter_product
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from ._rng import TAG_STARTS, stable_key, substream
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     PoleProximityWarning,
     user_stacklevel,
 )
-from .functions import LaurentPolynomial, fd_jacobian_det, fd_stencil, fd_stencil_jacobians
+from .functions import LaurentPolynomial, fd_stencil, fd_stencil_jacobians
 from .geometry import BoundedDomain, sample
 from .isometry import CompositionIsometry, FunctionFamily, ratio_matrix
 
@@ -38,6 +39,8 @@ STATUS_UNRESOLVED = "unresolved-budget"
 _EXCLUSION_REL = 1e-8
 # image pairs compared per block of the injectivity count
 _PAIR_BLOCK = 1 << 16
+# finite-difference step of the Jacobian in verify_modulus_identity
+_FD_STEP = 1e-3
 
 
 # -- oracle -------------------------------------------------------------------
@@ -217,6 +220,33 @@ class PointSolve:
         }
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of a complex (m, N) array, bit for bit.
+
+    Like ``norm``, this is sqrt(re.re + im.im), each dot a BLAS ddot over the
+    strided real and imaginary views; copying the views to contiguous arrays
+    would select another ddot kernel and move the last bits.
+    """
+    re, im = rows.real, rows.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).reshape(-1))
+
+
+def _raise_lstsq_error(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(jac[k], rhs[k], rcond=None)[0]`` for every k of a
+    complex (m, N, n) stack of matrices and (m, N) stack of right-hand sides,
+    bit for bit, in one call to the LAPACK gufunc that ``lstsq`` calls once
+    per matrix. A failed SVD raises ``LinAlgError``, as in ``lstsq``."""
+    rows, n = jac.shape[1:]
+    rcond = np.finfo(np.float64).eps * max(rows, n)
+    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(jac, rhs[:, :, None], rcond, signature="DDd->Ddid")[0]
+    return x[:, :, 0]
+
+
 def _blocks_or_poles(evaluate: Callable, blocks: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Values of ``evaluate`` on an (m, k, n) stack of k-point blocks, as
     (m, k, width), and the mask of blocks that evaluated. The stack goes in
@@ -244,10 +274,12 @@ def _gn_lockstep(maps: RatioMaps, targets: np.ndarray, w0: np.ndarray, cfg: Solv
     domain. Returns per-row arrays (w, residual, iterations, stalled).
 
     Rows advance in lockstep, each by the arithmetic it would get alone: the
-    maps evaluate a row the same way whatever the batch, and ``lstsq`` and
-    ``norm`` are taken one row at a time. A row leaves once its residual is
-    below tol, or stalls on a pole in its stencil or on 30 step halvings
-    without a decrease.
+    maps evaluate a row the same way whatever the batch, and the steps and
+    residual norms of all rows are taken in one stacked call each
+    (:func:`_lstsq_steps`, :func:`_row_norms`), with the bits of
+    ``np.linalg.lstsq`` and ``np.linalg.norm`` on the row alone. A row leaves
+    once its residual is below tol, or stalls on a pole in its stencil or on
+    30 step halvings without a decrease.
     """
     m, width = targets.shape
     w = np.tile(w0, (m, 1))
@@ -255,8 +287,7 @@ def _gn_lockstep(maps: RatioMaps, targets: np.ndarray, w0: np.ndarray, cfg: Solv
     iterations = np.zeros(m, dtype=int)
     vals, ok = _blocks_or_poles(maps.target_ratios, w[:, None, :], width)
     r = vals[:, 0] - targets
-    for i in np.flatnonzero(ok):
-        res[i] = float(np.linalg.norm(r[i]))
+    res[ok] = _row_norms(r[ok])
     stalled = ~ok
     live = np.flatnonzero(ok)
     dw = np.empty_like(w)
@@ -268,8 +299,7 @@ def _gn_lockstep(maps: RatioMaps, targets: np.ndarray, w0: np.ndarray, cfg: Solv
         vals, ok = _blocks_or_poles(maps.target_ratios, fd_stencil(w[live]), width)
         stalled[live[~ok]] = True
         live = live[ok]
-        for jac, i in zip(fd_stencil_jacobians(vals[ok]), live):
-            dw[i] = np.linalg.lstsq(jac, -r[i], rcond=None)[0]
+        dw[live] = _lstsq_steps(fd_stencil_jacobians(vals[ok]), -r[live])
         searching = live
         step = 1.0
         for _ in range(30):
@@ -281,13 +311,12 @@ def _gn_lockstep(maps: RatioMaps, targets: np.ndarray, w0: np.ndarray, cfg: Solv
             if tried.size:
                 vals, ok = _blocks_or_poles(maps.target_ratios, w_new[:, None, :], width)
                 r_new = vals[:, 0] - targets[tried]
-                improved = []
-                for j, i in enumerate(tried):
-                    res_new = float(np.linalg.norm(r_new[j])) if ok[j] else math.inf
-                    if res_new < res[i]:
-                        w[i], r[i], res[i] = w_new[j], r_new[j], res_new
-                        improved.append(i)
-                searching = np.setdiff1d(searching, improved, assume_unique=True)
+                res_new = np.full(tried.size, math.inf)
+                res_new[ok] = _row_norms(r_new[ok])
+                better = res_new < res[tried]
+                hit = tried[better]
+                w[hit], r[hit], res[hit] = w_new[better], r_new[better], res_new[better]
+                searching = np.setdiff1d(searching, hit, assume_unique=True)
             step *= 0.5
         stalled[searching] = True
         live = live[~np.isin(live, searching)]
@@ -301,9 +330,9 @@ def _solve_lockstep(maps: RatioMaps, zs: np.ndarray, cfg: SolverConfig, lead_flo
     ``lead_floor`` are excluded without solving."""
     m = zs.shape[0]
     ratios, good, lead = ratio_matrix(maps.family.values(zs))
-    solvable = np.array([bool(good[i]) and abs(complex(lead[i])) > lead_floor for i in range(m)], dtype=bool)
+    solvable = good & (np.abs(lead) > lead_floor)
     best_res = np.full(m, math.inf)
-    best_w = [None] * m
+    best_w = np.zeros((m, maps.target.dimension), dtype=complex)
     iterations = np.zeros(m, dtype=int)
     all_stalled = np.ones(m, dtype=bool)
     live = np.flatnonzero(solvable)
@@ -313,9 +342,9 @@ def _solve_lockstep(maps: RatioMaps, zs: np.ndarray, cfg: SolverConfig, lead_flo
         w, res, its, stalled = _gn_lockstep(maps, ratios[live], np.asarray(w0, dtype=complex), cfg)
         iterations[live] += its
         all_stalled[live] &= stalled
-        for j, i in enumerate(live):
-            if res[j] < best_res[i]:
-                best_res[i], best_w[i] = res[j], w[j]
+        better = res < best_res[live]
+        hit = live[better]
+        best_res[hit], best_w[hit] = res[better], w[better]
         live = live[~(best_res[live] < cfg.tol)]
     records = []
     for i in range(m):
@@ -466,9 +495,10 @@ def verify_modulus_identity(
 
     ``F`` is any point map z -> w; its Jacobian determinant comes from
     F.jacobian_det when available, else from a 4th-order finite-difference
-    stencil on F itself with step 1e-3, taken point by point. F, the tests
-    and their images are each evaluated once on the whole batch, the images
-    only at the rows where their test does not vanish.
+    stencil on F itself with step 1e-3, with the stencils of all points
+    evaluated in one call and their determinants in one stacked ``det``. F,
+    the tests and their images are each evaluated once on the whole batch,
+    the images only at the rows where their test does not vanish.
     """
     pts = _batch(points, oracle.source.dimension)
     jacobian = getattr(F, "jacobian_det", None)
@@ -476,7 +506,10 @@ def verify_modulus_identity(
     if jacobian is not None:
         jf = np.asarray(jacobian(pts), dtype=complex).reshape(-1)
     else:
-        jf = np.array([fd_jacobian_det(F, z, 1e-3) for z in pts])
+        stencil = fd_stencil(pts, _FD_STEP)
+        evaluate = getattr(F, "evaluate", F)
+        vals = np.asarray(evaluate(stencil.reshape(-1, pts.shape[1])), dtype=complex)
+        jf = np.linalg.det(fd_stencil_jacobians(vals.reshape(stencil.shape[:2] + (-1,)), _FD_STEP))
         singular = int(np.sum(np.abs(jf) < 1e-12))
         if singular:
             warnings.warn(

@@ -1,4 +1,4 @@
-"""The package's public names and what importing it loads."""
+"""The package's public names, what importing it loads and the numpy it needs."""
 
 import os
 import subprocess
@@ -23,3 +23,12 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_stacked_lstsq_gufunc_resolves():
+    # the lockstep solver calls numpy's LAPACK least-squares gufunc directly
+    # (numpy >= 2.0), with the complex signature np.linalg.lstsq uses
+    from pbergman.reconstruct import _umath_linalg
+
+    assert "DDd->Ddid" in _umath_linalg.lstsq.types
+    assert _umath_linalg.lstsq.signature == "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)"

@@ -445,15 +445,43 @@ class TestBoundaryDistance:
             best = diam
         return 0.0 if best <= tol else float(best)
 
-    @pytest.mark.parametrize("label", ["disc", "punctured_disc(1)", "ball(2)", "hartogs(3)", "product(ball(2),hartogs(3))"])
+    @pytest.mark.parametrize(
+        "label",
+        ["disc", "disc(2)", "punctured_disc(1)", "polydisc(2;1,0.5)", "ball(2)", "ball(3;1.3)", "hartogs(3)",
+         "fk_ball_prime(3)", "product(ball(2),hartogs(3))", "product(punctured_disc(1),polydisc(1;2))"],
+    )
     def test_all_directions_at_once_match_one_at_a_time(self, label):
         D = parse_domain(label)
         b = np.asarray(D.bounding_box)
         g = np.random.default_rng(3)
-        for k in range(12):
-            w = (g.uniform(-1, 1, D.dimension) + 1j * g.uniform(-1, 1, D.dimension)) * b * (1.3 if k % 3 == 0 else 1.0)
+        box = [(g.uniform(-1, 1, D.dimension) + 1j * g.uniform(-1, 1, D.dimension)) * b * (1.3 if k % 3 == 0 else 1.0)
+               for k in range(12)]
+        sides = set()
+        for w in [*box, *sample(D, 3, 4).points]:
+            sides.add(bool(D.contains(w)))
             for tol in (1e-6, 1e-3):
                 assert boundary_distance(D, w, tol) == self._one_direction_at_a_time(D, w, tol)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3, 10.0])
+    def test_doubling_takes_one_membership_call(self, monkeypatch, tol):
+        D = parse_domain("product(ball(2),hartogs(3))")
+        w = sample(D, 5, 1).points[0]
+        dirs = len(_direction_battery(D, w))
+        diam = 2.0 * math.sqrt(sum(2.0 * b * b for b in D.bounding_box)) + 1.0
+        steps = 1 + max(0, math.ceil(math.log2(diam / tol)))  # tol 2^k for k up to the first step >= diam
+        sizes = []
+        contains = type(D).contains
+
+        def counting(self, points):
+            sizes.append(np.asarray(points).reshape(-1, self.dimension).shape[0])
+            return contains(self, points)
+
+        monkeypatch.setattr(type(D), "contains", counting)
+        boundary_distance(D, w, tol)
+        # w's side, then the whole ladder, then bisection rounds of at most one battery
+        assert sizes[:2] == [1, steps * dirs]
+        assert all(size <= dirs for size in sizes[2:])
 
 
 class TestClosureProbe:

@@ -34,7 +34,8 @@ from pbergman import (
     verify_proportionality,
 )
 from pbergman.functions import fd_jacobian_det
-from pbergman.reconstruct import _PAIR_BLOCK, RatioMaps, _merged_pairs, _shared_starts
+from pbergman import reconstruct
+from pbergman.reconstruct import _PAIR_BLOCK, RatioMaps, _lstsq_steps, _merged_pairs, _row_norms, _shared_starts
 
 ONE = LaurentPolynomial.one(1)
 Z = LaurentPolynomial.coordinate(1, 0)
@@ -387,6 +388,70 @@ class TestLockstep:
             counts[size] = len(calls)
         assert counts[100] <= counts[10] + 5
 
+    def test_one_stacked_lstsq_call_per_iteration(self, monkeypatch):
+        T = mobius_operator(0.3, 1.0)
+        maps = build_ratio_maps(T, degree_family(1, 3))
+        cfg = SolverConfig(seed=2)
+        calls = []
+        steps = reconstruct._lstsq_steps
+
+        def counting(jac, rhs):
+            calls.append(jac.shape[0])
+            return steps(jac, rhs)
+
+        monkeypatch.setattr(reconstruct, "_lstsq_steps", counting)
+        for size in (10, 100):
+            calls.clear()
+            targets = maps.source_ratios(sample(T.source, 6, size).points)
+            _, res, its, stalled = reconstruct._gn_lockstep(maps, targets, _shared_starts(maps, cfg)[0], cfg)
+            assert np.all(res < cfg.tol) and not stalled.any()
+            # every row takes one step per iteration before the one that sees it converged
+            assert len(calls) == its.max() - 1 > 3
+            assert sum(calls) == np.sum(its - 1)
+
+
+class TestStackedLinalg:
+    """The stacked residual norms and least-squares steps of the lockstep
+    solver have the bits of np.linalg.norm and np.linalg.lstsq per row."""
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_row_norms_match_norm(self, width):
+        rng = np.random.default_rng(width)
+        full = rng.standard_normal((40, 3, width)) + 1j * rng.standard_normal((40, 3, width))
+        full *= 10.0 ** rng.integers(-8, 8, (40, 3, 1))
+        for rows in (full[:, 1], full[3:37:2, 0], full[rng.permutation(40)[:25], 2], full[full[:, 0, 0].real > 0, 1]):
+            assert np.array_equal(_row_norms(rows), [np.linalg.norm(row) for row in rows])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 4), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("kind", ["full", "rank-deficient", "zero"])
+    def test_lstsq_steps_match_lstsq(self, shape, kind):
+        rng = np.random.default_rng(sum(shape))
+        jac = rng.standard_normal((30, *shape)) + 1j * rng.standard_normal((30, *shape))
+        if kind == "rank-deficient":
+            jac[..., -1] = 0.5j * jac[..., 0]  # a repeated column, so rank < n (for n > 1)
+            jac[:, -1] = 0.0  # and a zero row
+        elif kind == "zero":
+            jac[:] = 0.0
+        rhs = rng.standard_normal((30, shape[0])) + 1j * rng.standard_normal((30, shape[0]))
+        # a transposed view, as fd_stencil_jacobians returns
+        jac = np.ascontiguousarray(jac.transpose(0, 2, 1)).transpose(0, 2, 1)
+        want = [np.linalg.lstsq(a, -b, rcond=None)[0] for a, b in zip(jac, rhs)]
+        assert np.array_equal(_lstsq_steps(jac, -rhs), want)
+
+    def test_nan_jacobian_raises_like_lstsq(self):
+        jac = np.ones((3, 4, 2), dtype=complex)
+        jac[1, 2, 0] = np.nan
+        rhs = np.ones((3, 4), dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(jac[1], rhs[1], rcond=None)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            _lstsq_steps(jac, rhs)
+
+    def test_empty_batch(self):
+        steps = _lstsq_steps(np.zeros((0, 4, 2), dtype=complex), np.zeros((0, 4), dtype=complex))
+        assert steps.shape == (0, 2) and steps.dtype == complex
+        assert _row_norms(np.zeros((0, 3), dtype=complex)).shape == (0,)
+
 
 class TestInjectivityCount:
     @staticmethod
@@ -453,6 +518,30 @@ class TestModulusIdentity:
             F = T.mapping if case == "mobius-exact" else (lambda batch: T.mapping(batch))
             pts, tests = np.array([[0.2 + 0.1j], [-0.3 + 0.2j]]), [ONE, Z]
         assert abs(verify_modulus_identity(T, F, pts, tests) - _modulus_identity_per_point(T, F, pts, tests)) <= 1e-15
+
+    @pytest.mark.parametrize("case", ["mobius", "counterexample"])
+    def test_batched_fd_jacobians_match_the_per_point_loop(self, case):
+        if case == "mobius":
+            T = mobius_operator(0.3, 1.0)
+            inverse, tests = (lambda z: (0.3 - z) / (1.0 - 0.3 * z)), [ONE, Z, LaurentPolynomial.monomial(1, (2,))]
+        else:
+            T = build_counterexample()
+            inverse, tests = T.mapping.inverse(), [LaurentPolynomial.one(4), LaurentPolynomial.monomial(4, (0, 0, 1, 1))]
+        pts = sample(T.source, 5, 100).points
+
+        class PerPoint:
+            """The inverse with the Jacobian determinants of the per-point loop."""
+
+            def __call__(self, z):
+                return inverse(z)
+
+            def jacobian_det(self, z):
+                return np.array([fd_jacobian_det(inverse, row, 1e-3) for row in z])
+
+        def F(z):
+            return inverse(z)
+
+        assert verify_modulus_identity(T, F, pts, tests) == verify_modulus_identity(T, PerPoint(), pts, tests)
 
     def test_singular_fd_jacobian_warning_names_caller(self, disc):
         # a caller compiled under a package file name stands for a scenario
