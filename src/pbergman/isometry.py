@@ -553,27 +553,6 @@ def _pushforward_stats(
     return np.array([factor * mean for mean, _ in stats]), np.array([factor * se for _, se in stats])
 
 
-def pushforward_mass(
-    D: BoundedDomain,
-    phi0,
-    family: FunctionFamily,
-    region,
-    p: float,
-    samples: int = 100_000,
-    seed: int = 0,
-    threads: int = 1,
-) -> tuple[float, float]:
-    """MC estimate (mass, sigma) of integral_D u(f_1/phi0, ..., f_N/phi0)
-    |phi0|^p dA, where the f_j are the family members after phi0 (or all of
-    them when phi0 is not the leading member)."""
-    members = family.members
-    if isinstance(phi0, LaurentPolynomial) and phi0 == members[0]:
-        members = members[1:]
-    side = FunctionFamily(family.dimension, (phi0, *members), family.label)
-    masses, sigmas = _pushforward_stats(D, side, [region], p, samples, seed, threads)
-    return float(masses[0]), float(sigmas[0])
-
-
 # -- equimeasurability --------------------------------------------------------
 
 

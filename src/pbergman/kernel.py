@@ -7,13 +7,14 @@ min-norm interpolation problem: minimize ||phi||_p subject to phi(z) = 1,
 whose optimum m gives B_p(z) = 1/m^2. Estimates are always lower bounds of
 the true kernel (the sup over all of A^p is never claimed).
 
-For p >= 1 the problem is convex, and a constrained Newton method runs once,
-from the feasible start with the best certificate, smoothed by eps below
-p = 2 (Chen and Zhang, "On the p-Bergman theory", Adv. Math. 405 (2022),
-for the variational kernel). Its Hessian is assembled from angular
-transforms of the node weights at index differences and index sums, in
-blocks of radial rows, never from the dense node matrix. For p < 1
-reweighted least squares runs from every start.
+For every p > 0 a constrained Newton method runs once, from the feasible
+start with the best certificate, smoothed by eps below p = 2 (Chen and Zhang,
+"On the p-Bergman theory", Adv. Math. 405 (2022), for the variational
+kernel). Its Hessian is assembled from angular transforms of the node
+weights at index differences and index sums, in blocks of radial rows, never
+from the dense node matrix. For p < 1 the problem is not convex: where the
+Hessian is not positive definite on the constraint's tangent space the step
+uses the majorizing quadratic instead, and no global claim is made.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class KernelEstimate:
         }
 
 
-_STAGES = 8  # smoothing continuation stages below p = 2
+_STAGES = 8  # smoothing continuation stages for 1 <= p < 2
+_STAGES_BELOW_1 = 10  # for p < 1, where eight stages stop above the smoothing floor
 _STAGE_ITERS = 50  # iteration cap of one stage; a run that reaches it is not converged
 _RESTARTS = 2  # seeded random starts
 _BLOCK = 256  # radial rows per block of the transform passes
@@ -282,13 +284,27 @@ def _newton_step(prob: _SliceProblem, c: np.ndarray, eps2: float):
 
     In real coordinates (Re c, Im c) the smoothed objective has gradient
     g = 2 (Re G, Im G) and Hessian H = `_real_hessian(A, C)`; d solves the
-    KKT system of H with the two real rows J of c.bz = 1. Returns
-    (d, decrement -g.d, G), or (None, None, G) when the KKT solve fails."""
+    KKT system of H with the two real rows J of c.bz = 1. For p >= 1
+    convexity makes H positive semidefinite. For p < 1 it need not be
+    positive definite on the tangent space J x = 0, so it is tested there
+    by a Cholesky factorization of P H P + J^T J (P the tangent projector);
+    if that fails, H is replaced by the Hessian of the majorizing quadratic
+    (p/2) c^H M c, M = `irls_matrix`, whose gradient at c is g, so d still
+    descends. Returns (d, decrement -g.d, G), or (None, None, G) when
+    the KKT solve fails."""
     G, A, C = prob.newton_parts(c, eps2)
     K = G.shape[0]
     b = prob.bz
     J = np.array([np.concatenate([b.real, -b.imag]), np.concatenate([b.imag, b.real])])
-    kkt = np.block([[_real_hessian(A, C), J.T], [J, np.zeros((2, 2))]])
+    H = _real_hessian(A, C)
+    if prob.p < 1.0:
+        JJ = J.T @ J  # J J^T = |bz|^2 I, so P = I - J^T J / |bz|^2
+        P = np.eye(2 * K) - JJ / prob.bz_norm2
+        try:
+            np.linalg.cholesky(P @ H @ P + JJ)
+        except np.linalg.LinAlgError:
+            H = _real_hessian((prob.p / 2.0) * prob.irls_matrix(c, eps2), np.zeros_like(C))
+    kkt = np.block([[H, J.T], [J, np.zeros((2, 2))]])
     g = 2.0 * np.concatenate([G.real, G.imag])
     try:
         x = np.linalg.solve(kkt, np.concatenate([-g, [0.0, 0.0]]))[: 2 * K]
@@ -301,65 +317,29 @@ def _newton_step(prob: _SliceProblem, c: np.ndarray, eps2: float):
 
 
 def _stage_eps2(prob: _SliceProblem, c: np.ndarray, stage: int) -> float:
-    """Smoothing eps^2 of continuation stage 0..7 below p = 2: 10^(-2(stage+1)) ||phi||_p^2."""
+    """Smoothing eps^2 of continuation stage 0, 1, ... below p = 2: 10^(-2(stage+1)) ||phi||_p^2."""
     return 10.0 ** (-2 * (stage + 1)) * max(prob.norm_p(c), _Z_TINY) ** (2.0 / prob.p)
 
 
-def _irls(prob: _SliceProblem, c0: np.ndarray):
-    """Reweighted least squares for p < 1, with smoothing continuation.
-
-    With t = |phi|^2 and p/2 < 1 the map t -> (t + eps^2)^{p/2} is concave,
-    so its tangent quadratic at the current iterate majorizes the smoothed
-    objective; each step minimizes that quadratic exactly over the affine
-    constraint set, hence the smoothed objective decreases monotonically.
-    """
-    a = np.conj(prob.bz)
-    c = prob.retract(c0.astype(complex))
-    it = 0
-    converged = True
-    eps2 = None
-    for stage in range(_STAGES):
-        eps2 = _stage_eps2(prob, c, stage)
-        s_sm = prob.norm_p(c, eps2)
-        for _ in range(_STAGE_ITERS):
-            it += 1
-            M = prob.irls_matrix(c, eps2)
-            M.flat[:: M.shape[0] + 1] += 1e-14 * np.trace(M).real / M.shape[0]
-            try:
-                Ma = np.linalg.solve(M, a)
-            except np.linalg.LinAlgError:
-                break
-            cand = prob.retract(Ma / (a.conj() @ Ma))
-            s_new = prob.norm_p(cand, eps2)
-            if not math.isfinite(s_new) or s_new > s_sm:
-                break
-            done = s_sm - s_new <= 1e-13 * s_new
-            c, s_sm = cand, s_new
-            if done:
-                break
-        else:
-            converged = False
-    # the gradient (p/2) B^H (w s^(p/2-1) phi) is (p/2) M c
-    grad_norm = float(np.linalg.norm(prob.project((prob.p / 2.0) * (prob.irls_matrix(c, eps2) @ c))))
-    return c, prob.norm_p(c), grad_norm, it, converged
-
-
 def _newton(prob: _SliceProblem, c0: np.ndarray):
-    """Constrained Newton method for p >= 1, where the problem is convex.
+    """Constrained Newton method for every p > 0.
 
-    Below p = 2 it minimizes sum w (|phi|^2 + eps^2)^(p/2) over the same 8
-    continuation stages as `_irls`; from p = 2 on eps = 0, and at p = 2 the
-    objective is quadratic, so one step is exact. Each step backtracks
-    (Armijo) on the smoothed objective. A stage ends when the Newton
-    decrement is at most 1e-15 of the objective, when no step decreases it,
-    or when the KKT solve fails; these are its own stop tests, and a stage
-    that runs out of iterations instead makes the run unconverged.
+    Below p = 2 it minimizes sum w (|phi|^2 + eps^2)^(p/2) over continuation
+    stages of falling eps, 8 of them from p = 1 on and 10 below p = 1; from
+    p = 2 on eps = 0, and at p = 2 the objective is quadratic, so one step is
+    exact. Below p = 1 a step may be a majorizer step (`_newton_step`).
+    Each step backtracks (Armijo) on the smoothed objective. A stage ends
+    when the Newton decrement is at most 1e-15 of the objective, when no
+    step decreases it, or when the KKT solve fails; these are its own stop
+    tests, and a stage that runs out of iterations instead makes the run
+    unconverged.
     """
     p = prob.p
     c = prob.retract(c0.astype(complex))
     it = 0
     converged = True
-    for stage in range(_STAGES if p < 2.0 else 1):
+    stages = _STAGES_BELOW_1 if p < 1.0 else _STAGES if p < 2.0 else 1
+    for stage in range(stages):
         eps2 = _stage_eps2(prob, c, stage) if p < 2.0 else 0.0
         f = prob.norm_p(c, eps2)
         for _ in range(_STAGE_ITERS):
@@ -397,11 +377,10 @@ def pbergman_min_norm(
     e_a / z^a (each feasible), any warm starts from the caller, and seeded
     random restarts; the reported value dominates every start's certificate
     value |phi(z)|^2/||phi||_p^2, so single-candidate lower bounds are never
-    lost. For p >= 1, where the problem is convex, the Newton method runs
-    once, from the start with the best certificate. For p < 1 reweighted
-    least squares runs from every start; only multi-start is attempted there
-    and no global claim is made. `optimizer_report["converged"]` is false
-    when any run stopped at its iteration cap rather than on a stop test.
+    lost. The Newton method runs once, from the start with the best
+    certificate. For p >= 1 the problem is convex; for p < 1 it is not, and
+    no global claim is made. `optimizer_report["converged"]` is false when
+    the run stopped at its iteration cap rather than on a stop test.
     """
     p = basis.p if p is None else float(p)
     cfg = cfg or OptimizerConfig()
@@ -445,22 +424,11 @@ def pbergman_min_norm(
         starts.append(g.standard_normal(K) + 1j * g.standard_normal(K))
 
     retracted = [prob.retract(np.asarray(c0, dtype=complex)) for c0 in starts]
-    certs = [prob.norm_p(c0) for c0 in retracted]
-    best_norm_p = min(certs)  # certificates: every start is feasible
-    best_grad = math.inf
-    total_iters = 0
-    converged = True
-    order = np.argsort(certs)
-    chosen, method = (order, _irls) if p < 1.0 else (order[:1], _newton)
-    for i in chosen:
-        c, s_final, grad_norm, it, run_converged = method(prob, retracted[i])
-        total_iters += it
-        converged &= run_converged
-        if s_final < best_norm_p:
-            best_norm_p = s_final
-            best_grad = grad_norm
-        elif s_final == best_norm_p:
-            best_grad = min(best_grad, grad_norm)
+    certs = [prob.norm_p(c0) for c0 in retracted]  # certificates: every start is feasible
+    best = int(np.argsort(certs)[0])
+    _, s_final, grad_norm, total_iters, converged = _newton(prob, retracted[best])
+    best_norm_p = min(certs[best], s_final)
+    best_grad = grad_norm if s_final <= certs[best] else math.inf
     if not math.isfinite(best_norm_p) or best_norm_p <= 0:
         raise NoBasisSupportError("optimizer failed to produce a feasible norm")
 

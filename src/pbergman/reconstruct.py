@@ -21,7 +21,6 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from ._rng import TAG_STARTS, stable_key, substream
 from .errors import (
     ConfigError,
-    NoBasisSupportError,
     PoleEvaluationError,
     PoleProximityWarning,
     user_stacklevel,
@@ -529,34 +528,3 @@ def verify_modulus_identity(
         # fmax skips NaN errors, as the comparison max(worst, err) did
         worst = float(np.fmax.reduce(np.abs(lhs - rhs[keep]) / rhs[keep], initial=worst))
     return worst
-
-
-def verify_proportionality(
-    oracle: IsometryOracle | CompositionIsometry,
-    z,
-    w,
-    tests: Sequence[LaurentPolynomial],
-) -> tuple[complex, float]:
-    """Ratios T(phi)(w)/phi(z) across tests: their mean and the max pairwise
-    spread relative to the mean modulus. A small spread certifies (z, w) as a
-    graph pair of the hidden map."""
-    z = np.asarray(z, dtype=complex).reshape(1, -1)
-    w = np.asarray(w, dtype=complex).reshape(1, -1)
-    vals_z = np.array([complex(np.asarray(phi(z))[0]) for phi in tests])
-    scale = float(np.max(np.abs(vals_z))) if len(tests) else 0.0
-    keep = np.abs(vals_z) > 1e-8 * scale
-    if scale == 0.0 or not np.any(keep):
-        raise NoBasisSupportError("every test vanishes at z; no ratio certificate exists")
-    ratios = []
-    for phi, vz, ok in zip(tests, vals_z, keep):
-        if not ok:
-            continue
-        tv = complex(np.asarray(oracle.apply(phi)(w))[0])
-        ratios.append(tv / vz)
-    ratios = np.asarray(ratios)
-    lam = complex(np.mean(ratios))
-    spread = 0.0
-    for i in range(len(ratios)):
-        for j in range(i + 1, len(ratios)):
-            spread = max(spread, abs(ratios[i] - ratios[j]))
-    return lam, spread / max(abs(lam), 1e-300)

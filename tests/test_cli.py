@@ -128,6 +128,16 @@ class TestKernel:
         assert_rel(float(fields[2]), 1.0 / math.pi, 1e-6)
         assert int(fields[4]) >= 0
 
+    def test_below_one_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["kernel", "--domain", "disc", "--p", "0.5", "--z", "0.5,0", "--degree", "6"]
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        # the bound reached by reweighted least squares from every start
+        assert float(lines[1].split(",")[2]) >= 0.08313090979728027 * (1.0 - 1e-9)
+
     def test_multiple_points_one_row_each(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -14,7 +14,6 @@ from pbergman import (
     LaurentPolynomial,
     LinearMap,
     MonomialMap,
-    NoBasisSupportError,
     PoleEvaluationError,
     PoleProximityWarning,
     SolverConfig,
@@ -31,7 +30,6 @@ from pbergman import (
     sample,
     solve_point,
     verify_modulus_identity,
-    verify_proportionality,
 )
 from pbergman.functions import fd_jacobian_det
 from pbergman import reconstruct
@@ -576,24 +574,3 @@ def _modulus_identity_per_point(T, F, pts, tests):
             if rhs != 0.0:
                 worst = max(worst, abs(abs(complex(np.asarray(image(w))[0])) * factor - rhs) / rhs)
     return worst
-
-
-class TestProportionality:
-    def test_graph_pair_certified(self, disc):
-        T = identity_operator(disc, 2.0, lam=1j)
-        tests = [ONE, Z, LaurentPolynomial.monomial(1, (2,))]
-        lam, spread = verify_proportionality(T, 0.3 + 0.1j, 0.3 + 0.1j, tests)
-        assert spread < 1e-12
-        assert abs(lam - 1j) < 1e-12
-
-    def test_non_graph_pair_rejected(self, disc):
-        T = identity_operator(disc, 2.0)
-        tests = [ONE, Z, LaurentPolynomial.monomial(1, (2,))]
-        _, spread = verify_proportionality(T, 0.3 + 0.0j, 0.5 + 0.0j, tests)
-        assert spread > 0.1
-
-    def test_vanishing_tests_rejected(self, disc):
-        T = identity_operator(disc, 2.0)
-        tests = [Z, LaurentPolynomial.monomial(1, (2,))]
-        with pytest.raises(NoBasisSupportError):
-            verify_proportionality(T, 0.0 + 0.0j, 0.1 + 0.0j, tests)
