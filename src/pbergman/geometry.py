@@ -241,7 +241,12 @@ class BoundedDomain:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Uniform sample from a domain plus rejection statistics."""
+    """Uniform sample from a domain plus rejection statistics.
+
+    `proposals` counts the box rows drawn and `acceptance_rate` is the kept
+    share of them; for a Generator these are only the rows actually drawn,
+    which may be fewer than one CHUNK (see `sample`).
+    """
 
     points: np.ndarray
     acceptance_rate: float
@@ -415,28 +420,37 @@ def sample(D: BoundedDomain, rng, count: int) -> SampleBatch:
     """Uniform sample of `count` points from D by rejection from the
     bounding box. Deterministic given an integer seed; chunked so results do
     not depend on how many points are requested at once downstream.
+
+    An integer seed draws whole chunks of CHUNK proposals, chunk i from its
+    own substream. A Generator's draws form one sequence, so it is drawn in
+    short batches sized from D's exact acceptance, doubling up to CHUNK: the
+    points are the first `count` members of one long draw, and `proposals`,
+    `acceptance_rate` and the generator's advance count only the rows drawn.
     """
     if count < 1:
         raise ConfigError("count must be at least 1")
     if isinstance(rng, np.random.Generator):
-        gen = rng
         chunked = False
-        seed = None
+        # about twice the rows `count` members need; tested as a product, as
+        # the acceptance of a high-dimensional ball underflows to 0
+        acceptance = D.volume / D.box_volume
+        size = CHUNK if acceptance * CHUNK <= 2 * count else max(64, math.ceil(2 * count / acceptance))
     else:
         seed = int(rng)
-        gen = None
         chunked = True
+        size = CHUNK
     kept = []
     accepted = 0
     proposed = 0
     chunk_idx = 0
     while accepted < count:
-        g = substream(seed, TAG_REJECTION, chunk_idx) if chunked else gen
-        pts, inside = box_proposals(D, g, CHUNK)
+        g = substream(seed, TAG_REJECTION, chunk_idx) if chunked else rng
+        pts, inside = box_proposals(D, g, size)
         kept.append(pts[inside])
         accepted += kept[-1].shape[0]
-        proposed += CHUNK
+        proposed += size
         chunk_idx += 1
+        size = min(2 * size, CHUNK)
         if proposed >= 4_000_000 and accepted / proposed < 1e-6:
             raise DegenerateDomainError(
                 f"acceptance rate {accepted}/{proposed} below 1e-6 for {D.label!r}; "

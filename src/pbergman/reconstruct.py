@@ -36,8 +36,6 @@ STATUS_UNRESOLVED = "unresolved-budget"
 
 # exclusion threshold relative to the grid median of |phi_0|
 _EXCLUSION_REL = 1e-8
-# image pairs compared per block of the injectivity count
-_PAIR_BLOCK = 1 << 16
 # finite-difference step of the Jacobian in verify_modulus_identity
 _FD_STEP = 1e-3
 
@@ -433,16 +431,26 @@ def grid_points(D: BoundedDomain, n_per_dim: int) -> np.ndarray:
 
 
 def _merged_pairs(images: np.ndarray, merge_tol: float) -> int:
-    """Number of pairs a < b of images closer than merge_tol, counted in
-    blocks of rows a, so memory stays O(block x len(images))."""
-    count = len(images)
-    block = max(1, _PAIR_BLOCK // max(count, 1))
+    """Number of pairs a < b of images with ||w_a - w_b|| < merge_tol.
+
+    A pair that close differs by less than merge_tol in Re w_1, so after a
+    stable sort on Re w_1 only pairs within a window of 2 merge_tol (the
+    margin covers the rounding of the window edge) are tested, one sorted
+    offset at a time, so memory stays O(len(images)). The norm of -d has the
+    bits of the norm of d, so the count equals that of testing every pair.
+    """
+    if len(images) < 2:  # no mapped point leaves a 1-D empty array
+        return 0
+    order = np.argsort(images[:, 0].real, kind="stable")
+    srt = images[order]
+    x = srt[:, 0].real
+    # images i .. i + reach[i] - 1 in sorted order lie in the window of image i
+    reach = np.searchsorted(x, x + 2.0 * merge_tol, side="right") - np.arange(len(x))
     merged = 0
-    for a0 in range(0, count, block):
-        diff = images[None, a0 + 1 :] - images[a0 : a0 + block, None]
-        close = np.linalg.norm(diff.reshape(-1, images.shape[1]), axis=1).reshape(diff.shape[:2]) < merge_tol
-        # row i is image a0 + i and column c is image a0 + 1 + c, a later image when c >= i
-        merged += int(np.count_nonzero(np.triu(close)))
+    for k in range(1, int(reach.max())):
+        rows = np.flatnonzero(reach > k)
+        close = np.linalg.norm(srt[rows + k] - srt[rows], axis=1) < merge_tol
+        merged += int(np.count_nonzero(close))
     return merged
 
 

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pbergman
 from conftest import MALFORMED_DOMAIN_SPECS, assert_rel
 from pbergman.cli import main
 
@@ -15,6 +19,16 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    # the README's first example, through `python -m pbergman` in a child process
+    root = str(Path(pbergman.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    argv = ["norm", "--domain", "disc", "--exp", "-1", "--p", "1", "--method", "closed"]
+    out = subprocess.run([sys.executable, "-m", "pbergman", *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert_rel(json.loads(out.stdout)["value"], 2.0 * math.pi, 1e-12)
 
 
 class TestNorm:

@@ -20,6 +20,10 @@ from pbergman import (
 from pbergman._rng import TAG_REJECTION, substream
 from pbergman.geometry import _direction_battery, box_proposals, log_radial_moment, sample_moduli_weighted
 
+# the domains of the counterexample operator at k = 3
+COUNTEREXAMPLE_SOURCE = ("product", ("ball", 2), ("hartogs", 3))
+COUNTEREXAMPLE_TARGET = ("product", ("fk_ball_prime", 3), ("polydisc", 2, (1.0, 1.0)))
+
 
 class TestMembership:
     def test_disc(self, disc):
@@ -341,6 +345,47 @@ class TestSampling:
         assert batch.proposals == proposed
         assert batch.acceptance_rate == sum(k.shape[0] for k in kept) / proposed
 
+    @staticmethod
+    def _box_rows(D, gen, rows):
+        u = gen.random((rows, 2 * D.dimension)) * 2.0 - 1.0
+        return (u[:, ::2] + 1j * u[:, 1::2]) * np.asarray(D.bounding_box)
+
+    def _one_stream_members(self, D, seed, count):
+        # box proposals in chunks of 2^16 drawn in turn from one generator
+        # until enough members are kept, and the rows drawn
+        gen, kept, proposed = np.random.default_rng(seed), [], 0
+        while sum(k.shape[0] for k in kept) < count:
+            pts = self._box_rows(D, gen, 65536)
+            kept.append(pts[D.contains(pts)])
+            proposed += 65536
+        return np.concatenate(kept)[:count], proposed
+
+    @pytest.mark.parametrize("spec", ["disc", ("ball", 2), ("hartogs", 3), COUNTEREXAMPLE_SOURCE, COUNTEREXAMPLE_TARGET])
+    @pytest.mark.parametrize("count", [1, 6, 25, 100, 4096])
+    def test_generator_matches_one_stream(self, spec, count):
+        D = make_catalog_domain(spec)
+        batch = sample(D, np.random.default_rng(5), count)
+        ref, proposed = self._one_stream_members(D, 5, count)
+        assert batch.points.tobytes() == ref.tobytes()
+        # the statistics count only the rows drawn, never more than whole chunks would
+        assert batch.proposals <= proposed
+        inside = np.count_nonzero(D.contains(self._box_rows(D, np.random.default_rng(5), batch.proposals)))
+        assert batch.acceptance_rate == inside / batch.proposals
+
+    def test_generator_short_draws_and_advance(self):
+        # 6 members at acceptance 0.0476 draw 253 rows first; seed 2 keeps
+        # fewer than 6 of them, so a second draw of 506 rows follows
+        D = make_catalog_domain(COUNTEREXAMPLE_SOURCE)
+        gen = np.random.default_rng(2)
+        batch = sample(D, gen, 6)
+        ref, _ = self._one_stream_members(D, 2, 6)
+        assert batch.points.tobytes() == ref.tobytes()
+        assert batch.proposals == 253 + 506
+        # the statistics and the generator's advance count exactly the rows drawn
+        after = np.random.default_rng(2)
+        assert batch.acceptance_rate == np.count_nonzero(D.contains(self._box_rows(D, after, 759))) / 759
+        assert gen.random() == after.random()
+
     @pytest.mark.parametrize(
         "spec", [("ball", 2), "disc", ("hartogs", 3), "polydisc(3;0.5,1,1.5)", ("product", ("ball", 2), ("hartogs", 3))]
     )
@@ -363,6 +408,10 @@ class TestSampling:
         # bounding box: no proposal of the first 4 * 10^6 lands in it
         with pytest.raises(DegenerateDomainError):
             sample(parse_domain("ball(10)"), 0, 10)
+
+    def test_degenerate_domain_detected_from_generator(self):
+        with pytest.raises(DegenerateDomainError):
+            sample(parse_domain("ball(10)"), np.random.default_rng(0), 10)
 
     def test_count_validation(self, disc):
         with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -33,7 +34,7 @@ from pbergman import (
 )
 from pbergman.functions import fd_jacobian_det
 from pbergman import reconstruct
-from pbergman.reconstruct import _PAIR_BLOCK, RatioMaps, _lstsq_steps, _merged_pairs, _row_norms, _shared_starts
+from pbergman.reconstruct import RatioMaps, _lstsq_steps, _merged_pairs, _row_norms, _shared_starts
 
 ONE = LaurentPolynomial.one(1)
 Z = LaurentPolynomial.coordinate(1, 0)
@@ -242,6 +243,19 @@ class TestGrid:
     def test_count_guard(self, disc):
         with pytest.raises(ConfigError):
             grid_points(disc, 0)
+
+    def test_counterexample_starts_and_grid_are_pinned(self):
+        # sample draws a Generator in short batches; these values must not move
+        T = build_counterexample(3, 2)
+        starts = _shared_starts(build_ratio_maps(T, pullback_family(T)), SolverConfig())
+        grid = grid_points(T.source, 10)
+        assert starts.shape == (8, 4) and grid.shape == (100, 4)
+        assert hashlib.sha256(starts.tobytes()).hexdigest() == (
+            "3e9181251362c9465041278b82aff324cba07480a5e482e9f4933f246e402835"
+        )
+        assert hashlib.sha256(grid.tobytes()).hexdigest() == (
+            "f1a6a6b92217398659faeb48150cdfc4af5399923fdff2f781b3403970db0c2a"
+        )
 
 
 class TestReconstruct:
@@ -459,23 +473,41 @@ class TestInjectivityCount:
             for a in range(len(images))
         )
 
-    def test_blocks_match_the_pairwise_loop(self):
+    def test_sweep_matches_the_pairwise_loop(self):
         rng = np.random.default_rng(3)
-        for n, count in ((1, 5), (2, 300), (4, 700)):  # 1, 2 and 8 blocks
+        for n, count in ((1, 5), (2, 300), (4, 700)):
             centres = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
             images = centres[rng.integers(0, 40, count)] + 1e-13 * rng.standard_normal((count, n))
             for tol in (1e-12, 1e-14):
                 assert _merged_pairs(images, tol) == self._pairwise_loop(images, tol)
         assert _merged_pairs(np.zeros((0, 2), dtype=complex), 1e-12) == 0
+        assert _merged_pairs(np.array([], dtype=complex), 1e-12) == 0
+
+    def test_tied_sort_keys(self):
+        # many images share Re w_1 exactly and differ elsewhere, near and far
+        rng = np.random.default_rng(4)
+        keys = rng.integers(0, 5, 400) * 0.25
+        rest = rng.integers(0, 3, (400, 2)) * 1e-9 + 1j * rng.integers(0, 2, (400, 2)) * 0.5
+        images = np.column_stack([keys + 1j * rng.integers(0, 2, 400) * 1e-13, rest])
+        for tol in (1e-8, 1e-12):
+            assert _merged_pairs(images, tol) == self._pairwise_loop(images, tol) > 0
+
+    def test_gap_of_exactly_merge_tol(self):
+        # |d| = merge_tol is not below it, and a hair under it is
+        tol = 2.0**-20
+        for x in (0.0, 0.375, -3.0):
+            images = np.array([[x, 1j], [x + tol, 1j], [x + tol - tol * 2.0**-30, 1j]], dtype=complex)
+            assert images[1, 0].real - images[0, 0].real == tol
+            assert _merged_pairs(images, tol) == self._pairwise_loop(images, tol) == 2
 
     def test_constant_ratio_family_merges_every_pair(self, disc):
         # the source ratio is 0.3 everywhere and so is the target ratio: every
-        # point is mapped to the first start
+        # point is mapped to the first start, the sweep's quadratic case
         family = FunctionFamily(dimension=1, members=(ONE, 0.3 * ONE))
         grid = grid_points(disc, 21)
         result = reconstruct_map(identity_operator(disc, 2.0), family, grid)
         images = np.array([r.w for r in result.mapped])
-        assert len(images) == grid.shape[0] > _PAIR_BLOCK // grid.shape[0]
+        assert len(images) == grid.shape[0]
         assert result.injectivity_violations == self._pairwise_loop(images, 1e-8) == len(images) * (len(images) - 1) // 2
 
 
