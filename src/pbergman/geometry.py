@@ -426,14 +426,21 @@ def sample(D: BoundedDomain, rng, count: int) -> SampleBatch:
     short batches sized from D's exact acceptance, doubling up to CHUNK: the
     points are the first `count` members of one long draw, and `proposals`,
     `acceptance_rate` and the generator's advance count only the rows drawn.
+    A domain whose exact acceptance D.volume / D.box_volume is below 1e-6 is
+    refused with DegenerateDomainError before any draw.
     """
     if count < 1:
         raise ConfigError("count must be at least 1")
+    # the exact acceptance; the draw loop applies the same floor to the observed rate
+    acceptance = D.volume / D.box_volume
+    if acceptance < 1e-6:
+        raise DegenerateDomainError(
+            f"acceptance {acceptance:.3g} below 1e-6 for {D.label!r}; "
+            "the domain is degenerate relative to its bounding box"
+        )
     if isinstance(rng, np.random.Generator):
         chunked = False
-        # about twice the rows `count` members need; tested as a product, as
-        # the acceptance of a high-dimensional ball underflows to 0
-        acceptance = D.volume / D.box_volume
+        # about twice the rows `count` members need
         size = CHUNK if acceptance * CHUNK <= 2 * count else max(64, math.ceil(2 * count / acceptance))
     else:
         seed = int(rng)
@@ -535,6 +542,9 @@ def boundary_distance(D: BoundedDomain, w, tol: float = 1e-6) -> float:
         ladder.append(ladder[-1] * 2.0)
     ladder = np.asarray(ladder)
     off = D.contains((w + ladder[:, None, None] * dirs).reshape(-1, D.dimension)).reshape(len(ladder), -1) != inside
+    if off[0].any():
+        # a crossing within the first step tol bisects to a point in [0, tol], which reads as 0.0
+        return 0.0
     first = np.argmax(off, axis=0)
     same = ~off[first, np.arange(len(dirs))]
     hi = ladder[first]

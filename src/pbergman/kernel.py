@@ -12,9 +12,12 @@ start with the best certificate, smoothed by eps below p = 2 (Chen and Zhang,
 "On the p-Bergman theory", Adv. Math. 405 (2022), for the variational
 kernel). Its Hessian is assembled from angular transforms of the node
 weights at index differences and index sums, in blocks of radial rows, never
-from the dense node matrix. For p < 1 the problem is not convex: where the
-Hessian is not positive definite on the constraint's tangent space the step
-uses the majorizing quadratic instead, and no global claim is made.
+from the dense node matrix. The node values phi of the last iterate are
+kept, so each iterate's norm, gradient and Hessian share one pass over the
+nodes, and a one-term start's certificate is a sum over radial nodes alone.
+For p < 1 the problem is not convex: where the Hessian is not positive
+definite on the constraint's tangent space the step uses the majorizing
+quadratic instead, and no global claim is made.
 """
 
 from __future__ import annotations
@@ -179,6 +182,7 @@ class _SliceProblem:
         if self.bz_norm2 <= _Z_TINY:
             raise NoBasisSupportError("every basis element vanishes at z")
         self.p = p
+        self._nodes = (None, [])  # key of the last c evaluated, and its blocks
 
     def retract(self, c: np.ndarray) -> np.ndarray:
         return c - ((c @ self.bz - 1.0) / self.bz_norm2) * np.conj(self.bz)
@@ -186,20 +190,36 @@ class _SliceProblem:
     def project(self, v: np.ndarray) -> np.ndarray:
         return v - ((v @ self.bz) / self.bz_norm2) * np.conj(self.bz)
 
-    def phi(self, c: np.ndarray) -> np.ndarray:
-        return _span_values(self.P, self.E, c)
-
     def norm_p(self, c: np.ndarray, eps2: float = 0.0) -> float:
-        a2 = np.abs(self.phi(c)) ** 2 + eps2
-        return float(self.w @ np.sum(a2 ** (self.p / 2.0), axis=1))
+        acc = np.empty(self.P.shape[0])
+        for rows, _, a2 in self._blocks(c):
+            acc[rows] = np.sum((a2 + eps2) ** (self.p / 2.0), axis=1)
+        return float(self.w @ acc)
+
+    def certificate(self, c: np.ndarray) -> float:
+        """The grid norm `norm_p(c)` of a start. A one-term phi = c_k z^a_k has
+        |phi| = |c_k| r^a_k at every angle, so its norm is the sum over the R
+        radial nodes |c_k|^p A sum_r w_r P_rk^p."""
+        nonzero = np.flatnonzero(c)
+        if nonzero.size != 1:
+            return self.norm_p(c)
+        k = nonzero[0]
+        return float(abs(c[k]) ** self.p * self.E.shape[1] * (self.w @ self.P[:, k] ** self.p))
 
     def _blocks(self, c: np.ndarray):
-        """phi and |phi|^2 on blocks of _BLOCK radial rows, so that no R x A
-        temporary outlives its block."""
-        for i in range(0, self.P.shape[0], _BLOCK):
-            rows = slice(i, i + _BLOCK)
-            phi = _span_values(self.P[rows], self.E, c)
-            yield rows, phi, np.abs(phi) ** 2
+        """phi and |phi|^2 of c on blocks of _BLOCK radial rows. The blocks of
+        the last c evaluated are kept, so the norm, gradient and Hessian of
+        one iterate share one pass over the nodes."""
+        key = c.tobytes()
+        if self._nodes[0] != key:
+            self._nodes = (None, [])  # release the old blocks before building new ones
+            blocks = []
+            for i in range(0, self.P.shape[0], _BLOCK):
+                rows = slice(i, i + _BLOCK)
+                phi = _span_values(self.P[rows], self.E, c)
+                blocks.append((rows, phi, np.abs(phi) ** 2))
+            self._nodes = (key, blocks)
+        return self._nodes[1]
 
     @cached_property
     def _difference_groups(self):
@@ -332,7 +352,12 @@ def _newton(prob: _SliceProblem, c0: np.ndarray):
     when the Newton decrement is at most 1e-15 of the objective, when no
     step decreases it, or when the KKT solve fails; these are its own stop
     tests, and a stage that runs out of iterations instead makes the run
-    unconverged.
+    unconverged. For 1 <= p < 2 a stage before the last also ends after an
+    accepted full step (t = 1) whose decrement was at most 1e-6 of the
+    objective: the convex problem converges quadratically there, so the
+    next step's decrement, about the square of this one, would only confirm
+    it. The last stage and every stage below p = 1 keep the 1e-15 test.
+    `it` counts the gradient-and-Hessian assemblies.
     """
     p = prob.p
     c = prob.retract(c0.astype(complex))
@@ -342,6 +367,7 @@ def _newton(prob: _SliceProblem, c0: np.ndarray):
     for stage in range(stages):
         eps2 = _stage_eps2(prob, c, stage) if p < 2.0 else 0.0
         f = prob.norm_p(c, eps2)
+        one_step_end = 1.0 <= p < 2.0 and stage < stages - 1
         for _ in range(_STAGE_ITERS):
             it += 1
             d, decrement, G = _newton_step(prob, c, eps2)
@@ -356,7 +382,10 @@ def _newton(prob: _SliceProblem, c0: np.ndarray):
                 t *= 0.5
             else:
                 break
+            stage_done = one_step_end and t == 1.0 and decrement <= 1e-6 * f
             c, f = cand, f_new
+            if stage_done:
+                break
         else:  # out of iterations: the last step moved c past its gradient
             converged = False
             G = prob.newton_parts(c, eps2)[0]
@@ -424,7 +453,7 @@ def pbergman_min_norm(
         starts.append(g.standard_normal(K) + 1j * g.standard_normal(K))
 
     retracted = [prob.retract(np.asarray(c0, dtype=complex)) for c0 in starts]
-    certs = [prob.norm_p(c0) for c0 in retracted]  # certificates: every start is feasible
+    certs = [prob.certificate(c0) for c0 in retracted]  # certificates: every start is feasible
     best = int(np.argsort(certs)[0])
     _, s_final, grad_norm, total_iters, converged = _newton(prob, retracted[best])
     best_norm_p = min(certs[best], s_final)

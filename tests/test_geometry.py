@@ -11,14 +11,17 @@ from pbergman import (
     DegenerateDomainError,
     DivergentIntegralError,
     boundary_distance,
+    build_counterexample,
     interior_closure_probe,
     make_catalog_domain,
     parse_domain,
     sample,
     sample_radial_weighted,
 )
+from pbergman import geometry
 from pbergman._rng import TAG_REJECTION, substream
 from pbergman.geometry import _direction_battery, box_proposals, log_radial_moment, sample_moduli_weighted
+from pbergman.scenarios import _blowdown_points
 
 # the domains of the counterexample operator at k = 3
 COUNTEREXAMPLE_SOURCE = ("product", ("ball", 2), ("hartogs", 3))
@@ -413,6 +416,18 @@ class TestSampling:
         with pytest.raises(DegenerateDomainError):
             sample(parse_domain("ball(10)"), np.random.default_rng(0), 10)
 
+    @pytest.mark.parametrize("rng", [0, "generator"])
+    def test_degenerate_domain_refused_before_any_draw(self, monkeypatch, rng):
+        # the exact acceptance of the unit ball of C^200 underflows to 0; one
+        # 65,536-row chunk of its proposals would take 210 MB
+        def no_draw(*args):
+            raise AssertionError("box_proposals called")
+
+        monkeypatch.setattr(geometry, "box_proposals", no_draw)
+        gen = np.random.default_rng(0) if rng == "generator" else rng
+        with pytest.raises(DegenerateDomainError, match="below 1e-6"):
+            sample(parse_domain("ball(200)"), gen, 10)
+
     def test_count_validation(self, disc):
         with pytest.raises(ConfigError):
             sample(disc, 0, 0)
@@ -511,6 +526,30 @@ class TestBoundaryDistance:
             for tol in (1e-6, 1e-3):
                 assert boundary_distance(D, w, tol) == self._one_direction_at_a_time(D, w, tol)
         assert sides == {True, False}
+
+    @pytest.mark.parametrize("case", ["excluded-slice image", "ball(2) sphere"])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3])
+    def test_boundary_point_stops_after_the_ladder(self, monkeypatch, case, tol):
+        # a crossing within the first ladder step bisects to [0, tol], read as 0.0
+        if case == "excluded-slice image":
+            T = build_counterexample(3, 2)
+            D = T.target
+            w = np.asarray(T.mapping.inverse().evaluate(_blowdown_points(3, 0, 1)))[0]
+        else:
+            D = parse_domain("ball(2)")
+            v = np.random.default_rng(4).standard_normal(4)
+            w = (v[:2] + 1j * v[2:]) / np.linalg.norm(v)
+        expected = self._one_direction_at_a_time(D, w, tol)
+        calls = []
+        contains = type(D).contains
+
+        def counting(self, points):
+            calls.append(1)
+            return contains(self, points)
+
+        monkeypatch.setattr(type(D), "contains", counting)
+        assert boundary_distance(D, w, tol) == expected == 0.0
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-3, 10.0])
     def test_doubling_takes_one_membership_call(self, monkeypatch, tol):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from pbergman import (
 )
 from pbergman.functions import monomial_values
 from pbergman.integrate import _radial_grid
+from pbergman import kernel
 from pbergman.kernel import _newton_step, _real_hessian, _SliceProblem
 
 # deg-20 partial sum of sum (k+1) |z|^{2k} / pi at z = 0.5
@@ -43,6 +45,9 @@ BELOW_ONE_FLOORS = [
     (("ball", 2), 2, (), 0.75, (0.3, 0.4), 0.05251893859554343),
     (("ball", 2), 2, (), 0.5, (0.0, 0.0), 0.001686246266455927),
 ]
+
+# the basis of the punctured-disc scenario's kernel check
+PUNCTURED_INDICES = [(-1,), (0,), (1,), (2,), (3,)]
 
 
 class TestBasis:
@@ -353,31 +358,151 @@ class TestFactoredGrid:
 
 class TestNewtonCost:
     """Iterations, not time: every kernel benchmark case ends on a stop test
-    of the Newton method, within 40 iterations; below p = 1, where some
-    steps are majorizer steps, within 150."""
+    of the Newton method. For 1 <= p < 2, where each smoothing stage before
+    the last ends on one small full step, the bounds sit a few iterations
+    above today's counts; from p = 2 on within 40 iterations, and below
+    p = 1, where some steps are majorizer steps, within 150."""
 
-    @pytest.mark.parametrize("p", [0.5, 0.75, 1.0, 3.0])
-    def test_ball2_degree2(self, ball2, p):
+    @pytest.mark.parametrize("p, bound", [(0.5, 150), (0.75, 150), (1.0, 16), (3.0, 40)])
+    def test_ball2_degree2(self, ball2, p, bound):
         rep = pbergman_min_norm(ball2, degree_basis(ball2, 2, p), (0.3, 0.4)).optimizer_report
-        assert rep["converged"] and rep["iterations"] <= (40 if p >= 1.0 else 150), rep
+        assert rep["converged"] and rep["iterations"] <= bound, rep
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    @pytest.mark.parametrize("r", [0.5, 0.9])
-    def test_disc_degree20(self, disc, p, r):
+    @pytest.mark.parametrize(
+        "domain, p, z, bound",
+        [(("ball", 2), 1.0, (0.3, 0.4), 17), (("ball", 2), 1.5, (0.3, 0.4), 14), (("polydisc", 2), 1.0, (0.3, 0.5), 18)],
+    )
+    def test_degree4_smoothed(self, domain, p, z, bound):
+        D = make_catalog_domain(domain)
+        rep = pbergman_min_norm(D, degree_basis(D, 4, p), z).optimizer_report
+        assert rep["converged"] and rep["iterations"] <= bound, rep
+
+    @pytest.mark.parametrize("p, r, bound", [(1.0, 0.5, 17), (1.0, 0.9, 27), (2.0, 0.5, 40), (2.0, 0.9, 40),
+                                             (3.0, 0.5, 40), (3.0, 0.9, 40)])
+    def test_disc_degree20(self, disc, p, r, bound):
         rep = pbergman_min_norm(disc, degree_basis(disc, 20, p), r).optimizer_report
-        assert rep["converged"] and rep["iterations"] <= 40, rep
+        assert rep["converged"] and rep["iterations"] <= bound, rep
 
     @pytest.mark.parametrize("z", [0.1, 0.05, 0.01])
     def test_punctured_disc_p1(self, punctured, z):
         # the basis of the punctured-disc scenario's kernel check
-        basis = BasisSpec.validated(punctured, [(-1,), (0,), (1,), (2,), (3,)], 1.0)
+        basis = BasisSpec.validated(punctured, PUNCTURED_INDICES, 1.0)
         rep = pbergman_min_norm(punctured, basis, z).optimizer_report
-        assert rep["converged"] and rep["iterations"] <= 40, rep
+        assert rep["converged"] and rep["iterations"] <= 13, rep
 
     @pytest.mark.parametrize("r", [0.5, 0.9])
     def test_disc_degree6_below_one(self, disc, r):
         rep = pbergman_min_norm(disc, degree_basis(disc, 6, 0.5), r).optimizer_report
         assert rep["converged"] and rep["iterations"] <= 150, rep
+
+
+# pbergman_min_norm with the default OptimizerConfig before the solver made one
+# node pass per iterate and ended non-final smoothing stages on one small full
+# step, as (domain, degree or "punctured", p, z, value, iterations,
+# final_gradient_norm, restarts, converged). Below p = 1 and from p = 2 on the
+# report must stay byte-identical; for 1 <= p < 2 the value must stay within
+# 1e-14 and the run converged.
+PINNED_EXACT = [
+    (("ball", 2), 2, 0.5, (0.3, 0.4), 0.007576437504094081, 60, 2.106304053184863e-06, 8, True),
+    ("disc", 20, 0.5, (0.5,), 0.10330522567071987, 85, 0.003523591369151016, 23, True),
+    ("disc", 20, 0.5, (0.9,), 159.06780549140615, 93, 0.003812290555462635, 23, True),
+    ("punctured_disc(1)", "punctured", 0.5, (0.1,), 0.37770223226640703, 173, 0.000922055713027898, 7, False),
+    (("ball", 2), 2, 2.0, (0.3, 0.4), 0.4306150304799369, 1, 0.0, 8, True),
+    ("disc", 20, 2.0, (0.5,), 0.5658842421023601, 1, 5.436524169242823e-15, 23, True),
+    ("disc", 20, 2.0, (0.9,), 8.290668868635962, 1, 4.508823783997303e-15, 23, True),
+    ("punctured_disc(1)", "punctured", 2.0, (0.1,), 0.3247728501128664, 1, 1.1127279467108387e-15, 6, True),
+    (("ball", 2), 2, 3.0, (0.3, 0.4), 0.5917653007192702, 4, 4.027730580278968e-08, 8, True),
+    ("disc", 20, 3.0, (0.5,), 0.6841506338828391, 5, 3.4954443265301135e-15, 23, True),
+    ("disc", 20, 3.0, (0.9,), 4.220941040883159, 6, 5.5120492148638316e-14, 23, True),
+    ("punctured_disc(1)", "punctured", 3.0, (0.1,), 0.47248332674320664, 4, 3.599910508245076e-15, 6, True),
+]
+PINNED_SMOOTHED = [
+    (("ball", 2), 2, 1.0, (0.3, 0.4), 0.13047764970751685),
+    (("ball", 2), 4, 1.0, (0.3, 0.4), 0.19147970263024577),
+    (("ball", 2), 2, 1.5, (0.3, 0.4), 0.2991312096471502),
+    (("ball", 2), 4, 1.5, (0.3, 0.4), 0.36052559041378923),
+    (("polydisc", 2), 4, 1.0, (0.3, 0.5), 0.04148646181916844),
+    ("disc", 20, 1.0, (0.5,), 0.32022497538973016),
+    ("disc", 20, 1.0, (0.9,), 38.869404879979356),
+    ("punctured_disc(1)", "punctured", 1.0, (0.1,), 2.6899378515864565),
+    ("punctured_disc(1)", "punctured", 1.0, (0.01,), 253.4549890200177),
+]
+
+
+def _pinned_basis(D, degree, p):
+    if degree == "punctured":
+        return BasisSpec.validated(D, PUNCTURED_INDICES, p)
+    return degree_basis(D, degree, p)
+
+
+class TestPinnedSolves:
+    """One node pass per iterate changes no bit of any solve; ending the
+    non-final smoothing stages of 1 <= p < 2 on one small full step moves
+    values only at rounding level."""
+
+    @pytest.mark.parametrize("domain, degree, p, z, value, iterations, grad, restarts, converged", PINNED_EXACT)
+    def test_byte_identical_outside_smoothed_convex_range(
+        self, domain, degree, p, z, value, iterations, grad, restarts, converged
+    ):
+        D = make_catalog_domain(domain)
+        basis = _pinned_basis(D, degree, p)
+        est = pbergman_min_norm(D, basis, z)
+        expected = {
+            "value": value,
+            "z": [{"re": float(c), "im": 0.0} for c in z],
+            "basis_size": basis.size,
+            "p": p,
+            "optimizer_report": {
+                "iterations": iterations,
+                "final_gradient_norm": grad,
+                "restarts": restarts,
+                "converged": converged,
+            },
+            "is_lower_bound": True,
+        }
+        assert json.dumps(est.to_json_obj(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("domain, degree, p, z, value", PINNED_SMOOTHED)
+    def test_smoothed_convex_values_within_rounding(self, domain, degree, p, z, value):
+        D = make_catalog_domain(domain)
+        est = pbergman_min_norm(D, _pinned_basis(D, degree, p), z)
+        assert_rel(est.value, value, 1e-14)
+        assert est.optimizer_report["converged"] is True
+
+    @pytest.mark.parametrize(
+        "domain, degree, p, z",
+        [(("ball", 2), 2, 1.0, (0.3, 0.4)), ("disc", 20, 0.5, (0.9,)), ("punctured_disc(1)", "punctured", 1.5, (0.1,)),
+         (("polydisc", 2), 4, 3.0, (0.3, 0.5))],
+    )
+    def test_single_term_certificate_matches_grid_norm(self, domain, degree, p, z):
+        D = make_catalog_domain(domain)
+        basis = _pinned_basis(D, degree, p)
+        prob = _SliceProblem(D, basis, np.asarray(z, dtype=complex), p, OptimizerConfig())
+        checked = 0
+        for k in range(basis.size):
+            if abs(prob.bz[k]) == 0:
+                continue
+            c = np.zeros(basis.size, dtype=complex)
+            c[k] = (0.7 - 0.2j) / prob.bz[k]
+            assert_rel(prob.certificate(c), prob.norm_p(c), 1e-13)
+            checked += 1
+        assert checked >= 3
+        c = prob.retract(np.ones(basis.size, dtype=complex))
+        assert prob.certificate(c) == prob.norm_p(c)
+
+    def test_one_node_pass_per_distinct_iterate(self, monkeypatch, ball2):
+        basis = degree_basis(ball2, 2, 1.0)
+        calls = {}
+        span_values = kernel._span_values
+
+        def counting(P, E, c):
+            calls[c.tobytes()] = calls.get(c.tobytes(), 0) + 1
+            return span_values(P, E, c)
+
+        monkeypatch.setattr(kernel, "_span_values", counting)
+        pbergman_min_norm(ball2, basis, (0.3, 0.4))
+        blocks = -(-48**2 // kernel._BLOCK)  # the 48^2 radial rows of the ball(2) grid, in blocks
+        assert len(calls) > 1 and set(calls.values()) == {blocks}
 
 
 class TestPrunedStarts:
