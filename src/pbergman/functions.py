@@ -242,19 +242,6 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def partial(self, axis: int) -> "LaurentPolynomial":
-        """Complex partial derivative d/dz_axis, term by term."""
-        out: dict[tuple, complex] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[axis]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[axis] = e - 1
-            new = tuple(new)
-            out[new] = out.get(new, 0.0) + coeff * e
-        return LaurentPolynomial(self.dimension, out)
-
     def compose_monomial(self, inner: "MonomialMap") -> "LaurentPolynomial":
         """Pullback under a monomial map: (self o inner)(w)."""
         if inner.dimension != self.dimension:
@@ -587,14 +574,16 @@ def fd_stencil_jacobians(vals: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return ((-v[:, :, 0] + 8.0 * v[:, :, 1] - 8.0 * v[:, :, 2] + v[:, :, 3]) / (12.0 * h)).transpose(0, 2, 1)
 
 
-def fd_jacobian_matrix(map_like, z, h: float = 1e-5) -> np.ndarray:
-    """Full complex Jacobian matrix of a map at a point, from one evaluation
-    of its 4n stencil points."""
-    pts = fd_stencil(np.asarray(z, dtype=complex).reshape(1, -1), h)[0]
-    evaluate = map_like.evaluate if hasattr(map_like, "evaluate") else map_like
-    vals = np.asarray(evaluate(pts), dtype=complex)
-    return fd_stencil_jacobians(vals.reshape(1, pts.shape[0], -1), h)[0]
-
-
-def fd_jacobian_det(map_like, z, h: float = 1e-5) -> complex:
-    return complex(np.linalg.det(fd_jacobian_matrix(map_like, z, h)))
+def fd_jacobian_det(map_like, points, h: float = 1e-5):
+    """Complex Jacobian determinants of a map by fourth-order central
+    differences, one per point of a batch: the stencils of every point go to
+    the map in one call and their determinants are one stacked ``det``. A
+    single point gives a scalar. A map without a ``dimension`` takes the
+    width of the points as its own."""
+    pts = np.asarray(points, dtype=complex)
+    pts, single = _as_points(pts, getattr(map_like, "dimension", pts.shape[-1] if pts.ndim else 1))
+    stencil = fd_stencil(pts, h)
+    evaluate = getattr(map_like, "evaluate", map_like)
+    vals = np.asarray(evaluate(stencil.reshape(-1, pts.shape[1])), dtype=complex)
+    dets = np.linalg.det(fd_stencil_jacobians(vals.reshape(stencil.shape[:2] + (-1,)), h))
+    return complex(dets[0]) if single else dets

@@ -113,7 +113,11 @@ class OptimizerConfig:
     radial_nodes: int = 48
     angular_nodes: int | None = None
     seed: int = 0
-    warm_starts: tuple = ()  # tuples (indices, coefficients) mapped into the basis
+
+
+def _check_domain(D: BoundedDomain, basis: BasisSpec) -> None:
+    if basis.domain_label != D.label:
+        raise ConfigError(f"basis validated on {basis.domain_label} cannot be solved on {D.label}")
 
 
 def _point(z, dimension: int) -> np.ndarray:
@@ -132,6 +136,7 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
 
         B_2(z) = sum_alpha |z^alpha|^2 / ||z^alpha||_2^2
     """
+    _check_domain(D, basis)
     if basis.p != 2:
         raise ConfigError("the Gram path is defined only for p = 2")
     zz = _point(z, D.dimension)
@@ -162,7 +167,7 @@ class _SliceProblem:
     (R x K) and angular characters E (K x A) of the basis, not their product.
     """
 
-    def __init__(self, D: BoundedDomain, basis: BasisSpec, z: np.ndarray, p: float, cfg: OptimizerConfig):
+    def __init__(self, D: BoundedDomain, basis: BasisSpec, z: np.ndarray, cfg: OptimizerConfig):
         maxdeg = max(sum(abs(e) for e in a) for a in basis.indices)
         m_theta = cfg.angular_nodes if cfg.angular_nodes is not None else max(2 * maxdeg + 1, 9)
         grid = ReinhardtGrid(D.radial_profile, cfg.radial_nodes, m_theta)
@@ -181,7 +186,7 @@ class _SliceProblem:
         self.bz_norm2 = float(np.sum(np.abs(self.bz) ** 2))
         if self.bz_norm2 <= _Z_TINY:
             raise NoBasisSupportError("every basis element vanishes at z")
-        self.p = p
+        self.p = basis.p
         self._nodes = (None, [])  # key of the last c evaluated, and its blocks
 
     def retract(self, c: np.ndarray) -> np.ndarray:
@@ -397,31 +402,33 @@ def pbergman_min_norm(
     D: BoundedDomain,
     basis: BasisSpec,
     z,
-    p: float | None = None,
     cfg: OptimizerConfig | None = None,
 ) -> KernelEstimate:
-    """Lower bound of B_p(z) over the basis span by constrained optimization.
+    """Lower bound of B_p(z) over the basis span by constrained optimization,
+    at the p the basis was validated at (``basis.p``), on the domain it was
+    validated on: a basis of another domain raises ConfigError, since its
+    span need not lie in A^p(D) and the value would be no lower bound.
 
     Starts from the p = 2 Gram minimizer plus single-monomial candidates
-    e_a / z^a (each feasible), any warm starts from the caller, and seeded
-    random restarts; the reported value dominates every start's certificate
-    value |phi(z)|^2/||phi||_p^2, so single-candidate lower bounds are never
-    lost. The Newton method runs once, from the start with the best
-    certificate. For p >= 1 the problem is convex; for p < 1 it is not, and
-    no global claim is made. `optimizer_report["converged"]` is false when
-    the run stopped at its iteration cap rather than on a stop test.
+    e_a / z^a (each feasible) and seeded random restarts; the reported value
+    dominates every start's certificate value |phi(z)|^2/||phi||_p^2, so
+    single-candidate lower bounds are never lost. The Newton method runs
+    once, from the start with the best certificate. For p >= 1 the problem
+    is convex; for p < 1 it is not, and no global claim is made.
+    `optimizer_report["converged"]` is false when the run stopped at its
+    iteration cap rather than on a stop test.
     """
-    p = basis.p if p is None else float(p)
+    _check_domain(D, basis)
     cfg = cfg or OptimizerConfig()
     zz = _point(z, D.dimension)
-    prob = _SliceProblem(D, basis, zz, p, cfg)
+    prob = _SliceProblem(D, basis, zz, cfg)
     K = basis.size
     bz = prob.bz
 
     starts = []
     # p = 2 Gram minimizer: feasible and typically near-optimal; indices with
-    # divergent 2-norm (possible when the basis was validated at another p)
-    # simply drop out of this start
+    # divergent 2-norm (1/z on the punctured disc at p = 1) simply drop out
+    # of this start
     norms2 = np.empty(K)
     for i, a in enumerate(basis.indices):
         try:
@@ -436,18 +443,6 @@ def pbergman_min_norm(
             e = np.zeros(K, dtype=complex)
             e[k] = 1.0 / bz[k]
             starts.append(e)
-    for w_indices, w_coeffs in cfg.warm_starts:
-        c = np.zeros(K, dtype=complex)
-        lookup = {a: i for i, a in enumerate(basis.indices)}
-        ok = True
-        for a, v in zip(w_indices, w_coeffs):
-            i = lookup.get(tuple(a))
-            if i is None:
-                ok = False
-                break
-            c[i] = v
-        if ok:
-            starts.append(c)
     for i in range(_RESTARTS):
         g = substream(cfg.seed, TAG_OPTIMIZER, i)
         starts.append(g.standard_normal(K) + 1j * g.standard_normal(K))
@@ -461,7 +456,7 @@ def pbergman_min_norm(
     if not math.isfinite(best_norm_p) or best_norm_p <= 0:
         raise NoBasisSupportError("optimizer failed to produce a feasible norm")
 
-    value = best_norm_p ** (-2.0 / p)
+    value = best_norm_p ** (-2.0 / basis.p)
     return KernelEstimate(
         value=float(value),
         z=tuple(zz),
@@ -490,20 +485,20 @@ def boundary_probe(
     D: BoundedDomain,
     path: Sequence,
     basis: BasisSpec,
-    p: float,
     cfg: OptimizerConfig | None = None,
 ) -> list[ProbePoint]:
     """Kernel estimates along a path of interior points approaching the
-    boundary (or a puncture), with value*(boundary distance)^2 attached."""
+    boundary (or a puncture), with value*(boundary distance)^2 attached. The
+    basis fixes p and must be validated on D; at p = 2 the Gram path runs."""
     out = []
     for z in path:
         zz = _point(z, D.dimension)
         if not D.contains(zz):
             raise ConfigError(f"path point {zz} is not in {D.label}")
-        if p == 2:
+        if basis.p == 2:
             est = bergman2_gram(D, basis, zz)
         else:
-            est = pbergman_min_norm(D, basis, zz, p=p, cfg=cfg)
+            est = pbergman_min_norm(D, basis, zz, cfg=cfg)
         d = boundary_distance(D, zz)
         out.append(ProbePoint(z=tuple(zz), estimate=est, distance=d, diagnostic=est.value * d * d))
     return out

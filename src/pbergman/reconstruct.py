@@ -25,7 +25,7 @@ from .errors import (
     PoleProximityWarning,
     user_stacklevel,
 )
-from .functions import LaurentPolynomial, fd_stencil, fd_stencil_jacobians
+from .functions import LaurentPolynomial, fd_jacobian_det, fd_stencil, fd_stencil_jacobians
 from .geometry import BoundedDomain, sample
 from .isometry import CompositionIsometry, FunctionFamily, ratio_matrix
 
@@ -45,59 +45,23 @@ _FD_STEP = 1e-3
 
 @dataclass(frozen=True)
 class IsometryOracle:
-    """Black-box access to T: only images of supplied functions are used.
-
-    ``evaluator`` is a callable phi |-> T(phi) whose images are functions on
-    the target. It may also offer ``apply_family(family)``, returning the
-    images of a whole family as one ``FunctionFamily``; otherwise the images
-    are taken one member at a time. A ``CompositionIsometry`` offers both,
-    and its source, target and p, so the functions below take it directly.
-
-    ``supports_arbitrary`` marks oracles (like real operators) that accept any
-    Laurent input, enabling the linearity spot check; injected test oracles
-    may be defined on a fixed family only.
+    """Black-box access to T through a bare callable: ``evaluator`` maps phi
+    to T(phi), a function on the target, and a family's images are taken
+    member by member. An operator such as ``CompositionIsometry`` offers the
+    same ``source``, ``target``, ``p``, ``apply`` and ``apply_family`` and is
+    passed directly, so this wrapper serves callables such as test fakes.
     """
 
     source: BoundedDomain
     target: BoundedDomain
     p: float
     evaluator: Callable
-    supports_arbitrary: bool = False
-    label: str = ""
-
-    @classmethod
-    def from_operator(cls, T: CompositionIsometry) -> "IsometryOracle":
-        return cls(
-            source=T.source,
-            target=T.target,
-            p=T.p,
-            evaluator=T,
-            supports_arbitrary=True,
-            label=T.label,
-        )
 
     def apply(self, phi):
         return self.evaluator(phi)
 
     def apply_family(self, family: FunctionFamily) -> FunctionFamily:
-        if hasattr(self.evaluator, "apply_family"):
-            return self.evaluator.apply_family(family)
         return FunctionFamily(self.target.dimension, tuple(self.apply(f) for f in family.members), family.label)
-
-    def spot_check_linearity(self, family: FunctionFamily, points, coeff: complex = 0.37 + 0.21j) -> float:
-        """Max abs deviation of T(phi_i + c phi_j) from T(phi_i) + c T(phi_j)
-        at the given target points; needs arbitrary-input support."""
-        if not self.supports_arbitrary:
-            raise ConfigError("oracle does not accept functions outside its family")
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        images = self.apply_family(family).values(pts)
-        worst = 0.0
-        members = family.members
-        for i in range(len(members) - 1):
-            combo = self.apply(members[i] + coeff * members[i + 1])(pts)
-            split = images[:, i] + coeff * images[:, i + 1]
-            worst = max(worst, float(np.max(np.abs(combo - split))))
-        return worst
 
 
 # -- ratio maps ---------------------------------------------------------------
@@ -114,51 +78,26 @@ def _batch(points, dimension: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RatioMaps:
-    """Evaluators for I_N (source) and J_N (target), defined off the zero
-    sets of the leading members."""
+    """The source family and its images, with the evaluator of J_N (the
+    target ratios), defined off the zero set of the leading image."""
 
     source: BoundedDomain
     target: BoundedDomain
     family: FunctionFamily
     image_family: FunctionFamily
-    source_zero_axes: tuple
-
-    def source_ratios(self, points) -> np.ndarray:
-        return _usable_ratios(self.family, _batch(points, self.source.dimension))
 
     def target_ratios(self, points) -> np.ndarray:
-        return _usable_ratios(self.image_family, _batch(points, self.target.dimension))
-
-
-def _usable_ratios(family: FunctionFamily, pts: np.ndarray) -> np.ndarray:
-    ratios, good, _ = ratio_matrix(family.values(pts))
-    if not np.all(good):
-        raise PoleEvaluationError("ratio map evaluated on the leading zero set")
-    return ratios
+        ratios, good, _ = ratio_matrix(self.image_family.values(_batch(points, self.target.dimension)))
+        if not np.all(good):
+            raise PoleEvaluationError("ratio map evaluated on the leading zero set")
+        return ratios
 
 
 def build_ratio_maps(oracle: IsometryOracle | CompositionIsometry, family: FunctionFamily) -> RatioMaps:
-    """Push the family through the oracle and wrap both ratio maps.
-
-    The zero set of a Laurent-monomial lead is recorded symbolically: it is
-    exactly the union of coordinate hyperplanes with positive exponent.
-    """
+    """Push the family through the oracle and wrap both ratio maps."""
     if family.ratio_count < 1:
         raise ConfigError("ratio maps need at least two family members")
-    images = oracle.apply_family(family)
-
-    def zero_axes(f):
-        if isinstance(f, LaurentPolynomial) and f.is_monomial:
-            return f.positive_axes()
-        return ()
-
-    return RatioMaps(
-        source=oracle.source,
-        target=oracle.target,
-        family=family,
-        image_family=images,
-        source_zero_axes=zero_axes(family.lead),
-    )
+    return RatioMaps(source=oracle.source, target=oracle.target, family=family, image_family=oracle.apply_family(family))
 
 
 def pullback_family(T: CompositionIsometry, extra_monomials: Sequence = ()) -> FunctionFamily:
@@ -501,11 +440,10 @@ def verify_modulus_identity(
     tests and points.
 
     ``F`` is any point map z -> w; its Jacobian determinant comes from
-    F.jacobian_det when available, else from a 4th-order finite-difference
-    stencil on F itself with step 1e-3, with the stencils of all points
-    evaluated in one call and their determinants in one stacked ``det``. F,
-    the tests and their images are each evaluated once on the whole batch,
-    the images only at the rows where their test does not vanish.
+    F.jacobian_det when available, else from :func:`fd_jacobian_det` on F
+    itself with step 1e-3. F, the tests and their images are each evaluated
+    once on the whole batch, the images only at the rows where their test
+    does not vanish.
     """
     pts = _batch(points, oracle.source.dimension)
     jacobian = getattr(F, "jacobian_det", None)
@@ -513,10 +451,7 @@ def verify_modulus_identity(
     if jacobian is not None:
         jf = np.asarray(jacobian(pts), dtype=complex).reshape(-1)
     else:
-        stencil = fd_stencil(pts, _FD_STEP)
-        evaluate = getattr(F, "evaluate", F)
-        vals = np.asarray(evaluate(stencil.reshape(-1, pts.shape[1])), dtype=complex)
-        jf = np.linalg.det(fd_stencil_jacobians(vals.reshape(stencil.shape[:2] + (-1,)), _FD_STEP))
+        jf = fd_jacobian_det(F, pts, _FD_STEP)
         singular = int(np.sum(np.abs(jf) < 1e-12))
         if singular:
             warnings.warn(

@@ -299,7 +299,7 @@ def counterexample_scenario(
     good = (np.abs(probe_pool[:, 0]) > 0.1) & (np.abs(probe_pool[:, 2]) > 0.2)
     probes = probe_pool[good][:8]
     exact = np.asarray(F.jacobian_det(probes))
-    fd = np.array([fd_jacobian_det(F, z) for z in probes])
+    fd = fd_jacobian_det(F, probes)
     jac_rel = float(np.max(np.abs(fd - exact) / np.abs(exact)))
     checks.append(
         _check(

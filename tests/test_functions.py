@@ -16,7 +16,6 @@ from pbergman import (
     PoleEvaluationError,
     build_counterexample,
     fd_jacobian_det,
-    fd_jacobian_matrix,
 )
 from pbergman.functions import fd_stencil, fd_stencil_jacobians, monomial_values
 
@@ -55,11 +54,6 @@ class TestLaurentPolynomial:
         f = L(1, {(0,): 1.0, (1,): 1.0})
         with pytest.raises(ValueError):
             f.single_term()
-
-    def test_partial_derivative(self):
-        f = L(2, {(3, 1): 2.0})
-        assert f.partial(0) == L(2, {(2, 1): 6.0})
-        assert f.partial(1).partial(1).is_zero
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -241,7 +235,7 @@ class TestSharedEvaluators:
                 [(-v[4 * j] + 8.0 * v[4 * j + 1] - 8.0 * v[4 * j + 2] + v[4 * j + 3]) / (12.0 * h) for j in range(4)],
                 axis=1,
             )
-            assert np.array_equal(fd_jacobian_matrix(F, z, h), want)
+            assert np.array_equal(fd_stencil_jacobians(F(fd_stencil(z[None], h)[0]).reshape(1, 16, 4), h)[0], want)
 
     def test_fd_stencil_batch_matches_one_point(self):
         F = build_counterexample(3, 2).mapping.inverse()
@@ -250,7 +244,24 @@ class TestSharedEvaluators:
         assert pts.shape == (9, 16, 4)
         jacs = fd_stencil_jacobians(F(pts.reshape(-1, 4)).reshape(9, 16, 4))
         for z, jac in zip(zs, jacs):
-            assert np.array_equal(jac, fd_jacobian_matrix(F, z))
+            one = fd_stencil(z[None])
+            assert np.array_equal(jac, fd_stencil_jacobians(F(one[0]).reshape(1, 16, 4))[0])
+
+    @pytest.mark.parametrize(
+        "F",
+        [build_counterexample(3, 2).mapping.inverse(), MobiusFactors((0.3, None, -0.2j, 0.5))],
+        ids=["counterexample-inverse", "mobius"],
+    )
+    def test_fd_jacobian_det_batch_matches_per_point(self, F):
+        zs = np.random.default_rng(4).uniform(-0.6, 0.6, (12, 8)).view(complex)
+        for h in (1e-5, 1e-3):
+            dets = fd_jacobian_det(F, zs, h)
+            assert dets.shape == (12,)
+            # the determinant of each point's own 4 x 4 matrix, as one-point calls took it
+            matrices = [fd_stencil_jacobians(F(fd_stencil(z[None], h)[0]).reshape(1, 16, 4), h)[0] for z in zs]
+            assert np.array_equal(dets, [np.linalg.det(m) for m in matrices])
+            single = fd_jacobian_det(F, zs[3], h)
+            assert isinstance(single, complex) and single == dets[3]
 
 
 def _bits(a) -> np.ndarray:
