@@ -62,6 +62,38 @@ def bench_operator(kind):
     return T, pullback_family(T)
 
 
+class TestOracle:
+    def test_linearity_of_true_operator(self):
+        # the Moebius weight is a branch, so its images are pointwise evaluators
+        T = mobius_operator(0.3, 1.0)
+        oracle = IsometryOracle(source=T.source, target=T.target, p=T.p, evaluator=T.apply)
+        f, g = LaurentPolynomial.monomial(1, (2,)), ONE + Z
+        a, b = 0.7 - 0.2j, -1.3
+        pts = np.array([[0.2 + 0.1j], [-0.3 + 0.4j], [0.05 - 0.6j]])
+        lhs = np.asarray(oracle.apply(f * a + g * b)(pts))
+        rhs = a * np.asarray(oracle.apply(f)(pts)) + b * np.asarray(oracle.apply(g)(pts))
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @pytest.mark.parametrize("kind", BENCH_OPERATORS)
+    def test_apply_family_member_by_member(self, kind):
+        T, family = bench_operator(kind)
+        oracle = IsometryOracle(source=T.source, target=T.target, p=T.p, evaluator=T.apply)
+        images = oracle.apply_family(family)
+        assert images.dimension == T.target.dimension and images.label == family.label
+        assert len(images.members) == len(family.members)
+        pts = sample(T.target, 3, 7).points
+        # the operator's shared evaluation of G and g keeps apply's operation order
+        assert np.array_equal(images.values(pts), T.apply_family(family).values(pts))
+
+    def test_wrapped_operator_reconstructs_like_the_operator(self):
+        T, family = bench_operator("mobius")
+        oracle = IsometryOracle(source=T.source, target=T.target, p=T.p, evaluator=T.apply)
+        grid = grid_points(T.source, 5)
+        direct = reconstruct_map(T, family, grid).to_json_obj()
+        wrapped = reconstruct_map(oracle, family, grid).to_json_obj()
+        assert wrapped == direct
+
+
 class TestRatioMaps:
     def test_identity_coordinates(self, disc):
         maps = build_ratio_maps(identity_operator(disc, 2.0), FunctionFamily.coordinates(1))
