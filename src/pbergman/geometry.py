@@ -101,6 +101,15 @@ class RadialProfile:
             return tuple(b for f, _ in self.factor_columns() for b in f.modulus_bounds())
         raise UnsupportedDomainError(f"unknown profile kind {self.kind!r}")
 
+    def zero_free_axes(self) -> tuple:
+        """Axes j with r_j > 0 throughout the region: the first of a graph,
+        where r_2 < r_1^k forces r_1 > 0."""
+        if self.kind in ("hartogs_graph", "graph_with_factor"):
+            return (0,)
+        if self.kind == "product":
+            return tuple(cols.start + j for f, cols in self.factor_columns() for j in f.zero_free_axes())
+        return ()
+
     def factor_columns(self):
         """(factor, slice of that factor's coordinates) for each factor of a product."""
         j = 0
@@ -210,6 +219,11 @@ class BoundedDomain:
     @cached_property
     def dimension(self) -> int:
         return self.radial_profile.dimension
+
+    @cached_property
+    def zero_free_axes(self) -> tuple:
+        """Axes j with z_j != 0 throughout D, where negative powers of z_j are holomorphic."""
+        return tuple(sorted(set(self.radial_profile.zero_free_axes()) | set(self.null_exclusions)))
 
     @cached_property
     def bounding_box(self) -> tuple:

@@ -33,7 +33,7 @@ import numpy as np
 from ._rng import TAG_OPTIMIZER, substream
 from .errors import ConfigError, DivergentIntegralError, NoBasisSupportError
 from .functions import monomial_values
-from .geometry import BoundedDomain, boundary_distance
+from .geometry import BoundedDomain
 from .integrate import ReinhardtGrid, _span_values, monomial_norm_closed
 
 _Z_TINY = 1e-300
@@ -56,17 +56,13 @@ class BasisSpec:
 
     @classmethod
     def validated(cls, D: BoundedDomain, indices: Sequence[Sequence[int]], p: float) -> "BasisSpec":
-        """Keep only indices with finite p-norm on D; record the rest."""
+        """Keep only indices whose monomial is in A^p(D); record the rest."""
         kept, dropped = [], []
         for idx in indices:
             idx = tuple(int(e) for e in idx)
-            try:
-                monomial_norm_closed(D, idx, p)
-                kept.append(idx)
-            except DivergentIntegralError:
-                dropped.append(idx)
+            (dropped if _outside_Ap(D, idx, p) else kept).append(idx)
         if not kept:
-            raise ConfigError("no basis index has finite norm on this domain")
+            raise ConfigError(f"no basis index is in A^{p:g}({D.label})")
         return cls(indices=tuple(kept), domain_label=D.label, p=float(p), dropped=tuple(dropped))
 
     @property
@@ -115,9 +111,30 @@ class OptimizerConfig:
     seed: int = 0
 
 
+def _outside_Ap(D: BoundedDomain, idx: tuple, p: float) -> str | None:
+    """Why z^idx is not in A^p(D), or None if it is: a negative power of z_j
+    where {z_j = 0} meets D is a pole in D, whatever its p-norm (1/z on the
+    disc has finite 1-norm), and otherwise the p-norm must be finite."""
+    for j, e in enumerate(idx):
+        if e < 0 and j not in D.zero_free_axes:
+            return f"z^{idx} has a pole on {{z_{j + 1} = 0}}, which meets {D.label}"
+    try:
+        monomial_norm_closed(D, idx, p)
+    except DivergentIntegralError as e:
+        return str(e)
+    return None
+
+
 def _check_domain(D: BoundedDomain, basis: BasisSpec) -> None:
+    """Refuse a basis of another domain, or a hand-built one with an index
+    outside A^p(D): its span need not lie in A^p(D), and the value would be
+    no lower bound."""
     if basis.domain_label != D.label:
         raise ConfigError(f"basis validated on {basis.domain_label} cannot be solved on {D.label}")
+    for idx in basis.indices:
+        reason = _outside_Ap(D, idx, basis.p)
+        if reason:
+            raise ConfigError(f"basis index {idx} is not in A^{basis.p:g}({D.label}): {reason}")
 
 
 def _point(z, dimension: int) -> np.ndarray:
@@ -468,37 +485,3 @@ def pbergman_min_norm(
             "converged": bool(converged),
         },
     )
-
-
-# -- boundary probe -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbePoint:
-    z: tuple
-    estimate: KernelEstimate
-    distance: float
-    diagnostic: float  # value * distance^2, for blow-up-rate inspection
-
-
-def boundary_probe(
-    D: BoundedDomain,
-    path: Sequence,
-    basis: BasisSpec,
-    cfg: OptimizerConfig | None = None,
-) -> list[ProbePoint]:
-    """Kernel estimates along a path of interior points approaching the
-    boundary (or a puncture), with value*(boundary distance)^2 attached. The
-    basis fixes p and must be validated on D; at p = 2 the Gram path runs."""
-    out = []
-    for z in path:
-        zz = _point(z, D.dimension)
-        if not D.contains(zz):
-            raise ConfigError(f"path point {zz} is not in {D.label}")
-        if basis.p == 2:
-            est = bergman2_gram(D, basis, zz)
-        else:
-            est = pbergman_min_norm(D, basis, zz, cfg=cfg)
-        d = boundary_distance(D, zz)
-        out.append(ProbePoint(z=tuple(zz), estimate=est, distance=d, diagnostic=est.value * d * d))
-    return out

@@ -228,6 +228,14 @@ class TestScenarioCommand:
         assert code == 1
         assert out.strip().splitlines()[-1] == "overall: FAIL"
 
+    @pytest.mark.parametrize("mutation", ["drop-weight", "wrong-weight-exponent"])
+    def test_counterexample_roundtrip_mutant_fails_with_exit_one(self, capsys, mutation):
+        # the pullback family cannot invert the mutant: a FAIL, not a usage error
+        code, out, err = run_cli(capsys, ["scenario", "run", "roundtrip-counterexample", "--mutate", mutation])
+        assert (code, err) == (1, "")
+        assert "[FAIL] reconstruction-residuals" in out
+        assert out.strip().splitlines()[-1] == "overall: FAIL"
+
     def test_unknown_name_exit_two(self, capsys):
         code, _, err = run_cli(capsys, ["scenario", "run", "no-such-thing"])
         assert code == 2

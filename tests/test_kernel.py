@@ -12,7 +12,6 @@ from pbergman import (
     NoBasisSupportError,
     OptimizerConfig,
     bergman2_gram,
-    boundary_probe,
     degree_basis,
     make_catalog_domain,
     pbergman_min_norm,
@@ -80,17 +79,35 @@ class TestBasis:
         # K_1 = pi^-2 (1 - |z|^2)^-4, and would still claim a lower bound
         basis = degree_basis(punctured, 8, 1.0, extra_indices=[(-1,)])
         message = f"basis validated on {punctured.label} cannot be solved on {disc.label}"
-        for solve in (lambda: pbergman_min_norm(disc, basis, 0.1), lambda: boundary_probe(disc, [0.1], basis)):
-            with pytest.raises(ConfigError) as info:
-                solve()
-            assert str(info.value) == message
+        with pytest.raises(ConfigError) as info:
+            pbergman_min_norm(disc, basis, 0.1)
+        assert str(info.value) == message
 
     def test_gram_basis_of_another_domain_refused(self, disc):
         wide = make_catalog_domain(("disc", 2.0))
         basis = degree_basis(disc, 4, 2.0)
-        for solve in (lambda: bergman2_gram(wide, basis, 0.5), lambda: boundary_probe(wide, [0.5], basis)):
-            with pytest.raises(ConfigError, match=r"^basis validated on disc\(1\) cannot be solved on disc\(2\)$"):
-                solve()
+        with pytest.raises(ConfigError, match=r"^basis validated on disc\(1\) cannot be solved on disc\(2\)$"):
+            bergman2_gram(wide, basis, 0.5)
+
+    @pytest.mark.parametrize("p,solve", [(1.0, pbergman_min_norm), (2.0, bergman2_gram)])
+    def test_hand_built_basis_outside_Ap_refused(self, disc, p, solve):
+        # 1/z has finite 1-norm on the disc but a pole at 0: solved at p = 1
+        # this span gave 25.5 times the exact K_1 and claimed a lower bound
+        basis = BasisSpec(indices=((-1,), (0,), (1,), (2,)), domain_label="disc(1)", p=p)
+        with pytest.raises(ConfigError, match=r"^basis index \(-1,\) is not in A\^%g\(disc\(1\)\): z\^\(-1,\) has a pole" % p):
+            solve(disc, basis, 0.1)
+
+    def test_hand_built_divergent_index_refused(self, punctured):
+        basis = BasisSpec(indices=((-1,), (0,)), domain_label=punctured.label, p=2.0)
+        with pytest.raises(ConfigError, match=r"^basis index \(-1,\) is not in A\^2\(punctured_disc\(1\)\): .*not integrable"):
+            bergman2_gram(punctured, basis, 0.5)
+
+    def test_pole_dropped_where_the_axis_meets_the_domain(self, disc, punctured):
+        assert BasisSpec.validated(disc, [(-1,), (0,), (1,)], 1.0).dropped == ((-1,),)
+        assert BasisSpec.validated(punctured, [(-1,), (0,), (1,)], 1.0).dropped == ()
+        hartogs = make_catalog_domain(("hartogs", 3))
+        # |z_2| < |z_1|^3 keeps z_1 off 0, not z_2
+        assert BasisSpec.validated(hartogs, [(-1, 0), (0, -1), (0, 0)], 1.0).dropped == ((0, -1),)
 
 
 class TestGram:
@@ -199,23 +216,6 @@ class TestScaling:
             lhs = bergman2_gram(double, bd, 2.0 * z).value
             rhs = 2.0 ** (-4.0 / 2.0) * bergman2_gram(base, bb, z).value
             assert_rel(lhs, rhs, 1e-13)
-
-
-class TestBoundaryProbe:
-    def test_puncture_path(self, punctured):
-        basis = degree_basis(punctured, 3, 1.0, extra_indices=[(-1,)])
-        probes = boundary_probe(punctured, [0.2, 0.1], basis)
-        assert len(probes) == 2
-        for pt, z in zip(probes, (0.2, 0.1)):
-            assert abs(pt.distance - z) < 1e-5
-            assert pt.diagnostic > 0
-        # the kernel certificate keeps value * dist^2 off zero at the puncture
-        assert probes[-1].diagnostic > 0.9 / (2 * math.pi) ** 2
-
-    def test_path_point_outside_rejected(self, disc):
-        basis = degree_basis(disc, 3, 2.0)
-        with pytest.raises(ConfigError):
-            boundary_probe(disc, [1.5], basis)
 
 
 class TestGridBudget:

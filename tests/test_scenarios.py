@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -30,7 +31,7 @@ from pbergman import (
     sample,
 )
 from pbergman import scenarios
-from pbergman.scenarios import OPERATORS, SCENARIOS, operator_from_spec
+from pbergman.scenarios import CHECKS, OPERATORS, SCENARIOS, operator_from_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -290,6 +291,14 @@ class TestRoundtrips:
         by_name = {c.name: c for c in rep.checks}
         assert not by_name["ratio-constancy"].passed
 
+    @pytest.mark.parametrize("mutation", ["drop-weight", "wrong-weight-exponent"])
+    def test_counterexample_mutant_fails_where_it_cannot_be_inverted(self, mutation):
+        rep = run_named_scenario("roundtrip-counterexample", mutate=mutation)
+        assert not rep.passed
+        [check] = rep.checks
+        assert check.name == "reconstruction-residuals" and not check.passed
+        assert check.observed == "reconstruction failed: weight correction is not constant; weight is invalid"
+
     @pytest.mark.parametrize("spec", ["identity", "unitary"])
     def test_drop_weight_refused_when_weight_is_already_one(self, spec):
         # dropping a weight of 1 would test the true operator under a mutant's name
@@ -332,6 +341,35 @@ class TestRoundtrips:
     def test_kind_without_round_trip_or_key_rejected(self, spec, p):
         with pytest.raises(ConfigError):
             roundtrip_scenario(spec, p=p)
+
+
+# sha256 of the sorted-key report JSON of seed-0 runs, as (name, parameters,
+# mutation, digest): a change to any check's text, value or order shows here
+PINNED_REPORTS = [
+    ("counterexample", {"samples": 20_000}, None, "879f9f996f70c43cd0e08930465578548809ef10db36430ac70599fe9b81ad2e"),
+    ("counterexample", {"samples": 20_000}, "drop-weight", "ef62bc62f4634851bb5cbbcc4de3f23a33d03c7d45bce33e8e7d3e4909b6ef49"),
+    ("counterexample", {"samples": 20_000}, "wrong-weight-exponent", "0d9df069ce5b02f92feb624db2e93603985b53d289951e5c46406693e073dccd"),
+    ("punctured-disc", {"p": 1.0}, None, "e2b8a69617e4a46e52068dc580802e39c4f889fec14701b7bb535a719b33140d"),
+    ("punctured-disc", {"p": 2.0}, None, "d13794b9194185d1bcc28d16cf8949564a3895e6e6a2160420c34c4d719db0fe"),
+    ("punctured-disc", {"p": 2.0}, "shrunken-domain", "fd3fce433a97982321e49e4fead6aae18af3cad3498c13fb5fa994b10c7a4405"),
+    ("roundtrip-identity", {}, None, "65979f756101af53f5979c077a73bf66b8e30d146894b88e3a9043fd77cc8346"),
+    ("roundtrip-mobius", {}, None, "195da16da7513eed52d5dbfc5ed2bed93611c1ae76ecde060eb2166ea065d58d"),
+    ("roundtrip-unitary", {}, None, "17f4c681ce7384dc459be269d38a3cefb4002dcfbf8ffd94129f1ad816f9f8fe"),
+    ("roundtrip-counterexample", {}, None, "5561ec880ab976c42dd60fd52887f2b0d84b24d0728f2feecbfc63482a438fc1"),
+    ("roundtrip-mobius", {}, "drop-weight", "daa2174c74576b3324495e968f2950c295bcad3b905ae5a02fb80ccb770180d6"),
+    ("roundtrip-counterexample", {}, "drop-weight", "4cc0a08a83ec550d2bf4c58b9be8812026ac8e06440d7567508121649604d4c7"),
+    ("roundtrip-counterexample", {}, "wrong-weight-exponent", "59774995f08630771b41aafa92820e60933eae331d3db8716f68a7c324c9ae02"),
+]
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name,params,mutate,digest", PINNED_REPORTS)
+    def test_report_bytes(self, name, params, mutate, digest):
+        rep = run_named_scenario(name, seed=0, mutate=mutate, **params)
+        text = json.dumps(rep.to_json_obj(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        names = [c.name for c in rep.checks]
+        assert names == sorted(names, key=list(CHECKS).index)  # report order is table order
 
 
 class TestReportPlumbing:
@@ -380,6 +418,14 @@ class TestDocsInSync:
         assert [kind for kind, _ in rows] == list(OPERATORS)
         for kind, keys in rows:
             assert re.findall(r"`(\w+)`", keys) == list(OPERATORS[kind])
+
+    def test_formats_check_table_lists_every_check_in_order(self):
+        doc = (ROOT / "docs" / "formats.md").read_text()
+        section = re.search(r"^## `pbergman scenario run.*?\n(.*?)^## ", doc, re.S | re.M).group(1)
+        rows = re.findall(r"^\| `([a-z-]+)`\s*\|([^|]*)\|", section, re.M)
+        checks = [(name, where) for name, where in rows if name not in SCENARIOS]
+        assert [name for name, _ in checks] == list(CHECKS)
+        assert [name for name, where in checks if "cited" in where] == ["automorphism-dimensions"]
 
     def test_readme_lists_every_scenario(self):
         readme = (ROOT / "README.md").read_text()
