@@ -345,16 +345,10 @@ def main(argv=None) -> int:
             return args.func(args)
     except SystemExit as e:  # --help / --version
         return int(e.code or 0)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except PBergmanError as e:
+    except (_UsageError, OSError, PBergmanError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,7 @@
 """Exact symbolic layer: Laurent polynomials, the point maps (monomial,
 Moebius, linear), their Jacobian determinants, each map's single-valued
-branch of the Jacobian power J^{2/p}, and the readers of input numbers and
-of the parameters of table-described specs.
+branch of the Jacobian power J^{2/p}, the readers of input numbers and
+of the parameters of table-described specs, and the JSON writer of results.
 
 Everything an operator produces from a finite Laurent expansion stays in
 closed form; numeric fallbacks live in :class:`AnalyticFunction`.
@@ -10,7 +10,7 @@ closed form; numeric fallbacks live in :class:`AnalyticFunction`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -90,6 +90,26 @@ def number_from_json(v, name: str, integer: bool = False):
     if not math.isfinite(x) or (integer and not x.is_integer()):
         raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}, got {v!r}")
     return int(x) if integer else x
+
+
+def json_value(v):
+    """The JSON form of a value: an object's own ``to_json_obj()``, a complex
+    number as {"re": ..., "im": ...}, a tuple or list as a list and a dict by
+    its values; anything else as it is."""
+    if hasattr(v, "to_json_obj"):
+        return v.to_json_obj()
+    if isinstance(v, complex):
+        return {"re": v.real, "im": v.imag}
+    if isinstance(v, (tuple, list)):
+        return [json_value(x) for x in v]
+    if isinstance(v, dict):
+        return {key: json_value(x) for key, x in v.items()}
+    return v
+
+
+def fields_json(result) -> dict:
+    """The JSON object of a dataclass result: each field by its JSON value."""
+    return {f.name: json_value(getattr(result, f.name)) for f in fields(result)}
 
 
 REQUIRED = object()  # a parameter default meaning: no default, the value must be given

@@ -111,9 +111,10 @@ class RadialProfile:
         return ()
 
     def factor_columns(self):
-        """(factor, slice of that factor's coordinates) for each factor of a product."""
+        """(factor, slice of that factor's coordinates) for each factor of a
+        product; a profile that is not a product is its own one factor."""
         j = 0
-        for f in self.factors:
+        for f in self.factors if self.kind == "product" else (self,):
             d = f.dimension
             yield f, slice(j, j + d)
             j += d
@@ -131,12 +132,12 @@ def log_radial_moment(profile: RadialProfile, t: Sequence[float]) -> float:
         raise ValueError(f"expected {profile.dimension} exponents, got {t.shape}")
     if profile.kind == "polydisc":
         if np.any(t + 2.0 <= 0.0):
-            raise DivergentIntegralError(f"polydisc moment diverges at exponents {tuple(t)}")
+            raise DivergentIntegralError(f"polydisc moment diverges at exponents {tuple(t.tolist())}")
         R = np.asarray(profile.radii, dtype=float)
         return float(np.sum((t + 2.0) * np.log(R) - np.log(t + 2.0)))
     if profile.kind == "ball":
         if np.any(t / 2.0 + 1.0 <= 0.0):
-            raise DivergentIntegralError(f"ball moment diverges at exponents {tuple(t)}")
+            raise DivergentIntegralError(f"ball moment diverges at exponents {tuple(t.tolist())}")
         n = profile.n
         # left to right, as np.sum adds fewer than 8 terms; the builtin sum
         # compensates on Python >= 3.12
@@ -148,12 +149,12 @@ def log_radial_moment(profile: RadialProfile, t: Sequence[float]) -> float:
     if profile.kind == "hartogs_graph":
         outer = t[0] + profile.k * (t[1] + 2.0) + 2.0
         if t[1] + 2.0 <= 0.0 or outer <= 0.0:
-            raise DivergentIntegralError(f"hartogs moment diverges at exponents {tuple(t)}")
+            raise DivergentIntegralError(f"hartogs moment diverges at exponents {tuple(t.tolist())}")
         return -math.log(t[1] + 2.0) - math.log(outer)
     if profile.kind == "graph_with_factor":
         outer = t[0] + profile.k * (t[1] + 2.0) + 2.0
         if t[1] + 2.0 <= 0.0 or outer <= 0.0:
-            raise DivergentIntegralError(f"graph-domain moment diverges at exponents {tuple(t)}")
+            raise DivergentIntegralError(f"graph-domain moment diverges at exponents {tuple(t.tolist())}")
         a, b = outer / 2.0, (t[1] + 4.0) / 2.0
         log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         return -math.log(t[1] + 2.0) - math.log(2.0) + log_beta

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import CHUNK, TAG_MC_NORM, substream
 from .errors import ConfigError, DivergentIntegralError, PoleProximityWarning, UnsupportedDomainError, user_stacklevel
-from .functions import LaurentPolynomial, monomial_values
+from .functions import LaurentPolynomial, fields_json, monomial_values
 from .geometry import BoundedDomain, RadialProfile, box_proposals, log_radial_moment
 
 _NODE_BUDGET = 4_000_000
@@ -53,15 +53,7 @@ class PNormResult:
     def integral(self) -> float:
         return self.value**self.p
 
-    def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "p": self.p,
-            "method": self.method,
-            "std_error": self.std_error,
-            "samples_or_nodes": self.samples_or_nodes,
-            "seed": self.seed,
-        }
+    to_json_obj = fields_json
 
 
 def _error_floor(value: float) -> float:
@@ -263,8 +255,9 @@ class ReinhardtGrid:
     grids alone; the flattened nodes and the angles are built on first use."""
 
     def __init__(self, profile: RadialProfile, n_r: int, m_theta: int = 1):
-        parts = profile.factors if profile.kind == "product" else (profile,)
-        self.factors = [_radial_grid(f, n_r) for f in parts]
+        parts = list(profile.factor_columns())
+        self.factors = [_radial_grid(f, n_r) for f, _ in parts]
+        self.columns = [cols for _, cols in parts]
         self.dimension = profile.dimension
         self.m_theta = m_theta
         self.n_radial = math.prod(radii.shape[0] for radii, _ in self.factors)
@@ -300,11 +293,9 @@ def _quad_integral_monomial(grid: ReinhardtGrid, f, p: float) -> float:
     across product factors: the tensor sum is the product of per-factor sums."""
     exp, coeff = f.single_term()
     t = p * np.asarray(exp, dtype=float)
-    out, j = abs(coeff) ** p * (2.0 * math.pi) ** grid.dimension, 0
-    for radii, wts in grid.factors:
-        n = radii.shape[1]
-        out *= float(np.dot(wts, np.prod(radii ** (t[j : j + n] + 1.0), axis=1)))
-        j += n
+    out = abs(coeff) ** p * (2.0 * math.pi) ** grid.dimension
+    for (radii, wts), cols in zip(grid.factors, grid.columns):
+        out *= float(np.dot(wts, np.prod(radii ** (t[cols] + 1.0), axis=1)))
     return out
 
 

@@ -27,6 +27,7 @@ from .functions import (
     MobiusFactors,
     MonomialMap,
     complex_from_json,
+    fields_json,
 )
 from .geometry import (
     BoundedDomain,
@@ -312,8 +313,9 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi) or not self.lo:
             raise ConfigError("box corners must be nonempty tuples of equal length")
+        object.__setattr__(self, "lo", tuple(map(complex, self.lo)))
+        object.__setattr__(self, "hi", tuple(map(complex, self.hi)))
         for a, b in zip(self.lo, self.hi):
-            a, b = complex(a), complex(b)
             if a.real > b.real or a.imag > b.imag:
                 raise ConfigError("box corners must satisfy lo <= hi componentwise")
 
@@ -324,12 +326,7 @@ class Box:
     def __call__(self, vals: np.ndarray) -> np.ndarray:
         return box_masks([self], vals)[0].astype(float)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "lo": [{"re": complex(c).real, "im": complex(c).imag} for c in self.lo],
-            "hi": [{"re": complex(c).real, "im": complex(c).imag} for c in self.hi],
-        }
+    to_json_obj = fields_json
 
     @classmethod
     def from_json_obj(cls, obj) -> "Box":
@@ -354,8 +351,8 @@ def box_masks(boxes: Sequence[Box], vals: np.ndarray) -> np.ndarray:
     ok = np.ones((len(boxes), vals.shape[0]), dtype=bool)
     if not boxes:
         return ok
-    lo = np.array([[complex(c) for c in b.lo] for b in boxes])
-    hi = np.array([[complex(c) for c in b.hi] for b in boxes])
+    lo = np.array([b.lo for b in boxes])
+    hi = np.array([b.hi for b in boxes])
     cmp = np.empty_like(ok)
     for j in range(lo.shape[1]):
         for part, a, b in ((vals[:, j].real, lo.real, hi.real), (vals[:, j].imag, lo.imag, hi.imag)):
@@ -483,6 +480,27 @@ class _PolarRatios:
         return vals, good
 
 
+def _lead_density(D: BoundedDomain, lead, p: float) -> tuple[tuple, float] | None:
+    """(t, C) when the lead is a Laurent monomial c z^a whose |lead|^p has a
+    finite integral C over D: points can then be drawn exactly from the
+    density |lead|^p / C, proportional to |z|^t with t = p a. None otherwise,
+    with a warning when that integral diverges."""
+    if not (isinstance(lead, LaurentPolynomial) and lead.is_monomial):
+        return None
+    try:
+        factor = closed_norm(D, lead, p).integral
+    except DivergentIntegralError:  # then |lead|^{2p} diverges too
+        warnings.warn(
+            f"|lead|^{p} has divergent sample variance on {D.label}; pushforward "
+            "error estimates are unreliable",
+            PoleProximityWarning,
+            stacklevel=user_stacklevel(),
+        )
+        return None
+    exp, _ = lead.single_term()
+    return tuple(p * e for e in exp), factor
+
+
 def _pushforward_stats(
     D: BoundedDomain,
     family: FunctionFamily,
@@ -505,24 +523,10 @@ def _pushforward_stats(
     seed = int(seed)
     if samples < 1_000:
         raise ConfigError("pushforward needs at least 10^3 samples")
-    lead = family.lead
-    key = _side_key(D, lead, family.members[1:])
-    weighted = False
-    if isinstance(lead, LaurentPolynomial) and lead.is_monomial:
-        try:
-            factor = closed_norm(D, lead, p).integral
-            weighted = True
-        except DivergentIntegralError:  # then |lead|^{2p} diverges too
-            warnings.warn(
-                f"|lead|^{p} has divergent sample variance on {D.label}; pushforward "
-                "error estimates are unreliable",
-                PoleProximityWarning,
-                stacklevel=user_stacklevel(),
-            )
-
+    key = _side_key(D, family.lead, family.members[1:])
+    weighted = _lead_density(D, family.lead, p)
     if weighted:
-        exp, _ = lead.single_term()
-        t = tuple(p * e for e in exp)
+        t, factor = weighted
         polar = _PolarRatios.of(family)
 
         def chunk_ys(i: int, size: int):
@@ -568,18 +572,7 @@ class RegionComparison:
     passed: bool
     inconclusive: bool
 
-    def to_json_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "mass_source": self.mass_source,
-            "sigma_source": self.sigma_source,
-            "mass_target": self.mass_target,
-            "sigma_target": self.sigma_target,
-            "difference": self.difference,
-            "sigma_combined": self.sigma_combined,
-            "passed": self.passed,
-            "inconclusive": self.inconclusive,
-        }
+    to_json_obj = fields_json
 
 
 @dataclass(frozen=True)
@@ -604,14 +597,7 @@ class EquimeasureReport:
                 out = math.inf
         return out
 
-    def to_json_obj(self) -> dict:
-        return {
-            "regions": [r.to_json_obj() for r in self.regions],
-            "verdict": self.verdict,
-            "samples": self.samples,
-            "seed": self.seed,
-            "inconclusive": self.inconclusive,
-        }
+    to_json_obj = fields_json
 
 
 _BOX_PROBE_SAMPLES = 4096
@@ -628,11 +614,10 @@ def random_boxes(
     operator weight so mutated operators face identical regions."""
     if family.ratio_count < 1:
         raise ConfigError("box generation needs at least one ratio coordinate")
-    lead = family.lead
     gen = substream(int(seed), TAG_BOXES, 0)
-    if isinstance(lead, LaurentPolynomial) and lead.is_monomial:
-        exp, _ = lead.single_term()
-        pts = sample_radial_weighted(T.source, tuple(T.p * e for e in exp), gen, _BOX_PROBE_SAMPLES)
+    weighted = _lead_density(T.source, family.lead, T.p)
+    if weighted:
+        pts = sample_radial_weighted(T.source, weighted[0], gen, _BOX_PROBE_SAMPLES)
     else:
         pts = sample(T.source, gen, _BOX_PROBE_SAMPLES).points
     vals, good, _ = ratio_matrix(family.values(pts))

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._rng import TAG_OPTIMIZER, substream
 from .errors import ConfigError, DivergentIntegralError, NoBasisSupportError
-from .functions import monomial_values
+from .functions import fields_json, monomial_values
 from .geometry import BoundedDomain
 from .integrate import ReinhardtGrid, _span_values, monomial_norm_closed
 
@@ -87,14 +87,9 @@ class KernelEstimate:
     is_lower_bound: bool = True
 
     def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "z": [{"re": c.real, "im": c.imag} for c in self.z],
-            "basis_size": self.basis.size,
-            "p": self.basis.p,
-            "optimizer_report": dict(self.optimizer_report),
-            "is_lower_bound": self.is_lower_bound,
-        }
+        obj = fields_json(self)
+        del obj["basis"]
+        return obj | {"basis_size": self.basis.size, "p": self.basis.p}
 
 
 _STAGES = 8  # smoothing continuation stages for 1 <= p < 2
@@ -147,6 +142,18 @@ def _point(z, dimension: int) -> np.ndarray:
 # -- p = 2 closed form --------------------------------------------------------
 
 
+def _gram2(D: BoundedDomain, indices, bz: np.ndarray) -> tuple[np.ndarray, float]:
+    """The closed squared 2-norms of the monomials z^a (inf where one diverges)
+    and the diagonal Gram sum of |bz_a|^2 / ||z^a||_2^2, bz_a = z^a at the point."""
+    norms2 = np.empty(len(indices))
+    for i, a in enumerate(indices):
+        try:
+            norms2[i] = monomial_norm_closed(D, a, 2.0).integral
+        except DivergentIntegralError:
+            norms2[i] = math.inf
+    return norms2, float(np.sum(np.abs(bz) ** 2 / norms2))
+
+
 def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
     """Kernel value at p = 2 on a rotation-invariant domain, where monomials
     are orthogonal and the Gram matrix is diagonal:
@@ -157,9 +164,7 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
     if basis.p != 2:
         raise ConfigError("the Gram path is defined only for p = 2")
     zz = _point(z, D.dimension)
-    vals = monomial_values(zz.reshape(1, -1), basis.indices)[0]
-    norms2 = np.array([monomial_norm_closed(D, a, 2.0).integral for a in basis.indices])
-    value = float(np.sum(np.abs(vals) ** 2 / norms2))
+    _, value = _gram2(D, basis.indices, monomial_values(zz.reshape(1, -1), basis.indices)[0])
     return KernelEstimate(
         value=value,
         z=tuple(zz),
@@ -446,13 +451,7 @@ def pbergman_min_norm(
     # p = 2 Gram minimizer: feasible and typically near-optimal; indices with
     # divergent 2-norm (1/z on the punctured disc at p = 1) simply drop out
     # of this start
-    norms2 = np.empty(K)
-    for i, a in enumerate(basis.indices):
-        try:
-            norms2[i] = monomial_norm_closed(D, a, 2.0).integral
-        except DivergentIntegralError:
-            norms2[i] = math.inf
-    b2 = float(np.sum(np.abs(bz) ** 2 / norms2))
+    norms2, b2 = _gram2(D, basis.indices, bz)
     if b2 > 0:
         starts.append(np.conj(bz) / norms2 / b2)
     for k in range(K):

@@ -25,7 +25,7 @@ from .errors import (
     PoleProximityWarning,
     user_stacklevel,
 )
-from .functions import LaurentPolynomial, fd_jacobian_det, fd_stencil, fd_stencil_jacobians
+from .functions import LaurentPolynomial, fd_jacobian_det, fd_stencil, fd_stencil_jacobians, fields_json
 from .geometry import BoundedDomain, sample
 from .isometry import CompositionIsometry, FunctionFamily, ratio_matrix
 
@@ -147,13 +147,7 @@ class PointSolve:
     iterations: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "z": [{"re": c.real, "im": c.imag} for c in self.z],
-            "status": self.status,
-            "w": None if self.w is None else [{"re": c.real, "im": c.imag} for c in self.w],
-            "residual": self.residual if math.isfinite(self.residual) else None,
-            "iterations": self.iterations,
-        }
+        return fields_json(self) | {"residual": self.residual if math.isfinite(self.residual) else None}
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -336,13 +330,7 @@ class ReconstructionResult:
         return out
 
     def to_json_obj(self) -> dict:
-        return {
-            "records": [r.to_json_obj() for r in self.records],
-            "threshold": self.threshold,
-            "injectivity_violations": self.injectivity_violations,
-            "status_counts": self.status_counts(),
-            "diagnostics": dict(self.diagnostics),
-        }
+        return fields_json(self) | {"status_counts": self.status_counts()}
 
 
 def grid_points(D: BoundedDomain, n_per_dim: int) -> np.ndarray:

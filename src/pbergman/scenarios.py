@@ -27,6 +27,7 @@ from .functions import (
     MonomialMap,
     complex_from_json,
     fd_jacobian_det,
+    fields_json,
     number_from_json,
     read_params,
 )
@@ -72,15 +73,7 @@ class CheckResult:
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "expected": self.expected,
-            "observed": self.observed,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
+    to_json_obj = fields_json
 
 
 @dataclass(frozen=True)
@@ -94,12 +87,7 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def to_json_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "checks": [c.to_json_obj() for c in self.checks],
-            "pass": self.passed,
-            "metadata": dict(self.metadata),
-        }
+        return fields_json(self) | {"pass": self.passed}
 
     def summary_lines(self) -> list[str]:
         """The text of the report as saved, with sorted keys."""

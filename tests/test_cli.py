@@ -86,6 +86,20 @@ class TestNorm:
         assert obj["value"] is None
         assert "divergent" in obj
 
+    @pytest.mark.parametrize(
+        "argv, tail",
+        [
+            (["--domain", "disc", "--exp", "-2", "--method", "closed"], "exponents (-2.0,)"),
+            (["--domain", "ball(2)", "--exp", "-2 0", "--method", "quad"], "exponents (-2.0, 0.0)"),
+        ],
+        ids=["disc-closed", "ball-quad"],
+    )
+    def test_divergence_message_prints_plain_numbers(self, capsys, argv, tail):
+        code, out, _ = run_cli(capsys, ["norm", "--p", "1", *argv])
+        assert code == 0
+        message = json.loads(out)["divergent"]
+        assert message.endswith(tail) and "np." not in message, message
+
     def test_mc_same_seed_byte_identical(self, capsys):
         argv = [
             "norm", "--domain", "disc", "--exp", "1", "--p", "2",
@@ -351,6 +365,20 @@ class TestOperatorFileCommands:
         code, out, _ = run_cli(capsys, ["equimeasure", "--scenario", path, "--samples", "100000"])
         assert code == 1
         assert json.loads(out)["verdict"] == "FAIL"
+
+    def test_equimeasure_lead_with_divergent_norm_falls_back(self, capsys, tmp_path):
+        # |z^-2| is not integrable on the punctured disc, so neither the box
+        # probe nor the pushforward draws from the lead's density
+        spec = {
+            "operator": {"kind": "identity", "domain": "punctured_disc(1)", "p": 1},
+            "family": {"kind": "members", "members": [[{"exp": [-2], "re": 1}], [{"exp": [0], "re": 1}]]},
+        }
+        path = write_spec(tmp_path, spec)
+        code, out, err = run_cli(capsys, ["equimeasure", "--scenario", path, "--samples", "100000"])
+        assert code == 0, err
+        assert json.loads(out)["verdict"] == "PASS"
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: PoleProximityWarning: |lead|^1.0"), err
 
     def test_reconstruct_map_identity(self, capsys, tmp_path):
         path = write_spec(tmp_path, IDENTITY_SPEC)

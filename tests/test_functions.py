@@ -17,7 +17,7 @@ from pbergman import (
     build_counterexample,
     fd_jacobian_det,
 )
-from pbergman.functions import fd_stencil, fd_stencil_jacobians, monomial_values
+from pbergman.functions import fd_stencil, fd_stencil_jacobians, json_value, monomial_values
 
 
 def L(dim, terms):
@@ -88,6 +88,18 @@ class TestLaurentPolynomial:
         with pytest.raises(ConfigError):
             LaurentPolynomial.from_json_obj(1, [{"exp": [1.5], "re": 1.0}])
         assert LaurentPolynomial.monomial(2, (2.0, np.int64(-1))) == LaurentPolynomial.monomial(2, (2, -1))
+
+
+class TestJsonValue:
+    def test_nested_values(self):
+        f = L(1, {(2,): 0.5j})
+        value = {"a": (1 + 2j, [np.complex128(-0.5j), None]), "f": f, "x": 0.25, "ok": True}
+        assert json_value(value) == {
+            "a": [{"re": 1.0, "im": 2.0}, [{"re": 0.0, "im": -0.5}, None]],
+            "f": f.to_json_obj(),
+            "x": 0.25,
+            "ok": True,
+        }
 
 
 class TestMonomialMap:

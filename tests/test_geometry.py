@@ -302,7 +302,7 @@ class TestLogRadialMoment:
         profile = parse_domain(label).radial_profile
         n = profile.dimension
         rows = []
-        for f, cols in profile.factor_columns() if profile.kind == "product" else [(profile, slice(0, n))]:
+        for f, cols in profile.factor_columns():
             if f.kind == "ball":
                 rows += [-2.0 * np.eye(n)[j] for j in range(cols.start, cols.stop)]
             else:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,12 @@ from pbergman import (
     CheckResult,
     CompositionIsometry,
     ConfigError,
+    EquimeasureReport,
     FunctionFamily,
     LaurentPolynomial,
     LinearMap,
     MonomialMap,
+    RegionComparison,
     Report,
     battery_monomials,
     build_counterexample,
@@ -426,6 +429,24 @@ class TestDocsInSync:
         checks = [(name, where) for name, where in rows if name not in SCENARIOS]
         assert [name for name, _ in checks] == list(CHECKS)
         assert [name for name, where in checks if "cited" in where] == ["automorphism-dimensions"]
+
+    def test_formats_region_comparison_fields(self):
+        doc = (ROOT / "docs" / "formats.md").read_text()
+        listed = re.search(r"Each entry of `boxes` is a region comparison:(.*?)\.\n", doc, re.S).group(1)
+        assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(RegionComparison)]
+
+    def test_formats_equimeasure_fields(self):
+        doc = (ROOT / "docs" / "formats.md").read_text()
+        section = re.search(r"^## `pbergman equimeasure`\n(.*?)^## ", doc, re.S | re.M).group(1)
+        assert re.findall(r"`(\w+)`", section) == [f.name for f in fields(EquimeasureReport)]
+
+    def test_formats_report_example_keys(self):
+        doc = (ROOT / "docs" / "formats.md").read_text()
+        example = re.search(r"^Report JSON:\n\n```json\n(.*?)^```", doc, re.S | re.M).group(1)
+        check = re.search(r"\{\"name\".*?\}", example, re.S).group(0)
+        assert re.findall(r'"(\w+)":', check) == [f.name for f in fields(CheckResult)]
+        top = re.findall(r'^  "(\w+)":', example, re.M)
+        assert sorted(top) == sorted([f.name for f in fields(Report)] + ["pass"])
 
     def test_readme_lists_every_scenario(self):
         readme = (ROOT / "README.md").read_text()
