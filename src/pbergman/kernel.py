@@ -18,11 +18,23 @@ nodes, and a one-term start's certificate is a sum over radial nodes alone.
 For p < 1 the problem is not convex: where the Hessian is not positive
 definite on the constraint's tangent space the step uses the majorizing
 quadratic instead, and no global claim is made.
+
+Everything that depends on neither the point nor p (the grid's nodes and
+phases, the radial powers and angular characters of the basis, the
+difference and sum tables of the Hessian, each block's weighted powers and
+the closed 2-norms of the Gram start) is built once per radial profile,
+grid size and basis indices, and kept in one module slot: a list of points,
+a sweep over p or a scenario's radii reuse it, and the slot is emptied
+before tables of another key are built, so no two bases' tables are alive
+at once. For 1 <= p < 2 a smoothing stage that ends on a full step whose
+decrement is at most 1e-12 of the objective sends the run straight to the
+last stage (`_newton`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
@@ -142,16 +154,15 @@ def _point(z, dimension: int) -> np.ndarray:
 # -- p = 2 closed form --------------------------------------------------------
 
 
-def _gram2(D: BoundedDomain, indices, bz: np.ndarray) -> tuple[np.ndarray, float]:
-    """The closed squared 2-norms of the monomials z^a (inf where one diverges)
-    and the diagonal Gram sum of |bz_a|^2 / ||z^a||_2^2, bz_a = z^a at the point."""
+def _closed_norms2(D: BoundedDomain, indices) -> np.ndarray:
+    """The closed squared 2-norms of the monomials z^a (inf where one diverges)."""
     norms2 = np.empty(len(indices))
     for i, a in enumerate(indices):
         try:
             norms2[i] = monomial_norm_closed(D, a, 2.0).integral
         except DivergentIntegralError:
             norms2[i] = math.inf
-    return norms2, float(np.sum(np.abs(bz) ** 2 / norms2))
+    return norms2
 
 
 def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
@@ -164,7 +175,8 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
     if basis.p != 2:
         raise ConfigError("the Gram path is defined only for p = 2")
     zz = _point(z, D.dimension)
-    _, value = _gram2(D, basis.indices, monomial_values(zz.reshape(1, -1), basis.indices)[0])
+    bz = monomial_values(zz.reshape(1, -1), basis.indices)[0]
+    value = float(np.sum(np.abs(bz) ** 2 / _closed_norms2(D, basis.indices)))
     return KernelEstimate(
         value=value,
         z=tuple(zz),
@@ -180,30 +192,107 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
 _GRID_BUDGET = 40_000_000
 
 
-class _SliceProblem:
-    """Quadrature discretization of ||phi||_p^p over the span, with the
-    affine constraint phi(z) = 1 handled by projection/retraction.
+class _GridTables:
+    """The point-independent tables of one basis on one quadrature grid,
+    keyed by (radial profile, radial nodes, angles per coordinate, indices):
+    no p and no point enter them, so every solve of that basis shares them.
 
     The nodes are those of a ReinhardtGrid, R radial nodes times A angles,
-    where z^a = r^a e^{i a.theta}: the problem keeps the real radial powers P
-    (R x K) and angular characters E (K x A) of the basis, not their product.
+    where z^a = r^a e^{i a.theta}: the tables keep the real radial powers P
+    (R x K) and angular characters E (K x A) of the basis, not their product,
+    each block's weighted powers P[rows]^T w[rows], and the closed squared
+    2-norms of the monomials (inf where one diverges) for the Gram start.
     """
 
-    def __init__(self, D: BoundedDomain, basis: BasisSpec, z: np.ndarray, cfg: OptimizerConfig):
-        maxdeg = max(sum(abs(e) for e in a) for a in basis.indices)
-        m_theta = cfg.angular_nodes if cfg.angular_nodes is not None else max(2 * maxdeg + 1, 9)
-        grid = ReinhardtGrid(D.radial_profile, cfg.radial_nodes, m_theta)
-        if grid.node_count * basis.size > _GRID_BUDGET:
+    def __init__(self, D: BoundedDomain, key: tuple):
+        profile, radial_nodes, m_theta, indices = key
+        grid = ReinhardtGrid(profile, radial_nodes, m_theta)
+        if grid.node_count * len(indices) > _GRID_BUDGET:
             raise ConfigError(
-                f"optimizer grid of {grid.n_radial} radial x {grid.n_angular} angular nodes for {basis.size} "
+                f"optimizer grid of {grid.n_radial} radial x {grid.n_angular} angular nodes for {len(indices)} "
                 f"basis elements exceeds the limit of {_GRID_BUDGET} node-elements; "
                 "reduce nodes or basis degree"
             )
-        self.indices = basis.indices
+        self.key = key
+        self.indices = indices
         self._grid = grid
         self.phases = grid.phases
         self.w = grid.nodes[1]
-        self.P, self.E = grid.monomial_factors(basis.indices)
+        self.P, self.E = grid.monomial_factors(indices)
+        self.blocks = [slice(i, i + _BLOCK) for i in range(0, self.P.shape[0], _BLOCK)]
+        self.weighted_P = [self.P[rows].T * self.w[rows] for rows in self.blocks]
+        self.norms2 = _closed_norms2(D, indices)
+
+    @cached_property
+    def difference_groups(self):
+        """Angular characters e^{i d.theta} at the distinct index differences
+        d = b - a, as an A x 2D real array (re, im of each d side by side), and
+        per difference the flattened pairs (a, b) with b - a = d together with
+        their radial weights w_r P_ra P_rb (pairs x R)."""
+        alpha = np.array(self.indices)
+        K, n = alpha.shape
+        diffs, pos = np.unique((alpha[None, :, :] - alpha[:, None, :]).reshape(-1, n), axis=0, return_inverse=True)
+        pos = pos.reshape(-1)
+        chars = monomial_values(self.phases, diffs).view(float)
+        pair_weights = (self.P[:, :, None] * self.P[:, None, :]).reshape(-1, K * K).T * self.w
+        pairs = np.split(np.argsort(pos, kind="stable"), np.cumsum(np.bincount(pos))[:-1])
+        return chars, [(j, pair_weights[j]) for j in pairs]
+
+    @cached_property
+    def sum_table(self):
+        """At the distinct index sums s = a + b: the conjugate characters
+        e^{-i s.theta} (A x S), the radial weights w_r r^s (R x S) and, per
+        flattened pair (a, b), the position of its sum. r^a r^b = r^(a+b), so
+        a pair's whole node sum depends on its index sum alone."""
+        alpha = np.array(self.indices)
+        n = alpha.shape[1]
+        sums, pos = np.unique((alpha[None, :, :] + alpha[:, None, :]).reshape(-1, n), axis=0, return_inverse=True)
+        radial, chars = self._grid.monomial_factors(sums)
+        return np.conj(chars).T, radial * self.w[:, None], pos.reshape(-1)
+
+    def at_differences(self, F: np.ndarray) -> np.ndarray:
+        """M_ab = sum_r w_r P_ra P_rb F_r[b - a] from the R x 2D transform F."""
+        K = self.P.shape[1]
+        M = np.empty((K * K, 2))
+        for d, (j, weights) in enumerate(self.difference_groups[1]):
+            M[j] = weights @ F[:, 2 * d : 2 * d + 2]
+        return M.view(complex).reshape(K, K)
+
+
+_tables: _GridTables | None = None  # the tables of the last basis solved
+
+
+def _grid_tables(D: BoundedDomain, indices: tuple, cfg: OptimizerConfig) -> _GridTables:
+    """The tables of `indices` on the optimizer grid of D. A grid too coarse
+    for the basis is refused first: with fewer than 2 max|a| + 1 angles per
+    coordinate the angular sums alias, and the grid norm of a span can fall
+    below its true norm, which would make the value no lower bound. The one
+    slot keeps the last tables; it lets go of them before other tables are
+    built, so no two bases' tables are alive at once."""
+    global _tables
+    if not isinstance(cfg.radial_nodes, numbers.Integral) or cfg.radial_nodes < 4:
+        raise ConfigError(f"radial_nodes must be an integer of at least 4, not {cfg.radial_nodes!r}")
+    min_theta = 2 * max(sum(abs(e) for e in a) for a in indices) + 1
+    m_theta = max(min_theta, 9) if cfg.angular_nodes is None else cfg.angular_nodes
+    if not isinstance(m_theta, numbers.Integral) or m_theta < min_theta:
+        raise ConfigError(f"angular_nodes must be at least {min_theta} for this basis, not {m_theta!r}")
+    key = (D.radial_profile, cfg.radial_nodes, m_theta, indices)
+    tables = _tables
+    if tables is None or tables.key != key:
+        _tables = None
+        tables = _tables = _GridTables(D, key)
+    return tables
+
+
+class _SliceProblem:
+    """Quadrature discretization of ||phi||_p^p over the span, with the
+    affine constraint phi(z) = 1 handled by projection/retraction. The grid
+    tables are shared (`_grid_tables`); the point's basis values bz and the
+    node values of the last iterate are the problem's own."""
+
+    def __init__(self, D: BoundedDomain, basis: BasisSpec, z: np.ndarray, cfg: OptimizerConfig):
+        self.tables = _grid_tables(D, basis.indices, cfg)
+        self.indices, self.P, self.E, self.w = basis.indices, self.tables.P, self.tables.E, self.tables.w
         self.bz = monomial_values(z.reshape(1, -1), basis.indices)[0]
         self.bz_norm2 = float(np.sum(np.abs(self.bz) ** 2))
         if self.bz_norm2 <= _Z_TINY:
@@ -241,58 +330,22 @@ class _SliceProblem:
         if self._nodes[0] != key:
             self._nodes = (None, [])  # release the old blocks before building new ones
             blocks = []
-            for i in range(0, self.P.shape[0], _BLOCK):
-                rows = slice(i, i + _BLOCK)
+            for rows in self.tables.blocks:
                 phi = _span_values(self.P[rows], self.E, c)
                 blocks.append((rows, phi, np.abs(phi) ** 2))
             self._nodes = (key, blocks)
         return self._nodes[1]
-
-    @cached_property
-    def _difference_groups(self):
-        """Angular characters e^{i d.theta} at the distinct index differences
-        d = b - a, as an A x 2D real array (re, im of each d side by side), and
-        per difference the flattened pairs (a, b) with b - a = d together with
-        their radial weights w_r P_ra P_rb (pairs x R)."""
-        alpha = np.array(self.indices)
-        K, n = alpha.shape
-        diffs, pos = np.unique((alpha[None, :, :] - alpha[:, None, :]).reshape(-1, n), axis=0, return_inverse=True)
-        pos = pos.reshape(-1)
-        chars = monomial_values(self.phases, diffs).view(float)
-        pair_weights = (self.P[:, :, None] * self.P[:, None, :]).reshape(-1, K * K).T * self.w
-        pairs = np.split(np.argsort(pos, kind="stable"), np.cumsum(np.bincount(pos))[:-1])
-        return chars, [(j, pair_weights[j]) for j in pairs]
-
-    @cached_property
-    def _sum_table(self):
-        """At the distinct index sums s = a + b: the conjugate characters
-        e^{-i s.theta} (A x S), the radial weights w_r r^s (R x S) and, per
-        flattened pair (a, b), the position of its sum. r^a r^b = r^(a+b), so
-        a pair's whole node sum depends on its index sum alone."""
-        alpha = np.array(self.indices)
-        n = alpha.shape[1]
-        sums, pos = np.unique((alpha[None, :, :] + alpha[:, None, :]).reshape(-1, n), axis=0, return_inverse=True)
-        radial, chars = self._grid.monomial_factors(sums)
-        return np.conj(chars).T, radial * self.w[:, None], pos.reshape(-1)
-
-    def _at_differences(self, F: np.ndarray) -> np.ndarray:
-        """M_ab = sum_r w_r P_ra P_rb F_r[b - a] from the R x 2D transform F."""
-        K = self.P.shape[1]
-        M = np.empty((K * K, 2))
-        for d, (j, weights) in enumerate(self._difference_groups[1]):
-            M[j] = weights @ F[:, 2 * d : 2 * d + 2]
-        return M.view(complex).reshape(K, K)
 
     def irls_matrix(self, c: np.ndarray, eps2: float) -> np.ndarray:
         """M = B^H diag(w (|phi|^2 + eps2)^(p/2-1)) B for the dense node
         matrix B, assembled as M_ab = sum_r w_r P_ra P_rb F_r[b - a], where
         F_r[d] = sum_theta (|phi|^2 + eps2)^(p/2-1) e^{i d.theta} is the
         angular transform of the weights at the distinct differences d."""
-        chars = self._difference_groups[0]
+        chars = self.tables.difference_groups[0]
         F = np.empty((self.P.shape[0], chars.shape[1]))  # re, im of F_r[d] side by side
         for rows, _, a2 in self._blocks(c):
             F[rows] = (a2 + eps2) ** (self.p / 2.0 - 1.0) @ chars
-        return self._at_differences(F)
+        return self.tables.at_differences(F)
 
     def newton_parts(self, c: np.ndarray, eps2: float):
         """Gradient G and Hessian parts A, C of sum w s^(p/2), s = |phi|^2 + eps2:
@@ -302,23 +355,24 @@ class _SliceProblem:
             C_ab = sum w (p/2) (p/2-1) s^(p/2-2) phi^2 conj(b_a) conj(b_b)
 
         A is taken at index differences like `irls_matrix`, C at index sums.
-        Where s = 0 (eps2 = 0 and phi = 0, used only for p >= 2) s^(p/2-2)
-        is read as 0, the limit of both terms it enters."""
+        eps2 > 0 makes s positive; where s = 0 (eps2 = 0 and phi = 0, used
+        only for p >= 2) s^(p/2-2) is read as 0, the limit of both terms it
+        enters."""
         p2 = self.p / 2.0
-        chars_d = self._difference_groups[0]
-        chars_s, radial_s, pos_s = self._sum_table
+        chars_d = self.tables.difference_groups[0]
+        chars_s, radial_s, pos_s = self.tables.sum_table
         F = np.empty((self.P.shape[0], chars_d.shape[1]))
         W = np.zeros((self.P.shape[1], 2 * self.E.shape[1]))
         c_sums = np.zeros(chars_s.shape[1], dtype=complex)
-        for rows, phi, a2 in self._blocks(c):
+        for (rows, phi, a2), weighted_P in zip(self._blocks(c), self.tables.weighted_P):
             s = a2 + eps2
             h = s ** (p2 - 1.0)
-            q = np.divide(h, s, out=np.zeros_like(s), where=s > 0)
-            W += (self.P[rows].T * self.w[rows]) @ (h * phi).view(float)
+            q = h / s if eps2 > 0 else np.divide(h, s, out=np.zeros_like(s), where=s > 0)
+            W += weighted_P @ (h * phi).view(float)
             F[rows] = (p2 * (h + (p2 - 1.0) * q * a2)) @ chars_d
             c_sums += np.sum(radial_s[rows] * ((p2 * (p2 - 1.0)) * q * phi * phi @ chars_s), axis=0)
         G = p2 * np.sum(np.conj(self.E) * W.view(complex), axis=1)
-        return G, self._at_differences(F), c_sums[pos_s].reshape(G.shape[0], G.shape[0])
+        return G, self.tables.at_differences(F), c_sums[pos_s].reshape(G.shape[0], G.shape[0])
 
 
 def _real_hessian(A: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -383,18 +437,23 @@ def _newton(prob: _SliceProblem, c0: np.ndarray):
     accepted full step (t = 1) whose decrement was at most 1e-6 of the
     objective: the convex problem converges quadratically there, so the
     next step's decrement, about the square of this one, would only confirm
-    it. The last stage and every stage below p = 1 keep the 1e-15 test.
-    `it` counts the gradient-and-Hessian assemblies.
+    it. When that decrement was at most 1e-12 of the objective the stage
+    began at its own minimizer, so lowering eps no longer moves the iterate
+    at that level: the run goes straight to the last stage. The last stage
+    and every stage below p = 1 keep the 1e-15 test, so `converged` is
+    decided as before. `it` counts the gradient-and-Hessian assemblies.
     """
     p = prob.p
     c = prob.retract(c0.astype(complex))
     it = 0
     converged = True
     stages = _STAGES_BELOW_1 if p < 1.0 else _STAGES if p < 2.0 else 1
-    for stage in range(stages):
+    stage = 0
+    while stage < stages:
         eps2 = _stage_eps2(prob, c, stage) if p < 2.0 else 0.0
         f = prob.norm_p(c, eps2)
         one_step_end = 1.0 <= p < 2.0 and stage < stages - 1
+        next_stage = stage + 1
         for _ in range(_STAGE_ITERS):
             it += 1
             d, decrement, G = _newton_step(prob, c, eps2)
@@ -410,12 +469,15 @@ def _newton(prob: _SliceProblem, c0: np.ndarray):
             else:
                 break
             stage_done = one_step_end and t == 1.0 and decrement <= 1e-6 * f
+            if stage_done and decrement <= 1e-12 * f:
+                next_stage = stages - 1
             c, f = cand, f_new
             if stage_done:
                 break
         else:  # out of iterations: the last step moved c past its gradient
             converged = False
             G = prob.newton_parts(c, eps2)[0]
+        stage = next_stage
     grad_norm = float(np.linalg.norm(prob.project(G)))
     return c, prob.norm_p(c), grad_norm, it, converged
 
@@ -451,7 +513,8 @@ def pbergman_min_norm(
     # p = 2 Gram minimizer: feasible and typically near-optimal; indices with
     # divergent 2-norm (1/z on the punctured disc at p = 1) simply drop out
     # of this start
-    norms2, b2 = _gram2(D, basis.indices, bz)
+    norms2 = prob.tables.norms2
+    b2 = float(np.sum(np.abs(bz) ** 2 / norms2))
     if b2 > 0:
         starts.append(np.conj(bz) / norms2 / b2)
     for k in range(K):

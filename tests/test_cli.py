@@ -174,6 +174,26 @@ class TestKernel:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    def test_points_share_one_table_build(self, capsys, monkeypatch):
+        from pbergman import kernel
+
+        builds = []
+
+        class Counting(kernel._GridTables):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(kernel, "_GridTables", Counting)
+        monkeypatch.setattr(kernel, "_tables", None)
+        code, out, _ = run_cli(
+            capsys,
+            ["kernel", "--domain", "disc", "--p", "1", "--z", "0.1,0;0.5,0.2;0,-0.7", "--degree", "6"],
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+        assert len(builds) == 1
+
     def test_plot_data_file(self, capsys, tmp_path):
         target = tmp_path / "kernel.dat"
         code, _, _ = run_cli(
