@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Tag namespace for substream keys; one per sampling site.
 TAG_REJECTION = 101
 TAG_WEIGHTED = 102
@@ -26,6 +28,15 @@ TAG_OPTIMIZER = 110
 
 # Draws per substream: chunk i of a stream is keyed by (seed, tag, ..., i).
 CHUNK = 1 << 16
+
+
+def as_seed(seed) -> int:
+    """`seed` as an int. Python and numpy integers pass; anything else (bool,
+    float, string, Generator) is refused rather than truncated to some
+    other seed's stream."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        return int(seed)
+    raise ConfigError(f"seed must be an integer, got {seed!r}")
 
 
 def substream(seed: int, *key) -> np.random.Generator:

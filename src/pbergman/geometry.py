@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import CHUNK, TAG_DIRECTIONS, TAG_PROBE, TAG_REJECTION, stable_key, substream
+from ._rng import CHUNK, TAG_DIRECTIONS, TAG_PROBE, TAG_REJECTION, as_seed, stable_key, substream
 from .errors import ConfigError, DegenerateDomainError, DivergentIntegralError, UnsupportedDomainError
 from .functions import REQUIRED, _as_points, number_from_json, read_params
 
@@ -75,7 +75,7 @@ class RadialProfile:
             return (r[:, 0] < 1.0) & (r[:, 1] < r[:, 0] ** self.k)
         if self.kind == "graph_with_factor":
             inside = r[:, 0] < 1.0
-            cap = np.where(inside, r[:, 0] ** self.k * np.sqrt(np.maximum(1.0 - r[:, 0] ** 2, 0.0)), 0.0)
+            cap = r[:, 0] ** self.k * np.sqrt(np.maximum(1.0 - r[:, 0] ** 2, 0.0))
             return inside & (r[:, 1] < cap)
         if self.kind == "product":
             out = np.ones(r.shape[0], dtype=bool)
@@ -416,18 +416,21 @@ def parse_domain(text_or_obj) -> BoundedDomain:
 
 
 def box_proposals(D: BoundedDomain, g: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """`count` uniform proposals from D's bounding box, each drawn as
-    u ~ U[-1, 1]^{2n} from g and scaled by the box, and the mask of those in D.
+    """`count` uniform proposals from D's bounding box, each (2u - 1) b for
+    u ~ U[0, 1)^{2n} from g and the box b, and the mask of those in D.
+
+    The scaling takes two passes, (u - 0.5)(2b), with the same bits: u is a
+    multiple of 2^-53, so u - 0.5 is exact, and a factor of two commutes
+    with rounding.
 
     Callers keep the proposals until their chunk is done: freeing them before
     the chunk's evaluations doubled the page faults of 2-thread Monte Carlo
     runs, as the allocator returned and refetched that memory every chunk.
     """
     u = g.random((count, 2 * D.dimension))
-    u *= 2.0
-    u -= 1.0
+    u -= 0.5
     pts = u.view(complex)  # (re, im) pairs of u read in place as n complex columns
-    pts *= np.asarray(D.bounding_box)
+    pts *= 2.0 * np.asarray(D.bounding_box)
     return pts, D.contains(pts)
 
 
@@ -458,7 +461,7 @@ def sample(D: BoundedDomain, rng, count: int) -> SampleBatch:
         # about twice the rows `count` members need
         size = CHUNK if acceptance * CHUNK <= 2 * count else max(64, math.ceil(2 * count / acceptance))
     else:
-        seed = int(rng)
+        seed = as_seed(rng)
         chunked = True
         size = CHUNK
     kept = []
@@ -468,7 +471,7 @@ def sample(D: BoundedDomain, rng, count: int) -> SampleBatch:
     while accepted < count:
         g = substream(seed, TAG_REJECTION, chunk_idx) if chunked else rng
         pts, inside = box_proposals(D, g, size)
-        kept.append(pts[inside])
+        kept.append(np.compress(inside, pts, axis=0))
         accepted += kept[-1].shape[0]
         proposed += size
         chunk_idx += 1
@@ -486,7 +489,7 @@ def sample_polar_weighted(D: BoundedDomain, t: Sequence[float], rng, count: int)
     """The moduli r and phases theta of `sample_radial_weighted`'s points
     z = r e^{i theta}, as two (count, n) arrays: the moduli are drawn first,
     then theta = 2 pi u from one uniform (count, n) draw."""
-    gen = rng if isinstance(rng, np.random.Generator) else substream(int(rng), TAG_REJECTION, 0)
+    gen = rng if isinstance(rng, np.random.Generator) else substream(as_seed(rng), TAG_REJECTION, 0)
     r = sample_moduli_weighted(D.radial_profile, t, gen, count)
     theta = gen.random((count, D.dimension))
     theta *= 2.0

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import CHUNK, TAG_MC_NORM, substream
+from ._rng import CHUNK, TAG_MC_NORM, as_seed, substream
 from .errors import ConfigError, DivergentIntegralError, PoleProximityWarning, UnsupportedDomainError, user_stacklevel
 from .functions import LaurentPolynomial, fields_json, monomial_values
 from .geometry import BoundedDomain, RadialProfile, box_proposals, log_radial_moment
@@ -125,15 +125,21 @@ def chunked_mean(samples: int, chunk_ys, threads: int = 1) -> list[tuple[float, 
 
     chunk_ys(i, size) returns the y arrays of chunk i, one per item (draws
     absent from an array count as y = 0); a generator keeps one in memory at
-    a time. Chunks run on `threads` workers when threads > 1. The per-chunk
+    a time. A bool y is counted: its count is both its sum and its sum of
+    squares. Chunks run on `threads` workers when threads > 1. The per-chunk
     sums of y and y^2 are added in chunk order, so results are byte-identical
     for any thread count.
     """
     n_chunks = math.ceil(samples / CHUNK)
     sizes = [CHUNK] * (n_chunks - 1) + [samples - CHUNK * (n_chunks - 1)]
 
+    def moments(y: np.ndarray) -> tuple[float, float]:
+        if y.dtype == bool:  # 0/1 values: the count is both sums
+            return (float(np.count_nonzero(y)),) * 2
+        return float(y.sum()), float((y * y).sum())
+
     def sums(i: int):
-        return [(float(y.sum()), float((y * y).sum())) for y in chunk_ys(i, sizes[i])]
+        return [moments(y) for y in chunk_ys(i, sizes[i])]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -171,9 +177,7 @@ def mc_norm_batch(
     """
     if samples < 1_000:
         raise ConfigError("Monte Carlo needs at least 10^3 samples")
-    seed = int(rng) if not isinstance(rng, np.random.Generator) else None
-    if seed is None:
-        raise ConfigError("mc_norm requires an integer seed so substreams stay reproducible")
+    seed = as_seed(rng)  # a Generator is refused too: chunk substreams need a seed
     for f, p in items:
         if _variance_diverges(D, f, p):
             warnings.warn(
@@ -185,11 +189,11 @@ def mc_norm_batch(
 
     def chunk_ys(i: int, size: int):
         pts, inside = box_proposals(D, substream(seed, TAG_MC_NORM, i), size)
-        members = pts[inside]
+        members = np.compress(inside, pts, axis=0)
         for f, p in items:
             sub = members
             for j in getattr(f, "_negative_axes", ()):
-                sub = sub[sub[:, j] != 0]
+                sub = np.compress(sub[:, j] != 0, sub, axis=0)
             yield np.abs(np.asarray(f.evaluate(sub))) ** p if sub.shape[0] else np.zeros(0)
 
     vol = D.box_volume

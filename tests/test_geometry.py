@@ -108,6 +108,24 @@ class TestMembership:
         assert D.null_exclusions == excl
         assert np.array_equal(D.contains(pts), want)
 
+    def test_graph_with_factor_mask_needs_no_cap_guard(self):
+        # rows with r_0 >= 1, NaN or inf fail `inside` whatever their cap, so
+        # zeroing the cap there first changes no bit of the mask
+        profile = parse_domain("fk_ball_prime(3)").radial_profile
+        g = np.random.default_rng(8)
+        r = g.uniform(0.0, 1.3, (200_000, 2))
+        special = [np.nan, np.inf, -np.inf, 1.0, np.nextafter(1.0, 0.0), 0.0]
+        r[:600, 0] = np.repeat(special, 100)
+        r[600:1200, 1] = np.repeat(special, 100)
+        r[1200:1800] = np.nan
+        with np.errstate(invalid="ignore"):
+            inside = r[:, 0] < 1.0
+            cap = np.where(inside, r[:, 0] ** 3 * np.sqrt(np.maximum(1.0 - r[:, 0] ** 2, 0.0)), 0.0)
+            want = inside & (r[:, 1] < cap)
+            got = profile.moduli_member(r)
+        assert np.array_equal(got, want)
+        assert 0 < np.count_nonzero(got) < r.shape[0]
+
 
 def _per_kind_membership(desc):
     """Membership closure and null exclusions of a catalog descriptor, written
@@ -402,6 +420,35 @@ class TestSampling:
         assert pts.tobytes() == ref.tobytes()
         assert np.array_equal(np.signbit(pts.view(float)), np.signbit(ref.view(float)))
         assert np.array_equal(inside, D.contains(ref))
+
+    @pytest.mark.parametrize(
+        "label",
+        ["disc(0.7)", "punctured_disc(1.3)", "polydisc(3;0.5,1,1.5)", "ball(2;1.3)", "hartogs(3)", "fk_ball_prime(3)",
+         "product(punctured_disc(1),fk_ball_prime(3),ball(1;0.37))"],
+    )
+    def test_box_proposals_are_two_u_minus_one_times_box(self, label):
+        # (u - 0.5) * 2b has the bits of (2u - 1) * b, the real formula, per component
+        D = parse_domain(label)
+        pts, _ = box_proposals(D, substream(4, TAG_REJECTION, 0), 50_000)
+        u = substream(4, TAG_REJECTION, 0).random((50_000, 2 * D.dimension))
+        ref = (2.0 * u - 1.0) * np.repeat(np.asarray(D.bounding_box), 2)
+        assert np.array_equal(pts.view(float), ref)
+        assert np.array_equal(np.signbit(pts.view(float)), np.signbit(ref))
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint32(3), np.int8(3)])
+    def test_numpy_integer_seed_is_the_int_seed(self, disc, seed):
+        assert sample(disc, seed, 300).points.tobytes() == sample(disc, 3, 300).points.tobytes()
+
+    @pytest.mark.parametrize(
+        "seed",
+        [3.5, 3.0, np.float64(3.0), True, "3", None],
+        ids=["fraction", "whole-float", "numpy-float", "bool", "string", "none"],
+    )
+    def test_non_integral_seed_refused(self, disc, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            sample(disc, seed, 300)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            sample_radial_weighted(disc, (0.0,), seed, 300)
 
     def test_distinct_seeds_differ(self, disc):
         assert not np.array_equal(sample(disc, 0, 50).points, sample(disc, 1, 50).points)

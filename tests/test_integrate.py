@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ from pbergman import (
     monomial_norm_closed,
     parse_domain,
     quadrature_norm,
+    sample,
 )
 from pbergman._rng import TAG_MC_NORM, substream
 from pbergman.integrate import (
@@ -29,6 +31,7 @@ from pbergman.integrate import (
     _quad_integral_general,
     _quad_integral_monomial,
     _radial_grid,
+    chunked_mean,
 )
 
 PRODUCTS = ("product(ball(2),hartogs(3))", "product(fk_ball_prime(3),polydisc(2))")
@@ -364,6 +367,25 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             mc_norm(disc, f, 2.0, 20_000, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "seed",
+        [1.7, 1.0, True, "1", np.float64(1.0), None],
+        ids=["fraction", "whole-float", "bool", "string", "numpy-float", "none"],
+    )
+    def test_non_integral_seed_refused(self, disc, seed):
+        f = LaurentPolynomial.monomial(1, (1,))
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            mc_norm(disc, f, 2.0, 20_000, seed)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            mc_norm_batch(disc, [(f, 2.0)], 20_000, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(1), np.uint8(1), np.int32(1)])
+    def test_numpy_integer_seed_is_the_int_seed(self, disc, seed):
+        f = LaurentPolynomial.monomial(1, (1,))
+        a, b = mc_norm(disc, f, 2.0, 20_000, seed), mc_norm(disc, f, 2.0, 20_000, 1)
+        assert (a.value, a.std_error, a.seed) == (b.value, b.std_error, b.seed)
+        assert type(a.seed) is int
+
     def test_sample_count_validation(self, disc):
         f = LaurentPolynomial.monomial(1, (1,))
         with pytest.raises(ConfigError):
@@ -388,6 +410,110 @@ class TestMonteCarlo:
         assert math.isfinite(res.value)
         # the warning names this call site, not the package frame that raised it
         assert [w.filename for w in rec] == [__file__]
+
+
+class TestChunkedMean:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bool_rows_are_counted_as_their_float_copies(self, threads):
+        # chunk 0 random, chunk 1 all False, chunk 2 short; the last item is
+        # empty in every chunk, as when no proposal of a chunk lands in D
+        g = np.random.default_rng(3)
+        masks = {i: [g.random(size) < q for q in (0.5, 0.03, 0.0)] + [np.zeros(0, dtype=bool)]
+                 for i, size in enumerate((65536, 65536, 1234))}
+        masks[1][0][:] = False
+
+        def ys(as_float):
+            def chunk_ys(i, size):
+                assert masks[i][0].shape[0] == size
+                for m in masks[i]:
+                    yield m.astype(float) if as_float else m.copy()
+            return chunk_ys
+
+        samples = 2 * 65536 + 1234
+        got = chunked_mean(samples, ys(False), threads)
+        want = chunked_mean(samples, ys(True), threads)
+        assert repr(got) == repr(want)
+        assert got[2] == (0.0, 0.0) and got[3] == (0.0, 0.0)
+        assert got[0][0] > 0 and got[1][1] > 0
+
+
+PINNED_MC = {  # (label, p) -> sha256 of repr((value, std_error)) at 2*10^5 samples, seed 0
+    ("disc", 0.75): "23ef3a2d92961b1bc0e3598298b7a16244dd4393a45dc73177a4bc1f1dda4eb9",
+    ("disc", 1.5): "4d5efd27baf5a2b6a857c5ef34ee4426fbc972d777afcbd661fdb3a5cca15b43",
+    ("disc", 3.0): "ab318f7e104898c44227e9bc1e61552180eab6c0db8729fc5a82c2de61a4f49c",
+    ("polydisc(2)", 0.75): "a8c6440bf1d25bc4f2cb4921e2bad28038bc0bd7654428e8df1a80a23bb1589a",
+    ("polydisc(2)", 1.5): "e6e70e104d26a159bd4bc17fc319a2d33cbb8826a3a157d307d9f83e489e0c50",
+    ("polydisc(2)", 3.0): "c069b54791e50e0a430f9b4f90f53bcd36a8abcb1f994d30f4d17562b4926268",
+    ("ball(2)", 0.75): "3b46f8b585a3de537ec9d86dda7996b01248dd78421255f498354f35a8d69bdc",
+    ("ball(2)", 1.5): "3a77722f5b22e3666c93a0f01aa8c2906aed46406aa9f1a94850ab738c20387b",
+    ("ball(2)", 3.0): "ab7f4b6c6f163034297eff921afc837a40f511e99baf66bcc3c8c1b6bab80140",
+    ("hartogs(3)", 0.75): "3dc0cefc91a402f2a6f7c2cf7d8b18bee9dc1e830c0887bf481a0d4d0cea293e",
+    ("hartogs(3)", 1.5): "9d2da2daf2649c481d70fd164079efb8ab65d86034247b6dc480e9b2e1f3af01",
+    ("hartogs(3)", 3.0): "a9d392230d22b3327c09fc65927ae03097696b1ad37600ea790ab87753f85bda",
+    ("fk_ball_prime(3)", 0.75): "b368bfdcc6128bcc71bbec99b929cc9f1627dc27c26b31f8e372defe0f40c925",
+    ("fk_ball_prime(3)", 1.5): "5d5ebebf2e7d436768790404da2318d2e41b8b9c2113a37dc4b1d65ca7759f86",
+    ("fk_ball_prime(3)", 3.0): "e9a394ca37bd27653c22eb00d76127acfc62b1ca8e8720d42e4ffdbb9516b8e6",
+    (PRODUCTS[0], 0.75): "f8ec8fa9f40b1accae6730e6d6a490cea5ae127f96d52170d8beea4718ad197c",
+    (PRODUCTS[0], 1.5): "83dd3e9aaab18702570d0d39c51cd31a328c4e0ee378eda8ea14cb688b0e8429",
+    (PRODUCTS[0], 3.0): "ba3eeb68577632d0399499b31900b61b3c6ae3b718158930a8d895dfee794c43",
+    (PRODUCTS[1], 0.75): "8770d9035e905a787dfe754116d29bb0a103d4e817d1d2047f9ce11cee5ecb23",
+    (PRODUCTS[1], 1.5): "a4d14432292e42ba2b72f1cba746fe6b981590a15b6101437fea2bd54af76e8e",
+    (PRODUCTS[1], 3.0): "a8b3bbc88d00db088b81ed9178228163ce94500680bf8b1a8cc481dae16b1738",
+    ("punctured_disc(1)", 0.75): "152f9a9ffc20f6bfa89d7064dcc1d95dde7aaaec591e786da25e6e596408f015",
+    ("punctured_disc(1)", 1.5): "894be613d06e89df018646289b207792e3e15d87c7cfc61c09cee3704b5bd9a6",
+    ("punctured_disc(1)", 3.0): "e34805e973f70516106758ca8469b3ef1dd2b85576b1550fa22115e86708b372",
+}
+
+
+def _pinned_integrand(D):
+    """1 + (0.5 - 0.25i) z_1 + 0.3i z_n^2, or z + (0.1 - 0.05i)/z on the
+    punctured disc so that the pole filter runs."""
+    n = D.dimension
+    if D.label.startswith("punctured"):
+        return LaurentPolynomial(1, {(1,): 1.0, (-1,): 0.1 - 0.05j})
+    return LaurentPolynomial(n, {(0,) * n: 1.0, (1,) + (0,) * (n - 1): 0.5 - 0.25j, (0,) * (n - 1) + (2,): 0.3j})
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedMonteCarlo:
+    """Seeded Monte Carlo bits: how a chunk lays out, scales or compacts its
+    proposals may change, the values and errors may not."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("label, p", list(PINNED_MC))
+    def test_mc_norm_bits(self, label, p, threads):
+        D = parse_domain(label)
+        res = mc_norm(D, _pinned_integrand(D), p, 200_000, 0, threads=threads)
+        assert _sha(repr((res.value, res.std_error))) == PINNED_MC[label, p]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_batch_bits_on_non_unit_box(self, threads):
+        D = parse_domain("fk_ball_prime(3)")
+        assert set(np.asarray(D.bounding_box)) != {1.0}
+        items = [
+            (LaurentPolynomial.monomial(2, (1, 2)), 0.75),
+            (LaurentPolynomial(2, {(0, 0): 1.0, (2, 0): 0.5 - 0.25j}), 1.5),
+            (LaurentPolynomial.monomial(2, (0, 1), 2.0j), 3.0),
+        ]
+        res = mc_norm_batch(D, items, 200_000, 3, threads=threads)
+        digest = _sha(repr([(r.value, r.std_error) for r in res]))
+        assert digest == "128f4af85b1146a8b48ee3580e2ff9e5ab33a6c3707f234c2edb2abd5652e35c"
+
+    @pytest.mark.parametrize(
+        "make_rng, digest",
+        [
+            (lambda: 3, "f63e192981393e2169487096f5a3197e1427257fc9d9080cb029b75c050d0ebf"),
+            (lambda: np.random.default_rng(3), "42c88a57d9da1c9efcd1680164470a1c514367ed733a12a23bdfb2cbc68827cc"),
+        ],
+        ids=["int-seed", "generator"],
+    )
+    def test_sample_bits_on_non_unit_box(self, make_rng, digest):
+        s = sample(parse_domain("fk_ball_prime(3)"), make_rng(), 50_000)
+        assert s.proposals == 196_608
+        assert hashlib.sha256(s.points.tobytes() + repr((s.acceptance_rate, s.proposals)).encode()).hexdigest() == digest
 
 
 class TestResultContract:

@@ -491,6 +491,26 @@ class TestPolarRatios:
         assert good.all() and want_good.all()
         assert np.max(np.abs(vals - want) / np.abs(want)) <= 1e-13
 
+    @pytest.mark.parametrize("spec", DOMAINS)
+    def test_column_major_with_row_major_bits(self, spec):
+        D = make_catalog_domain(spec)
+        family = _mixed_family(D.dimension)
+        t = tuple(1.5 * e for e in family.lead.single_term()[0])
+        r, theta = sample_polar_weighted(D, t, substream(2, TAG_PUSHFORWARD, 0), 8192)
+        polar = isometry._PolarRatios.of(family)
+        # the formula written out into a row-major matrix
+        log_r = np.log(r[:, polar.used])
+        ref = np.empty((r.shape[0], polar.B.shape[0]), dtype=complex)
+        np.matmul(log_r, polar.B.T, out=ref.real)
+        np.matmul(theta[:, polar.used], polar.B.T, out=ref.imag)
+        np.exp(ref, out=ref)
+        if polar.C is not None:
+            ref *= polar.C
+        vals, good = polar(r, theta)
+        assert good.all()
+        assert np.ascontiguousarray(vals).tobytes() == ref.tobytes()
+        assert all(vals[:, j].flags.c_contiguous for j in range(vals.shape[1]))
+
     def test_only_monomial_families(self, disc):
         z = LaurentPolynomial.coordinate(1, 0)
         assert isometry._PolarRatios.of(FunctionFamily(1, (LaurentPolynomial.one(1), z + 1.0))) is None
@@ -590,6 +610,29 @@ class TestEquimeasure:
         assert not rep.passed
         assert any(not r.passed for r in rep.regions)
         assert rep.max_sigma_ratio > 3.0
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0.9, 1.0, True, "1", np.float64(1.0), None],
+        ids=["fraction", "whole-float", "bool", "string", "numpy-float", "none"],
+    )
+    def test_non_integral_seed_refused(self, disc, seed):
+        T = identity_operator(disc, 2.0)
+        family = FunctionFamily.coordinates(1)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            equimeasure_check(T, family, samples=100_000, seed=seed)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            random_boxes(T, family, seed=seed)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            _pushforward_stats(disc, family, [GaussianBump()], 2.0, 10_000, seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self, disc):
+        T = identity_operator(disc, 2.0)
+        family = FunctionFamily.coordinates(1)
+        reps = [equimeasure_check(T, family, samples=100_000, seed=s).to_json_obj() for s in (1, np.int64(1))]
+        assert json.dumps(reps[0], sort_keys=True) == json.dumps(reps[1], sort_keys=True)
+        assert type(reps[1]["seed"]) is int
+        assert random_boxes(T, family, seed=np.uint16(4)) == random_boxes(T, family, seed=4)
 
     def test_box_dimension_guard(self, disc):
         T = identity_operator(disc, 2.0)
