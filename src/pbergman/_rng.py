@@ -8,6 +8,7 @@ calls with the same inputs replay byte-identically.
 from __future__ import annotations
 
 import json
+import operator
 import zlib
 
 import numpy as np
@@ -35,17 +36,17 @@ def as_seed(seed) -> int:
     float, string, Generator) is refused rather than truncated to some
     other seed's stream."""
     if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-        return int(seed)
+        return operator.index(seed)
     raise ConfigError(f"seed must be an integer, got {seed!r}")
 
 
 def substream(seed: int, *key) -> np.random.Generator:
     """Generator for the substream addressed by ``key`` under ``seed``.
 
-    Key parts are integers; strings are folded to integers via stable_key.
+    The seed is read by as_seed; key parts are integers, strings folded by stable_key.
     """
     parts = tuple(int(k) if not isinstance(k, str) else stable_key(k) for k in key)
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=parts))
+    return np.random.default_rng(np.random.SeedSequence(as_seed(seed), spawn_key=parts))
 
 
 def stable_key(obj) -> int:

@@ -1,7 +1,7 @@
 """Exact symbolic layer: Laurent polynomials, the point maps (monomial,
 Moebius, linear), their Jacobian determinants, each map's single-valued
-branch of the Jacobian power J^{2/p}, the readers of input numbers and
-of the parameters of table-described specs, and the JSON writer of results.
+branch of the Jacobian power J^{2/p}, the readers of points, of p, of input
+numbers and of the parameters of table-described specs, and the JSON writer.
 
 Everything an operator produces from a finite Laurent expansion stays in
 closed form; numeric fallbacks live in :class:`AnalyticFunction`.
@@ -10,6 +10,7 @@ closed form; numeric fallbacks live in :class:`AnalyticFunction`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -21,25 +22,39 @@ Exponents = tuple  # tuple[int, ...]
 
 
 def _as_points(points, dimension: int) -> tuple[np.ndarray, bool]:
-    """Normalise input to an (m, dimension) complex array.
-
-    Returns the array and a flag telling whether the caller passed a single
-    point (so results should be unwrapped back to a scalar).
-    """
+    """The one reader of points: an (m, dimension) complex array, and whether
+    the input was one point (a scalar in dimension 1, or an (n,) array for
+    n > 1), whose results unwrap to a scalar. An (m,) array in dimension 1
+    and an (m, n) array are batches; any other shape raises ConfigError."""
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 0:
         if dimension != 1:
-            raise ValueError(f"scalar point given for dimension {dimension}")
+            raise ConfigError(f"scalar point given for dimension {dimension}")
         return pts.reshape(1, 1), True
     if pts.ndim == 1:
         if dimension == 1:
             return pts.reshape(-1, 1), False
         if pts.shape[0] != dimension:
-            raise ValueError(f"point of length {pts.shape[0]} for dimension {dimension}")
+            raise ConfigError(f"point of length {pts.shape[0]} for dimension {dimension}")
         return pts.reshape(1, -1), True
     if pts.ndim == 2 and pts.shape[1] == dimension:
         return pts, False
-    raise ValueError(f"expected points of shape (m, {dimension}), got {pts.shape}")
+    raise ConfigError(f"expected points of shape (m, {dimension}), got {pts.shape}")
+
+
+def _as_point(point, dimension: int) -> np.ndarray:
+    """Exactly one point, read by :func:`_as_points`, as a (dimension,) array."""
+    pts, _ = _as_points(point, dimension)
+    if pts.shape[0] != 1:
+        raise ConfigError(f"expected one point, got {pts.shape[0]}")
+    return pts[0]
+
+
+def as_p(p) -> float:
+    """p as a float; anything but a real, non-bool, finite p > 0 raises ConfigError."""
+    if isinstance(p, numbers.Real) and not isinstance(p, bool) and math.isfinite(p) and p > 0:
+        return float(p)
+    raise ConfigError(f"p must be a finite real number above 0, got {p!r}")
 
 
 def _check_poles(pts: np.ndarray, axes: Iterable[int]) -> None:
@@ -410,6 +425,7 @@ class MonomialMap:
         It satisfies |branch(z)|^p = |J(z)|^2 exactly and differs from any other
         branch by a unimodular constant.
         """
+        as_p(p)
         beta, coeff = self.jacobian_monomial().single_term()
         scaled = [2.0 * b / p for b in beta]
         rounded = [round(s) for s in scaled]
@@ -480,7 +496,7 @@ class MobiusFactors:
         the disc, so the branch is single-valued there.
         """
         params = tuple(None if a is None else complex(a) for a in self.params)
-        p = float(p)
+        p = as_p(p)
 
         def fn(pts):
             out = np.ones(pts.shape[0], dtype=complex)
@@ -543,6 +559,7 @@ class LinearMap:
     def weight_branch(self, p: float) -> LaurentPolynomial:
         """The constant Laurent branch det^{2/p} of J^{2/p} (principal power;
         constant, so single-valued)."""
+        as_p(p)
         det = complex(np.linalg.det(self._mat()))
         return LaurentPolynomial.monomial(self.dimension, (0,) * self.dimension, det ** (2.0 / p))
 

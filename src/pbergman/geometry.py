@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import CHUNK, TAG_DIRECTIONS, TAG_PROBE, TAG_REJECTION, as_seed, stable_key, substream
+from ._rng import CHUNK, TAG_DIRECTIONS, TAG_PROBE, TAG_REJECTION, stable_key, substream
 from .errors import ConfigError, DegenerateDomainError, DivergentIntegralError, UnsupportedDomainError
-from .functions import REQUIRED, _as_points, number_from_json, read_params
+from .functions import REQUIRED, _as_point, _as_points, number_from_json, read_params
 
 
 # -- radial profiles --------------------------------------------------------
@@ -456,20 +456,15 @@ def sample(D: BoundedDomain, rng, count: int) -> SampleBatch:
             f"acceptance {acceptance:.3g} below 1e-6 for {D.label!r}; "
             "the domain is degenerate relative to its bounding box"
         )
-    if isinstance(rng, np.random.Generator):
-        chunked = False
-        # about twice the rows `count` members need
-        size = CHUNK if acceptance * CHUNK <= 2 * count else max(64, math.ceil(2 * count / acceptance))
-    else:
-        seed = as_seed(rng)
-        chunked = True
-        size = CHUNK
+    chunked = not isinstance(rng, np.random.Generator)
+    # a Generator's first batch: about twice the rows `count` members need
+    size = CHUNK if chunked or acceptance * CHUNK <= 2 * count else max(64, math.ceil(2 * count / acceptance))
     kept = []
     accepted = 0
     proposed = 0
     chunk_idx = 0
     while accepted < count:
-        g = substream(seed, TAG_REJECTION, chunk_idx) if chunked else rng
+        g = substream(rng, TAG_REJECTION, chunk_idx) if chunked else rng
         pts, inside = box_proposals(D, g, size)
         kept.append(np.compress(inside, pts, axis=0))
         accepted += kept[-1].shape[0]
@@ -489,7 +484,7 @@ def sample_polar_weighted(D: BoundedDomain, t: Sequence[float], rng, count: int)
     """The moduli r and phases theta of `sample_radial_weighted`'s points
     z = r e^{i theta}, as two (count, n) arrays: the moduli are drawn first,
     then theta = 2 pi u from one uniform (count, n) draw."""
-    gen = rng if isinstance(rng, np.random.Generator) else substream(as_seed(rng), TAG_REJECTION, 0)
+    gen = rng if isinstance(rng, np.random.Generator) else substream(rng, TAG_REJECTION, 0)
     r = sample_moduli_weighted(D.radial_profile, t, gen, count)
     theta = gen.random((count, D.dimension))
     theta *= 2.0
@@ -542,8 +537,7 @@ def boundary_distance(D: BoundedDomain, w, tol: float = 1e-6) -> float:
     Returns 0.0 when the estimate falls within tol of the boundary. This is a
     probe accurate to tol along the battery, not a certified distance.
     """
-    pts, _ = _as_points(w, D.dimension)
-    w = pts[0]
+    w = _as_point(w, D.dimension)
     inside = D.contains(w)
     diam = 2.0 * math.sqrt(sum(2.0 * b * b for b in D.bounding_box)) + 1.0
     dirs = _direction_battery(D, w)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import CHUNK, TAG_MC_NORM, as_seed, substream
 from .errors import ConfigError, DivergentIntegralError, PoleProximityWarning, UnsupportedDomainError, user_stacklevel
-from .functions import LaurentPolynomial, fields_json, monomial_values
+from .functions import LaurentPolynomial, as_p, fields_json, monomial_values
 from .geometry import BoundedDomain, RadialProfile, box_proposals, log_radial_moment
 
 _NODE_BUDGET = 4_000_000
@@ -77,8 +77,7 @@ def monomial_norm_closed(D: BoundedDomain, alpha: Sequence[int], p: float) -> PN
     Computed in log space throughout (log-Gamma / log-Beta), so large
     exponents cannot overflow.
     """
-    if p <= 0:
-        raise ConfigError("p must be positive")
+    as_p(p)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (D.dimension,):
         raise ConfigError(f"exponent of length {alpha.shape} for dimension {D.dimension}")
@@ -178,6 +177,8 @@ def mc_norm_batch(
     if samples < 1_000:
         raise ConfigError("Monte Carlo needs at least 10^3 samples")
     seed = as_seed(rng)  # a Generator is refused too: chunk substreams need a seed
+    for _, p in items:
+        as_p(p)
     for f, p in items:
         if _variance_diverges(D, f, p):
             warnings.warn(
@@ -350,8 +351,7 @@ def quadrature_norm(
     finite support, so |c_a| r^a <= C ||f(r .)||_{L^p(T^n)} on each torus of
     radii r.
     """
-    if p <= 0:
-        raise ConfigError("p must be positive")
+    as_p(p)
     if radial_nodes < 4:
         raise ConfigError("radial_nodes must be at least 4")
     profile = D.radial_profile

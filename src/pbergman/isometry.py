@@ -26,6 +26,7 @@ from .functions import (
     LaurentPolynomial,
     MobiusFactors,
     MonomialMap,
+    as_p,
     complex_from_json,
     fields_json,
 )
@@ -113,8 +114,7 @@ class CompositionIsometry:
         label: str = "",
         validate: bool = True,
     ):
-        if float(p) <= 0:
-            raise ConfigError("p must be positive")
+        self.p = as_p(p)
         if abs(abs(complex(lam)) - 1.0) > 1e-12:
             raise ConfigError("lambda must have modulus 1")
         if mapping.dimension != target.dimension:
@@ -125,7 +125,6 @@ class CompositionIsometry:
         self.target = target
         self.mapping = mapping
         self.weight = weight
-        self.p = float(p)
         self.lam = complex(lam)
         self.label = label or "composition-isometry"
         self.laurent_data = isinstance(mapping, MonomialMap) and isinstance(weight, LaurentPolynomial)
@@ -524,7 +523,6 @@ def _pushforward_stats(
     sampling with explicit |lead|^p weights (whose variance may diverge) is
     the fallback.
     """
-    seed = as_seed(seed)
     if samples < 1_000:
         raise ConfigError("pushforward needs at least 10^3 samples")
     key = _side_key(D, family.lead, family.members[1:])
@@ -618,7 +616,6 @@ def random_boxes(
     operator weight so mutated operators face identical regions."""
     if family.ratio_count < 1:
         raise ConfigError("box generation needs at least one ratio coordinate")
-    seed = as_seed(seed)
     gen = substream(seed, TAG_BOXES, 0)
     weighted = _lead_density(T.source, family.lead, T.p)
     if weighted:

@@ -44,7 +44,7 @@ import numpy as np
 
 from ._rng import TAG_OPTIMIZER, substream
 from .errors import ConfigError, DivergentIntegralError, NoBasisSupportError
-from .functions import fields_json, monomial_values
+from .functions import _as_point, fields_json, monomial_values
 from .geometry import BoundedDomain
 from .integrate import ReinhardtGrid, _span_values, monomial_norm_closed
 
@@ -113,6 +113,9 @@ _BLOCK = 256  # radial rows per block of the transform passes
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Quadrature grid and random-start seed of a kernel solve; the seed follows
+    the seed rule of docs/formats.md ("Inputs") when the solve draws its starts."""
+
     radial_nodes: int = 48
     angular_nodes: int | None = None
     seed: int = 0
@@ -144,13 +147,6 @@ def _check_domain(D: BoundedDomain, basis: BasisSpec) -> None:
             raise ConfigError(f"basis index {idx} is not in A^{basis.p:g}({D.label}): {reason}")
 
 
-def _point(z, dimension: int) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=complex)).reshape(-1)
-    if z.shape[0] != dimension:
-        raise ConfigError(f"point of length {z.shape[0]} for dimension {dimension}")
-    return z
-
-
 # -- p = 2 closed form --------------------------------------------------------
 
 
@@ -174,7 +170,7 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
     _check_domain(D, basis)
     if basis.p != 2:
         raise ConfigError("the Gram path is defined only for p = 2")
-    zz = _point(z, D.dimension)
+    zz = _as_point(z, D.dimension)
     bz = monomial_values(zz.reshape(1, -1), basis.indices)[0]
     value = float(np.sum(np.abs(bz) ** 2 / _closed_norms2(D, basis.indices)))
     return KernelEstimate(
@@ -504,7 +500,7 @@ def pbergman_min_norm(
     """
     _check_domain(D, basis)
     cfg = cfg or OptimizerConfig()
-    zz = _point(z, D.dimension)
+    zz = _as_point(z, D.dimension)
     prob = _SliceProblem(D, basis, zz, cfg)
     K = basis.size
     bz = prob.bz

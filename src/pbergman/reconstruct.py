@@ -25,7 +25,7 @@ from .errors import (
     PoleProximityWarning,
     user_stacklevel,
 )
-from .functions import LaurentPolynomial, fd_jacobian_det, fd_stencil, fd_stencil_jacobians, fields_json
+from .functions import LaurentPolynomial, _as_point, _as_points, fd_jacobian_det, fd_stencil, fd_stencil_jacobians, fields_json
 from .geometry import BoundedDomain, sample
 from .isometry import CompositionIsometry, FunctionFamily, ratio_matrix
 
@@ -67,15 +67,6 @@ class IsometryOracle:
 # -- ratio maps ---------------------------------------------------------------
 
 
-def _batch(points, dimension: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1) if dimension > 1 else pts.reshape(-1, 1)
-    if pts.shape[1] != dimension:
-        raise ConfigError(f"points of width {pts.shape[1]} for dimension {dimension}")
-    return pts
-
-
 @dataclass(frozen=True)
 class RatioMaps:
     """The source family and its images, with the evaluator of J_N (the
@@ -87,7 +78,7 @@ class RatioMaps:
     image_family: FunctionFamily
 
     def target_ratios(self, points) -> np.ndarray:
-        ratios, good, _ = ratio_matrix(self.image_family.values(_batch(points, self.target.dimension)))
+        ratios, good, _ = ratio_matrix(self.image_family.values(_as_points(points, self.target.dimension)[0]))
         if not np.all(good):
             raise PoleEvaluationError("ratio map evaluated on the leading zero set")
         return ratios
@@ -127,9 +118,10 @@ def degree_family(dimension: int, max_degree: int = 3, lead=None) -> FunctionFam
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Gauss-Newton settings. ``threads`` is accepted and has no effect: the
-    points of a grid are solved in lockstep, so there is no per-point work to
-    hand to threads."""
+    """Gauss-Newton settings. ``seed`` follows the seed rule of docs/formats.md
+    ("Inputs") when a solve draws its starts. ``threads`` is accepted and has
+    no effect: the points of a grid are solved in lockstep, so there is no
+    per-point work to hand to threads."""
 
     tol: float = 1e-9
     starts: int = 8
@@ -303,10 +295,7 @@ def solve_point(maps: RatioMaps, z, cfg: SolverConfig | None = None, lead_floor:
     without solving.
     """
     cfg = cfg or SolverConfig()
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.size != maps.source.dimension:
-        raise ConfigError("point dimension mismatch")
-    return _solve_lockstep(maps, z.reshape(1, -1), cfg, lead_floor)[0]
+    return _solve_lockstep(maps, _as_point(z, maps.source.dimension)[None], cfg, lead_floor)[0]
 
 
 # -- grid reconstruction ------------------------------------------------------
@@ -394,7 +383,7 @@ def reconstruct_map(
     """
     cfg = cfg or SolverConfig()
     maps = build_ratio_maps(oracle, family)
-    pts = _batch(grid, maps.source.dimension)
+    pts, _ = _as_points(grid, maps.source.dimension)
     lead_abs = np.abs(np.asarray(maps.family.members[0](pts)))
     median = float(np.median(lead_abs))
     if median == 0.0:
@@ -433,7 +422,7 @@ def verify_modulus_identity(
     once on the whole batch, the images only at the rows where their test
     does not vanish.
     """
-    pts = _batch(points, oracle.source.dimension)
+    pts, _ = _as_points(points, oracle.source.dimension)
     jacobian = getattr(F, "jacobian_det", None)
     w = np.asarray(F(pts)).reshape(pts.shape)
     if jacobian is not None:

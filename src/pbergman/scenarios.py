@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import TAG_BATTERY, TAG_PROBE, substream
+from ._rng import TAG_BATTERY, TAG_PROBE, as_seed, substream
 from ._version import __version__
 from .errors import ConfigError, DivergentIntegralError, PBergmanError
 from .functions import (
@@ -25,6 +25,7 @@ from .functions import (
     LaurentPolynomial,
     LinearMap,
     MonomialMap,
+    as_p,
     complex_from_json,
     fd_jacobian_det,
     fields_json,
@@ -249,7 +250,7 @@ def battery_monomials(T: CompositionIsometry, count: int = 30, seed: int = 0) ->
     while len(out) < count:
         if attempts >= 200 * count:
             raise ConfigError("could not find enough admissible monomials in range")
-        g = substream(int(seed), TAG_BATTERY, attempts)
+        g = substream(seed, TAG_BATTERY, attempts)
         attempts += 1
         alpha = tuple(int(g.integers(lo, hi + 1)) for lo, hi in zip(lows, highs))
         if alpha in seen:
@@ -270,7 +271,7 @@ def _blowdown_points(k: int, seed: int, count: int) -> np.ndarray:
     """Source points with first coordinate exactly zero (members of D1)."""
     pts = np.empty((count, 4), dtype=complex)
     for i in range(count):
-        g = substream(int(seed), TAG_PROBE, "blowdown", i)
+        g = substream(seed, TAG_PROBE, "blowdown", i)
         u = g.random(3)
         th = g.random(3) * 2.0 * np.pi
         z2 = 0.9 * math.sqrt(u[0]) * np.exp(1j * th[0])
@@ -290,6 +291,7 @@ def counterexample_scenario(
     mutate: str | None = None,
 ) -> Report:
     """Full validation battery for the counterexample operator."""
+    seed = as_seed(seed)
     T = build_counterexample(k, m, mutate=mutate)
     p, D1, D2, G = T.p, T.source, T.target, T.mapping
     F = G.inverse()
@@ -392,7 +394,7 @@ def counterexample_scenario(
         label=T.label,
         checks=tuple(checks),
         metadata={
-            "seed": int(seed),
+            "seed": seed,
             "samples": int(samples),
             "k": k,
             "m": m,
@@ -416,7 +418,8 @@ def punctured_disc_scenario(p: float, seed: int = 0, mutate: str | None = None) 
     full disc, and min-norm kernel estimates blow up at least like
     |z|^-2/(2 pi)^2 toward the puncture.
     """
-    if p not in (1, 2):
+    seed = as_seed(seed)
+    if as_p(p) not in (1, 2):
         raise ConfigError(f"packaged punctured-disc checks support p in {{1, 2}}, got {p}")
     if mutate not in (None, MUTATION_SHRUNKEN_DOMAIN):
         raise ConfigError(f"unknown mutation {mutate!r}")
@@ -449,7 +452,7 @@ def punctured_disc_scenario(p: float, seed: int = 0, mutate: str | None = None) 
     return Report(
         label=f"punctured-disc(p={p:g})" + (f"[{mutate}]" if mutate else ""),
         checks=tuple(checks),
-        metadata={"seed": int(seed), "p": p, "mutation": mutate or "none", "version": __version__},
+        metadata={"seed": seed, "p": p, "mutation": mutate or "none", "version": __version__},
     )
 
 
@@ -461,7 +464,7 @@ def _roundtrip_grid(T: CompositionIsometry, anchor, seed: int, count: int = 12) 
     inverse weight branch is evaluated far from any power-function cut."""
     anchor, pts = np.asarray(anchor, dtype=complex), []
     for i in range(1000):
-        g = substream(int(seed), TAG_PROBE, "roundtrip", i)
+        g = substream(seed, TAG_PROBE, "roundtrip", i)
         z = anchor * (1.0 + 0.12 * (g.random(anchor.size) - 0.5) + 0.12j * (g.random(anchor.size) - 0.5))
         if T.source.contains(z.reshape(1, -1))[0]:
             pts.append(z)
@@ -511,6 +514,7 @@ def roundtrip_scenario(map_spec, p: float | None = None, seed: int = 0, mutate: 
     `operator_from_spec` reads, such as "identity", ("mobius", a) or
     ("counterexample", k, m); p, when given, replaces the spec's.
     """
+    seed = as_seed(seed)
     kind, params, _ = _read_spec(OPERATORS, map_spec, "operator")
     if kind not in _ROUNDTRIPS:
         raise ConfigError(f"no round trip for operator kind {kind!r}; known: {', '.join(_ROUNDTRIPS)}")
@@ -557,7 +561,7 @@ def roundtrip_scenario(map_spec, p: float | None = None, seed: int = 0, mutate: 
     return Report(
         label=f"roundtrip-{kind}" + (f"[{mutate}]" if mutate else ""),
         checks=tuple(checks),
-        metadata={"seed": int(seed), "p": float(T.p), "map": kind, "mutation": mutate or "none", "version": __version__},
+        metadata={"seed": seed, "p": float(T.p), "map": kind, "mutation": mutate or "none", "version": __version__},
     )
 
 

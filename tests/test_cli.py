@@ -140,6 +140,18 @@ class TestNorm:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "p, method",
+        [("nan", "closed"), ("-1", "mc"), ("inf", "quad"), ("0", "mc")],
+        ids=["nan-closed", "negative-mc", "inf-quad", "zero-mc"],
+    )
+    def test_bad_p_exits_two(self, capsys, p, method):
+        # nan used to print NaN, which is not JSON, and p = -1 by Monte Carlo a value; both exited 0
+        code, out, err = run_cli(capsys, ["norm", "--domain", "disc", "--exp", "2", "--p", p, "--method", method])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: p must be a finite real number above 0, got {float(p)!r}\n"
+
 
 class TestKernel:
     def test_csv_header_and_center_value(self, capsys):
