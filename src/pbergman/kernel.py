@@ -29,10 +29,19 @@ before tables of another key are built, so no two bases' tables are alive
 at once. For 1 <= p < 2 a smoothing stage that ends on a full step whose
 decrement is at most 1e-12 of the objective sends the run straight to the
 last stage (`_newton`).
+
+For p >= 1 other than 2 the run starts on a coarse grid of radial_nodes // 4
+nodes per axis and the same angles, where that grid keeps at most 1/8 of
+the radial nodes (dimension 2 and more), and the full grid runs only the
+last stage from the coarse iterate (`_two_grid_newton`). The coarse tables
+hang on the basis's entry in the slot. Certificates, the value, the
+gradient norm and `converged` are full-grid quantities, so the value is a
+lower bound of the same grid problem.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -42,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import TAG_OPTIMIZER, substream
+from ._rng import TAG_OPTIMIZER, as_seed, substream
 from .errors import ConfigError, DivergentIntegralError, NoBasisSupportError
 from .functions import _as_point, fields_json, monomial_values
 from .geometry import BoundedDomain
@@ -198,9 +207,11 @@ class _GridTables:
     (R x K) and angular characters E (K x A) of the basis, not their product,
     each block's weighted powers P[rows]^T w[rows], and the closed squared
     2-norms of the monomials (inf where one diverges) for the Gram start.
+    The tables of the coarse grid (`coarse`) are built on first use and held
+    here, so they live and go with the basis's entry in the slot.
     """
 
-    def __init__(self, D: BoundedDomain, key: tuple):
+    def __init__(self, key: tuple, norms2: np.ndarray):
         profile, radial_nodes, m_theta, indices = key
         grid = ReinhardtGrid(profile, radial_nodes, m_theta)
         if grid.node_count * len(indices) > _GRID_BUDGET:
@@ -217,7 +228,20 @@ class _GridTables:
         self.P, self.E = grid.monomial_factors(indices)
         self.blocks = [slice(i, i + _BLOCK) for i in range(0, self.P.shape[0], _BLOCK)]
         self.weighted_P = [self.P[rows].T * self.w[rows] for rows in self.blocks]
-        self.norms2 = _closed_norms2(D, indices)
+        self.norms2 = norms2
+
+    @cached_property
+    def coarse(self) -> "_GridTables | None":
+        """The tables of the same basis and angles on radial_nodes // 4 nodes
+        per axis, or None where that grid would keep more than 1/8 of the
+        radial nodes (one-dimensional domains, where a coarse phase costs
+        more than it saves) or have fewer than 4 per axis, the fewest the
+        solver accepts."""
+        profile, radial_nodes, m_theta, indices = self.key
+        n_coarse = radial_nodes // 4
+        if n_coarse < 4 or 8 * ReinhardtGrid(profile, n_coarse).n_radial > self._grid.n_radial:
+            return None
+        return _GridTables((profile, n_coarse, m_theta, indices), self.norms2)
 
     @cached_property
     def difference_groups(self):
@@ -262,10 +286,12 @@ def _grid_tables(D: BoundedDomain, indices: tuple, cfg: OptimizerConfig) -> _Gri
     """The tables of `indices` on the optimizer grid of D. A grid too coarse
     for the basis is refused first: with fewer than 2 max|a| + 1 angles per
     coordinate the angular sums alias, and the grid norm of a span can fall
-    below its true norm, which would make the value no lower bound. The one
-    slot keeps the last tables; it lets go of them before other tables are
-    built, so no two bases' tables are alive at once."""
+    below its true norm, which would make the value no lower bound. A seed
+    that is not an integer is refused beside them. The one slot keeps the
+    last tables, their coarse tables with them; it lets go of them before
+    other tables are built, so no two bases' tables are alive at once."""
     global _tables
+    as_seed(cfg.seed)
     if not isinstance(cfg.radial_nodes, numbers.Integral) or cfg.radial_nodes < 4:
         raise ConfigError(f"radial_nodes must be an integer of at least 4, not {cfg.radial_nodes!r}")
     min_theta = 2 * max(sum(abs(e) for e in a) for a in indices) + 1
@@ -276,7 +302,7 @@ def _grid_tables(D: BoundedDomain, indices: tuple, cfg: OptimizerConfig) -> _Gri
     tables = _tables
     if tables is None or tables.key != key:
         _tables = None
-        tables = _tables = _GridTables(D, key)
+        tables = _tables = _GridTables(key, _closed_norms2(D, indices))
     return tables
 
 
@@ -295,6 +321,24 @@ class _SliceProblem:
             raise NoBasisSupportError("every basis element vanishes at z")
         self.p = basis.p
         self._nodes = (None, [])  # key of the last c evaluated, and its blocks
+        # the KKT matrix of `_newton_step`: the Hessian goes in the top-left
+        # block, beside and below it the two real rows J of c.bz = 1
+        b, K = self.bz, self.bz.shape[0]
+        self.J = np.array([np.concatenate([b.real, -b.imag]), np.concatenate([b.imag, b.real])])
+        self.kkt = np.zeros((2 * K + 2, 2 * K + 2))
+        self.kkt[2 * K :, : 2 * K] = self.J
+        self.kkt[: 2 * K, 2 * K :] = self.J.T
+
+    def on_coarse_grid(self) -> "_SliceProblem | None":
+        """The same point and p on the basis's coarse tables, or None where
+        the basis has none (`_GridTables.coarse`)."""
+        coarse = self.tables.coarse
+        if coarse is None:
+            return None
+        prob = copy.copy(self)
+        prob.tables, prob.P, prob.E, prob.w = coarse, coarse.P, coarse.E, coarse.w
+        prob._nodes = (None, [])
+        return prob
 
     def retract(self, c: np.ndarray) -> np.ndarray:
         return c - ((c @ self.bz - 1.0) / self.bz_norm2) * np.conj(self.bz)
@@ -371,9 +415,17 @@ class _SliceProblem:
         return G, self.tables.at_differences(F), c_sums[pos_s].reshape(G.shape[0], G.shape[0])
 
 
-def _real_hessian(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Hessian in the real coordinates (Re c, Im c) from the parts A, C."""
-    return 2.0 * np.block([[(A + C).real, (C - A).imag], [(C - A).imag.T, (A - C).real]])
+def _real_hessian(A: np.ndarray, C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Hessian in the real coordinates (Re c, Im c) from the parts A, C,
+    written into the top-left 2K x 2K block of `out` when it is given."""
+    K = A.shape[0]
+    H = np.empty((2 * K, 2 * K)) if out is None else out[: 2 * K, : 2 * K]
+    H[:K, :K] = (A + C).real
+    H[:K, K:] = (C - A).imag
+    H[K:, :K] = H[:K, K:].T
+    H[K:, K:] = (A - C).real
+    H *= 2.0
+    return H
 
 
 def _newton_step(prob: _SliceProblem, c: np.ndarray, eps2: float):
@@ -381,8 +433,8 @@ def _newton_step(prob: _SliceProblem, c: np.ndarray, eps2: float):
 
     In real coordinates (Re c, Im c) the smoothed objective has gradient
     g = 2 (Re G, Im G) and Hessian H = `_real_hessian(A, C)`; d solves the
-    KKT system of H with the two real rows J of c.bz = 1. For p >= 1
-    convexity makes H positive semidefinite. For p < 1 it need not be
+    KKT system of H with the two real rows J of c.bz = 1 (`prob.kkt`). For
+    p >= 1 convexity makes H positive semidefinite. For p < 1 it need not be
     positive definite on the tangent space J x = 0, so it is tested there
     by a Cholesky factorization of P H P + J^T J (P the tangent projector);
     if that fails, H is replaced by the Hessian of the majorizing quadratic
@@ -391,20 +443,17 @@ def _newton_step(prob: _SliceProblem, c: np.ndarray, eps2: float):
     the KKT solve fails."""
     G, A, C = prob.newton_parts(c, eps2)
     K = G.shape[0]
-    b = prob.bz
-    J = np.array([np.concatenate([b.real, -b.imag]), np.concatenate([b.imag, b.real])])
-    H = _real_hessian(A, C)
+    H = _real_hessian(A, C, prob.kkt)
     if prob.p < 1.0:
-        JJ = J.T @ J  # J J^T = |bz|^2 I, so P = I - J^T J / |bz|^2
+        JJ = prob.J.T @ prob.J  # J J^T = |bz|^2 I, so P = I - J^T J / |bz|^2
         P = np.eye(2 * K) - JJ / prob.bz_norm2
         try:
             np.linalg.cholesky(P @ H @ P + JJ)
         except np.linalg.LinAlgError:
-            H = _real_hessian((prob.p / 2.0) * prob.irls_matrix(c, eps2), np.zeros_like(C))
-    kkt = np.block([[H, J.T], [J, np.zeros((2, 2))]])
+            _real_hessian((prob.p / 2.0) * prob.irls_matrix(c, eps2), np.zeros_like(C), prob.kkt)
     g = 2.0 * np.concatenate([G.real, G.imag])
     try:
-        x = np.linalg.solve(kkt, np.concatenate([-g, [0.0, 0.0]]))[: 2 * K]
+        x = np.linalg.solve(prob.kkt, np.concatenate([-g, [0.0, 0.0]]))[: 2 * K]
     except np.linalg.LinAlgError:
         return None, None, G
     decrement = float(-g @ x)
@@ -418,8 +467,9 @@ def _stage_eps2(prob: _SliceProblem, c: np.ndarray, stage: int) -> float:
     return 10.0 ** (-2 * (stage + 1)) * max(prob.norm_p(c), _Z_TINY) ** (2.0 / prob.p)
 
 
-def _newton(prob: _SliceProblem, c0: np.ndarray):
-    """Constrained Newton method for every p > 0.
+def _newton(prob: _SliceProblem, c0: np.ndarray, last_only: bool = False):
+    """Constrained Newton method for every p > 0, over every stage or, with
+    `last_only`, the last one alone.
 
     Below p = 2 it minimizes sum w (|phi|^2 + eps^2)^(p/2) over continuation
     stages of falling eps, 8 of them from p = 1 on and 10 below p = 1; from
@@ -444,7 +494,7 @@ def _newton(prob: _SliceProblem, c0: np.ndarray):
     it = 0
     converged = True
     stages = _STAGES_BELOW_1 if p < 1.0 else _STAGES if p < 2.0 else 1
-    stage = 0
+    stage = stages - 1 if last_only else 0
     while stage < stages:
         eps2 = _stage_eps2(prob, c, stage) if p < 2.0 else 0.0
         f = prob.norm_p(c, eps2)
@@ -476,6 +526,26 @@ def _newton(prob: _SliceProblem, c0: np.ndarray):
         stage = next_stage
     grad_norm = float(np.linalg.norm(prob.project(G)))
     return c, prob.norm_p(c), grad_norm, it, converged
+
+
+def _two_grid_newton(prob: _SliceProblem, c0: np.ndarray):
+    """`_newton` from c0, for p >= 1 other than 2 first on the basis's coarse
+    grid (`_GridTables.coarse`) where it has one: the full grid then runs
+    the last stage alone from the coarse iterate, or every stage from c0
+    when the coarse run hit its iteration cap. The returned norm, gradient
+    and convergence are those of the full grid; the count adds the coarse
+    grid's assemblies. Below p = 1, where the problem is not convex, a
+    coarse start could lead to another local minimum, and at p = 2 one step
+    is exact, so both run on the full grid alone."""
+    coarse = prob.on_coarse_grid() if prob.p >= 1.0 and prob.p != 2.0 else None
+    if coarse is None:
+        return _newton(prob, c0)
+    c, _, _, coarse_it, coarse_converged = _newton(coarse, c0)
+    if coarse_converged:
+        c, norm, grad_norm, it, converged = _newton(prob, c, last_only=True)
+    else:
+        c, norm, grad_norm, it, converged = _newton(prob, c0)
+    return c, norm, grad_norm, coarse_it + it, converged
 
 
 def pbergman_min_norm(
@@ -525,7 +595,7 @@ def pbergman_min_norm(
     retracted = [prob.retract(np.asarray(c0, dtype=complex)) for c0 in starts]
     certs = [prob.certificate(c0) for c0 in retracted]  # certificates: every start is feasible
     best = int(np.argsort(certs)[0])
-    _, s_final, grad_norm, total_iters, converged = _newton(prob, retracted[best])
+    _, s_final, grad_norm, total_iters, converged = _two_grid_newton(prob, retracted[best])
     best_norm_p = min(certs[best], s_final)
     best_grad = grad_norm if s_final <= certs[best] else math.inf
     if not math.isfinite(best_norm_p) or best_norm_p <= 0:

@@ -256,6 +256,7 @@ class TestCoarseGridRefused:
             (1.0, {"angular_nodes": 0}, r"angular_nodes must be at least 13 for this basis, not 0"),
             (1.0, {"angular_nodes": -3}, r"angular_nodes must be at least 13 for this basis, not -3"),
             (1.0, {"radial_nodes": 0}, r"radial_nodes must be an integer of at least 4, not 0"),
+            (1.0, {"seed": 1.5}, r"seed must be an integer, got 1.5"),
         ],
     )
     def test_refused_before_any_grid(self, monkeypatch, disc, p, setting, message):
@@ -325,15 +326,17 @@ class TestSharedTables:
         held = []
 
         class Recording(kernel._GridTables):
-            def __init__(self, *args):
-                held.append(kernel._tables)
-                super().__init__(*args)
+            def __init__(self, key, norms2):
+                alive = kernel._tables
+                held.append(None if alive is None else alive.indices == key[3])
+                super().__init__(key, norms2)
 
         monkeypatch.setattr(kernel, "_GridTables", Recording)
         monkeypatch.setattr(kernel, "_tables", None)
         for D, degree in ((disc, 4), (disc, 5), (ball2, 2), (disc, 4)):
             pbergman_min_norm(D, degree_basis(D, degree, 1.0), (0.5,) * D.dimension)
-        assert held == [None] * 4
+        # the fourth build is the coarse grid of the ball(2) basis, which holds the slot
+        assert held == [None, None, None, True, None]
 
 
 def _dense_reference(D, prob, cfg):
@@ -503,10 +506,12 @@ class TestNewtonCost:
 # pbergman_min_norm with the default OptimizerConfig before the solver made one
 # node pass per iterate and ended non-final smoothing stages on one small full
 # step, as (domain, degree or "punctured", p, z, value, iterations,
-# final_gradient_norm, restarts, converged). Below p = 1 and from p = 2 on the
-# report must stay byte-identical; for 1 <= p < 2 the value must stay within
-# 1e-14 and the run converged, in the iterations of the last column, which
-# count the skip to the last smoothing stage after a negligible step.
+# final_gradient_norm, restarts, converged). Below p = 1, at p = 2 and on
+# one-dimensional domains the report must stay byte-identical; for 1 <= p < 2,
+# and for p > 2 in dimension 2, where the solve starts on a coarse grid, the
+# value must stay within 1e-14 and the run converged, in the iterations of the
+# last column, which count the skip to the last smoothing stage after a
+# negligible step and the coarse grid's assemblies.
 PINNED_EXACT = [
     (("ball", 2), 2, 0.5, (0.3, 0.4), 0.007576437504094081, 60, 2.106304053184863e-06, 8, True),
     ("disc", 20, 0.5, (0.5,), 0.10330522567071987, 85, 0.003523591369151016, 23, True),
@@ -516,21 +521,21 @@ PINNED_EXACT = [
     ("disc", 20, 2.0, (0.5,), 0.5658842421023601, 1, 5.436524169242823e-15, 23, True),
     ("disc", 20, 2.0, (0.9,), 8.290668868635962, 1, 4.508823783997303e-15, 23, True),
     ("punctured_disc(1)", "punctured", 2.0, (0.1,), 0.3247728501128664, 1, 1.1127279467108387e-15, 6, True),
-    (("ball", 2), 2, 3.0, (0.3, 0.4), 0.5917653007192702, 4, 4.027730580278968e-08, 8, True),
     ("disc", 20, 3.0, (0.5,), 0.6841506338828391, 5, 3.4954443265301135e-15, 23, True),
     ("disc", 20, 3.0, (0.9,), 4.220941040883159, 6, 5.5120492148638316e-14, 23, True),
     ("punctured_disc(1)", "punctured", 3.0, (0.1,), 0.47248332674320664, 4, 3.599910508245076e-15, 6, True),
 ]
 PINNED_SMOOTHED = [
-    (("ball", 2), 2, 1.0, (0.3, 0.4), 0.13047764970751685, 11),
-    (("ball", 2), 4, 1.0, (0.3, 0.4), 0.19147970263024577, 14),
-    (("ball", 2), 2, 1.5, (0.3, 0.4), 0.2991312096471502, 9),
-    (("ball", 2), 4, 1.5, (0.3, 0.4), 0.36052559041378923, 9),
-    (("polydisc", 2), 4, 1.0, (0.3, 0.5), 0.04148646181916844, 14),
+    (("ball", 2), 2, 1.0, (0.3, 0.4), 0.13047764970751685, 15),
+    (("ball", 2), 4, 1.0, (0.3, 0.4), 0.19147970263024577, 17),
+    (("ball", 2), 2, 1.5, (0.3, 0.4), 0.2991312096471502, 11),
+    (("ball", 2), 4, 1.5, (0.3, 0.4), 0.36052559041378923, 11),
+    (("polydisc", 2), 4, 1.0, (0.3, 0.5), 0.04148646181916844, 17),
     ("disc", 20, 1.0, (0.5,), 0.32022497538973016, 12),
     ("disc", 20, 1.0, (0.9,), 38.869404879979356, 23),
     ("punctured_disc(1)", "punctured", 1.0, (0.1,), 2.6899378515864565, 9),
     ("punctured_disc(1)", "punctured", 1.0, (0.01,), 253.4549890200177, 7),
+    (("ball", 2), 2, 3.0, (0.3, 0.4), 0.5917653007192702, 5),
 ]
 
 
@@ -603,13 +608,104 @@ class TestPinnedSolves:
         span_values = kernel._span_values
 
         def counting(P, E, c):
-            calls[c.tobytes()] = calls.get(c.tobytes(), 0) + 1
+            key = (P.shape[0], c.tobytes())
+            calls[key] = calls.get(key, 0) + 1
             return span_values(P, E, c)
 
         monkeypatch.setattr(kernel, "_span_values", counting)
         pbergman_min_norm(ball2, basis, (0.3, 0.4))
-        blocks = -(-48**2 // kernel._BLOCK)  # the 48^2 radial rows of the ball(2) grid, in blocks
-        assert len(calls) > 1 and set(calls.values()) == {blocks}
+        # the block height tells the grids apart: the 48^2 radial rows of the
+        # ball(2) grid make 9 blocks of 256, the 12^2 of its coarse grid one
+        blocks = {kernel._BLOCK: 48**2 // kernel._BLOCK, 12**2: 1}
+        for height, count in blocks.items():
+            passes = [n for (h, _), n in calls.items() if h == height]
+            assert len(passes) > 1 and set(passes) == {count}
+        assert {h for h, _ in calls} == set(blocks)
+
+
+def _recorded_run(monkeypatch, D, basis, z):
+    """pbergman_min_norm, with the problem, start and result of its Newton run."""
+    runs = []
+    two_grid = kernel._two_grid_newton
+
+    def recording(prob, c0):
+        out = two_grid(prob, c0)
+        runs.append((prob, c0, out))
+        return out
+
+    monkeypatch.setattr(kernel, "_two_grid_newton", recording)
+    est = pbergman_min_norm(D, basis, z)
+    (prob, c0, out), = runs
+    return est, prob, c0, out
+
+
+class TestCoarsePhase:
+    """For p >= 1 other than 2 in dimension 2 and more the Newton run starts
+    on a grid of radial_nodes // 4 nodes per axis and ends with the last
+    stage on the full grid; everywhere else it runs on the full grid alone."""
+
+    @pytest.mark.parametrize(
+        "domain, degree, p, z",
+        [(("ball", 2), degree, p, (0.3, 0.4)) for degree in (2, 4, 8) for p in (1.0, 1.5, 3.0)]
+        + [(("polydisc", 2), 4, 1.0, (0.3, 0.5))],
+    )
+    def test_matches_the_full_grid_run(self, monkeypatch, domain, degree, p, z):
+        D = make_catalog_domain(domain)
+        est, prob, c0, (c, norm, _, _, _) = _recorded_run(monkeypatch, D, degree_basis(D, degree, p), z)
+        assert prob.on_coarse_grid() is not None
+        assert est.optimizer_report["converged"] is True
+        assert est.value == norm ** (-2.0 / p) == prob.norm_p(c) ** (-2.0 / p)
+        _, full_norm, _, _, full_converged = kernel._newton(prob, c0)
+        assert full_converged
+        assert_rel(est.value, full_norm ** (-2.0 / p), 1e-14)
+
+    @pytest.mark.parametrize(
+        "domain, degree, p, z",
+        [(("ball", 2), 2, 0.5, (0.3, 0.4)), (("ball", 2), 2, 2.0, (0.3, 0.4)), (("polydisc", 2), 2, 0.75, (0.3, 0.5)),
+         ("disc", 20, 1.0, (0.9,)), ("disc", 20, 3.0, (0.5,)), ("punctured_disc(1)", "punctured", 1.0, (0.1,)),
+         ("punctured_disc(1)", "punctured", 1.5, (0.05,))],
+    )
+    def test_full_grid_alone_elsewhere(self, monkeypatch, domain, degree, p, z):
+        # the run is the full-grid `_newton` run from the same start, bit for bit
+        D = make_catalog_domain(domain)
+        coarse_problems = []
+        on_coarse_grid = kernel._SliceProblem.on_coarse_grid
+
+        def recording(prob):
+            coarse_problems.append(on_coarse_grid(prob))
+            return coarse_problems[-1]
+
+        monkeypatch.setattr(kernel._SliceProblem, "on_coarse_grid", recording)
+        _, prob, c0, (c, norm, grad, it, converged) = _recorded_run(monkeypatch, D, _pinned_basis(D, degree, p), z)
+        assert coarse_problems in ([], [None])
+        full_c, full_norm, full_grad, full_it, full_converged = kernel._newton(prob, c0)
+        assert c.tobytes() == full_c.tobytes()
+        assert (norm, grad, it, converged) == (full_norm, full_grad, full_it, full_converged)
+
+    def test_capped_coarse_run_falls_back_to_every_stage(self, monkeypatch, ball2):
+        basis = degree_basis(ball2, 2, 1.0)
+        runs = []
+        newton = kernel._newton
+
+        def capped_on_coarse(prob, c0, last_only=False):
+            coarse = prob.tables is not kernel._tables
+            if coarse:
+                monkeypatch.setattr(kernel, "_STAGE_ITERS", 1)
+            try:
+                out = newton(prob, c0, last_only)
+            finally:
+                monkeypatch.setattr(kernel, "_STAGE_ITERS", 50)
+            runs.append((coarse, last_only, c0, out))
+            return out
+
+        monkeypatch.setattr(kernel, "_newton", capped_on_coarse)
+        est, prob, c0, _ = _recorded_run(monkeypatch, ball2, basis, (0.3, 0.4))
+        (on_coarse, _, _, coarse_out), (on_full, last_only, full_start, full_out) = runs
+        assert on_coarse and coarse_out[4] is False
+        assert not on_full and not last_only and full_start is c0
+        assert est.optimizer_report["converged"] is True
+        assert est.optimizer_report["iterations"] == coarse_out[3] + full_out[3]
+        assert est.value == newton(prob, c0)[1] ** -2.0
 
 
 class TestPrunedStarts:
