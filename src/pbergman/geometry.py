@@ -194,7 +194,10 @@ def sample_moduli_weighted(profile: RadialProfile, t: Sequence[float], rng: np.r
         r2 = r1**k * np.sqrt(1.0 - u) * v ** (1.0 / (t[1] + 2.0))
         return np.column_stack([r1, r2])
     if profile.kind == "product":
-        return np.hstack([sample_moduli_weighted(f, t[cols], rng, count) for f, cols in profile.factor_columns()])
+        r = np.empty((count, profile.dimension))
+        for f, cols in profile.factor_columns():
+            r[:, cols] = sample_moduli_weighted(f, t[cols], rng, count)
+        return r
     raise UnsupportedDomainError(f"unknown profile kind {profile.kind!r}")
 
 

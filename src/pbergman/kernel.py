@@ -26,17 +26,23 @@ the closed 2-norms of the Gram start) is built once per radial profile,
 grid size and basis indices, and kept in one module slot: a list of points,
 a sweep over p or a scenario's radii reuse it, and the slot is emptied
 before tables of another key are built, so no two bases' tables are alive
-at once. For 1 <= p < 2 a smoothing stage that ends on a full step whose
-decrement is at most 1e-12 of the objective sends the run straight to the
-last stage (`_newton`).
+at once. What depends on p but not on the point hangs on the same entry:
+the one-term radial sums, once per p, and the domain check of the basis,
+once per domain label and p, so a later solve at a new point does only
+that point's work. For 1 <= p < 2 a smoothing stage that ends on a full
+step whose decrement is at most 1e-12 of the objective sends the run
+straight to the last stage (`_newton`).
 
 For p >= 1 other than 2 the run starts on a coarse grid of radial_nodes // 4
 nodes per axis and the same angles, where that grid keeps at most 1/8 of
 the radial nodes (dimension 2 and more), and the full grid runs only the
 last stage from the coarse iterate (`_two_grid_newton`). The coarse tables
-hang on the basis's entry in the slot. Certificates, the value, the
-gradient norm and `converged` are full-grid quantities, so the value is a
-lower bound of the same grid problem.
+hang on the basis's entry in the slot. The starts are then ranked by their
+certificates on the coarse grid, and the full grid certifies only the
+winner and the one-term starts (radial sums), or every start when the run
+ends unconverged. The certificates taken, the value, the gradient norm and
+`converged` are full-grid quantities, so the value is a lower bound of the
+same grid problem.
 """
 
 from __future__ import annotations
@@ -144,12 +150,15 @@ def _outside_Ap(D: BoundedDomain, idx: tuple, p: float) -> str | None:
     return None
 
 
-def _check_domain(D: BoundedDomain, basis: BasisSpec) -> None:
+def _check_domain(D: BoundedDomain, basis: BasisSpec, passed=()) -> None:
     """Refuse a basis of another domain, or a hand-built one with an index
     outside A^p(D): its span need not lie in A^p(D), and the value would be
-    no lower bound."""
+    no lower bound. The indices are not checked again where `passed` holds
+    (D.label, basis.p), the pairs they were found in A^p(D) at before."""
     if basis.domain_label != D.label:
         raise ConfigError(f"basis validated on {basis.domain_label} cannot be solved on {D.label}")
+    if (D.label, basis.p) in passed:
+        return
     for idx in basis.indices:
         reason = _outside_Ap(D, idx, basis.p)
         if reason:
@@ -208,7 +217,9 @@ class _GridTables:
     each block's weighted powers P[rows]^T w[rows], and the closed squared
     2-norms of the monomials (inf where one diverges) for the Gram start.
     The tables of the coarse grid (`coarse`) are built on first use and held
-    here, so they live and go with the basis's entry in the slot.
+    here, so they live and go with the basis's entry in the slot, as do the
+    (domain label, p) pairs the basis passed `_check_domain` at (`checked`)
+    and the one-term radial sums of each p solved (`radial_sums`).
     """
 
     def __init__(self, key: tuple, norms2: np.ndarray):
@@ -229,6 +240,16 @@ class _GridTables:
         self.blocks = [slice(i, i + _BLOCK) for i in range(0, self.P.shape[0], _BLOCK)]
         self.weighted_P = [self.P[rows].T * self.w[rows] for rows in self.blocks]
         self.norms2 = norms2
+        self.checked = set()
+        self._radial_sums = {}
+
+    def radial_sums(self, p: float) -> np.ndarray:
+        """sum_r w_r P_rk^p of every index k, once per p: the radial part of a
+        one-term start's certificate (`_SliceProblem.certificate`)."""
+        sums = self._radial_sums.get(p)
+        if sums is None:
+            sums = self._radial_sums[p] = np.array([self.w @ self.P[:, k] ** p for k in range(self.P.shape[1])])
+        return sums
 
     @cached_property
     def coarse(self) -> "_GridTables | None":
@@ -282,27 +303,38 @@ class _GridTables:
 _tables: _GridTables | None = None  # the tables of the last basis solved
 
 
-def _grid_tables(D: BoundedDomain, indices: tuple, cfg: OptimizerConfig) -> _GridTables:
-    """The tables of `indices` on the optimizer grid of D. A grid too coarse
-    for the basis is refused first: with fewer than 2 max|a| + 1 angles per
-    coordinate the angular sums alias, and the grid norm of a span can fall
-    below its true norm, which would make the value no lower bound. A seed
-    that is not an integer is refused beside them. The one slot keeps the
-    last tables, their coarse tables with them; it lets go of them before
-    other tables are built, so no two bases' tables are alive at once."""
+def _grid_tables(D: BoundedDomain, basis: BasisSpec, cfg: OptimizerConfig) -> _GridTables:
+    """The tables of the basis's indices on the optimizer grid of D. A grid
+    too coarse for the basis is refused first: with fewer than 2 max|a| + 1
+    angles per coordinate the angular sums alias, and with fewer than
+    max|a| + 1 radial nodes per axis Gauss-Legendre no longer integrates the
+    span's 2-norm exactly on a polydisc; either way the grid norm of a span
+    can fall below its true norm, which would make the value no lower bound
+    (|a| is the total |exponent|). A seed that is not an integer is refused
+    beside them. The one slot keeps the last tables, their coarse tables and
+    the (domain label, p) pairs the basis passed `_check_domain` at with
+    them, so a basis is checked once per domain and p, and always before its
+    tables are built; it lets go of them before other tables are built, so
+    no two bases' tables are alive at once."""
     global _tables
     as_seed(cfg.seed)
     if not isinstance(cfg.radial_nodes, numbers.Integral) or cfg.radial_nodes < 4:
         raise ConfigError(f"radial_nodes must be an integer of at least 4, not {cfg.radial_nodes!r}")
-    min_theta = 2 * max(sum(abs(e) for e in a) for a in indices) + 1
+    degree = max(sum(abs(e) for e in a) for a in basis.indices)
+    if cfg.radial_nodes < degree + 1:
+        raise ConfigError(f"radial_nodes must be at least {degree + 1} for this basis, not {cfg.radial_nodes!r}")
+    min_theta = 2 * degree + 1
     m_theta = max(min_theta, 9) if cfg.angular_nodes is None else cfg.angular_nodes
     if not isinstance(m_theta, numbers.Integral) or m_theta < min_theta:
         raise ConfigError(f"angular_nodes must be at least {min_theta} for this basis, not {m_theta!r}")
-    key = (D.radial_profile, cfg.radial_nodes, m_theta, indices)
+    key = (D.radial_profile, cfg.radial_nodes, m_theta, basis.indices)
     tables = _tables
-    if tables is None or tables.key != key:
+    fresh = tables is None or tables.key != key
+    _check_domain(D, basis, () if fresh else tables.checked)
+    if fresh:
         _tables = None
-        tables = _tables = _GridTables(key, _closed_norms2(D, indices))
+        tables = _tables = _GridTables(key, _closed_norms2(D, basis.indices))
+    tables.checked.add((D.label, basis.p))
     return tables
 
 
@@ -313,7 +345,7 @@ class _SliceProblem:
     node values of the last iterate are the problem's own."""
 
     def __init__(self, D: BoundedDomain, basis: BasisSpec, z: np.ndarray, cfg: OptimizerConfig):
-        self.tables = _grid_tables(D, basis.indices, cfg)
+        self.tables = _grid_tables(D, basis, cfg)
         self.indices, self.P, self.E, self.w = basis.indices, self.tables.P, self.tables.E, self.tables.w
         self.bz = monomial_values(z.reshape(1, -1), basis.indices)[0]
         self.bz_norm2 = float(np.sum(np.abs(self.bz) ** 2))
@@ -340,6 +372,15 @@ class _SliceProblem:
         prob._nodes = (None, [])
         return prob
 
+    @cached_property
+    def coarse(self) -> "_SliceProblem | None":
+        """The problem of the run's coarse phase (`on_coarse_grid`), built
+        once per solve, for p >= 1 other than 2, or None: below p = 1, where
+        the problem is not convex, a coarse start could lead to another local
+        minimum, and at p = 2 one step is exact, so both run on the full grid
+        alone. The starts are ranked on it and the run begins on it."""
+        return self.on_coarse_grid() if self.p >= 1.0 and self.p != 2.0 else None
+
     def retract(self, c: np.ndarray) -> np.ndarray:
         return c - ((c @ self.bz - 1.0) / self.bz_norm2) * np.conj(self.bz)
 
@@ -354,13 +395,13 @@ class _SliceProblem:
 
     def certificate(self, c: np.ndarray) -> float:
         """The grid norm `norm_p(c)` of a start. A one-term phi = c_k z^a_k has
-        |phi| = |c_k| r^a_k at every angle, so its norm is the sum over the R
-        radial nodes |c_k|^p A sum_r w_r P_rk^p."""
+        |phi| = |c_k| r^a_k at every angle, so its norm is |c_k|^p A times
+        the radial sum sum_r w_r P_rk^p, which the tables keep per p."""
         nonzero = np.flatnonzero(c)
         if nonzero.size != 1:
             return self.norm_p(c)
         k = nonzero[0]
-        return float(abs(c[k]) ** self.p * self.E.shape[1] * (self.w @ self.P[:, k] ** self.p))
+        return float(abs(c[k]) ** self.p * self.E.shape[1] * self.tables.radial_sums(self.p)[k])
 
     def _blocks(self, c: np.ndarray):
         """phi and |phi|^2 of c on blocks of _BLOCK radial rows. The blocks of
@@ -529,15 +570,12 @@ def _newton(prob: _SliceProblem, c0: np.ndarray, last_only: bool = False):
 
 
 def _two_grid_newton(prob: _SliceProblem, c0: np.ndarray):
-    """`_newton` from c0, for p >= 1 other than 2 first on the basis's coarse
-    grid (`_GridTables.coarse`) where it has one: the full grid then runs
-    the last stage alone from the coarse iterate, or every stage from c0
-    when the coarse run hit its iteration cap. The returned norm, gradient
-    and convergence are those of the full grid; the count adds the coarse
-    grid's assemblies. Below p = 1, where the problem is not convex, a
-    coarse start could lead to another local minimum, and at p = 2 one step
-    is exact, so both run on the full grid alone."""
-    coarse = prob.on_coarse_grid() if prob.p >= 1.0 and prob.p != 2.0 else None
+    """`_newton` from c0, first on the problem's coarse grid (`prob.coarse`)
+    where it has one: the full grid then runs the last stage alone from the
+    coarse iterate, or every stage from c0 when the coarse run hit its
+    iteration cap. The returned norm, gradient and convergence are those of
+    the full grid; the count adds the coarse grid's assemblies."""
+    coarse = prob.coarse
     if coarse is None:
         return _newton(prob, c0)
     c, _, _, coarse_it, coarse_converged = _newton(coarse, c0)
@@ -560,15 +598,20 @@ def pbergman_min_norm(
     span need not lie in A^p(D) and the value would be no lower bound.
 
     Starts from the p = 2 Gram minimizer plus single-monomial candidates
-    e_a / z^a (each feasible) and seeded random restarts; the reported value
-    dominates every start's certificate value |phi(z)|^2/||phi||_p^2, so
-    single-candidate lower bounds are never lost. The Newton method runs
-    once, from the start with the best certificate. For p >= 1 the problem
-    is convex; for p < 1 it is not, and no global claim is made.
+    e_a / z^a (each feasible) and seeded random restarts. The Newton method
+    runs once, from the start with the best certificate on the grid the run
+    begins on: the coarse grid where the run has a coarse phase
+    (`_SliceProblem.coarse`), else the full grid. The reported value
+    dominates the full-grid certificate value |phi(z)|^2/||phi||_p^2 of that
+    start and of every start that is exactly one term, so single-candidate
+    lower bounds are never lost; on a coarse ranking the other starts are
+    certified on the full grid only when the run ends unconverged, and on
+    the full grid every start is. For p >= 1 the problem is convex; for
+    p < 1 it is not, and no global claim is made.
     `optimizer_report["converged"]` is false when the run stopped at its
-    iteration cap rather than on a stop test.
+    iteration cap rather than on a stop test; `restarts` counts every start
+    but the first.
     """
-    _check_domain(D, basis)
     cfg = cfg or OptimizerConfig()
     zz = _as_point(z, D.dimension)
     prob = _SliceProblem(D, basis, zz, cfg)
@@ -592,12 +635,22 @@ def pbergman_min_norm(
         g = substream(cfg.seed, TAG_OPTIMIZER, i)
         starts.append(g.standard_normal(K) + 1j * g.standard_normal(K))
 
+    # every start is feasible, so each one's full-grid certificate bounds the
+    # value; the starts are ranked on the grid the run begins on
     retracted = [prob.retract(np.asarray(c0, dtype=complex)) for c0 in starts]
-    certs = [prob.certificate(c0) for c0 in retracted]  # certificates: every start is feasible
-    best = int(np.argsort(certs)[0])
+    ranking = prob if prob.coarse is None else prob.coarse
+    ranks = [ranking.certificate(c0) for c0 in retracted]
+    best = int(np.argsort(ranks)[0])
+    # on a coarse ranking, the winner's and the one-term starts' radial sums
+    # are taken before the run, and the rest only when it ends unconverged
+    taken = [i == best or ranking is prob or np.count_nonzero(c0) == 1 for i, c0 in enumerate(retracted)]
+    certs = ranks if ranking is prob else [prob.certificate(c0) for c0, t in zip(retracted, taken) if t]
     _, s_final, grad_norm, total_iters, converged = _two_grid_newton(prob, retracted[best])
-    best_norm_p = min(certs[best], s_final)
-    best_grad = grad_norm if s_final <= certs[best] else math.inf
+    if not converged:
+        certs += [prob.certificate(c0) for c0, t in zip(retracted, taken) if not t]
+    best_cert = float(np.sort(certs)[0])
+    best_norm_p = min(best_cert, s_final)
+    best_grad = grad_norm if s_final <= best_cert else math.inf
     if not math.isfinite(best_norm_p) or best_norm_p <= 0:
         raise NoBasisSupportError("optimizer failed to produce a feasible norm")
 

@@ -508,6 +508,17 @@ class TestWeightedSampling:
         theta = g.random((1000, 2)) * 2.0 * np.pi
         assert np.array_equal(sample_radial_weighted(hartogs3, (2.0, 4.0), 11, 1000), r * np.exp(1j * theta))
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("desc", [COUNTEREXAMPLE_SOURCE, COUNTEREXAMPLE_TARGET])
+    def test_product_moduli_match_stacked_factor_draws(self, desc, seed):
+        # each factor writes its own columns; the bits are those of stacking the factors' draws
+        profile = make_catalog_domain(desc).radial_profile
+        t = np.array([1.0, 0.5, 2.0, -0.5])
+        g = substream(seed, TAG_REJECTION, 0)
+        stacked = np.hstack([sample_moduli_weighted(f, t[cols], g, 1000) for f, cols in profile.factor_columns()])
+        r = sample_moduli_weighted(profile, t, substream(seed, TAG_REJECTION, 0), 1000)
+        assert r.shape == stacked.shape and r.tobytes() == stacked.tobytes()
+
 
 class TestBoundaryDistance:
     def test_disc_interior(self, disc):

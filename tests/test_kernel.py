@@ -257,6 +257,7 @@ class TestCoarseGridRefused:
             (1.0, {"angular_nodes": -3}, r"angular_nodes must be at least 13 for this basis, not -3"),
             (1.0, {"radial_nodes": 0}, r"radial_nodes must be an integer of at least 4, not 0"),
             (1.0, {"seed": 1.5}, r"seed must be an integer, got 1.5"),
+            (1.0, {"radial_nodes": 6}, r"radial_nodes must be at least 7 for this basis, not 6"),
         ],
     )
     def test_refused_before_any_grid(self, monkeypatch, disc, p, setting, message):
@@ -271,6 +272,24 @@ class TestCoarseGridRefused:
     def test_fewest_angles_allowed_stay_below_the_kernel(self, disc, p):
         est = pbergman_min_norm(disc, degree_basis(disc, 6, p), 0.5, cfg=OptimizerConfig(angular_nodes=13))
         assert est.value <= math.pi ** (-2.0 / p) * 0.75 ** (-4.0 / p)
+
+    @pytest.mark.parametrize("nodes", [4, 8, 20])
+    def test_fewer_radial_nodes_than_degree_plus_one_refused(self, monkeypatch, disc, nodes):
+        # the disc at degree 20, p = 2 and |z| = 0.9 gave 1.124x the exact
+        # K_2 on 4 radial nodes; at p = 1, |z| = 0.5, 8 nodes gave 1 + 2.2e-10
+        # of the exact K_1, both claiming a lower bound
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(kernel, "ReinhardtGrid", no_grid)
+        with pytest.raises(ConfigError, match=rf"^radial_nodes must be at least 21 for this basis, not {nodes}$"):
+            pbergman_min_norm(disc, degree_basis(disc, 20, 2.0), 0.9, cfg=OptimizerConfig(radial_nodes=nodes))
+
+    def test_fewest_radial_nodes_allowed_match_the_default_grid(self, disc):
+        # 21 Gauss-Legendre nodes integrate the degree-20 span's 2-norm exactly
+        basis = degree_basis(disc, 20, 2.0)
+        fewest = pbergman_min_norm(disc, basis, 0.5, cfg=OptimizerConfig(radial_nodes=21))
+        assert_rel(fewest.value, pbergman_min_norm(disc, basis, 0.5).value, 1e-14)
 
 
 # solved in one order and then in another, with the table slot emptied
@@ -706,6 +725,124 @@ class TestCoarsePhase:
         assert est.optimizer_report["converged"] is True
         assert est.optimizer_report["iterations"] == coarse_out[3] + full_out[3]
         assert est.value == newton(prob, c0)[1] ** -2.0
+
+
+def _certified_solve(monkeypatch, D, basis, z):
+    """pbergman_min_norm, with every `certificate` call as (on the full
+    grid, start, before the Newton run), the number of full-grid `norm_p`
+    calls before the run, and the run's problem and start."""
+    log = {"ran": False, "certified": [], "norm_p_before": 0}
+    norm_p, certificate, two_grid = kernel._SliceProblem.norm_p, kernel._SliceProblem.certificate, kernel._two_grid_newton
+
+    def counting_norm_p(self, c, eps2=0.0):
+        log["norm_p_before"] += self.tables is kernel._tables and not log["ran"]
+        return norm_p(self, c, eps2)
+
+    def recording_certificate(self, c):
+        log["certified"].append((self.tables is kernel._tables, c, not log["ran"]))
+        return certificate(self, c)
+
+    def recording_run(prob, c0):
+        log["ran"], log["prob"], log["start"] = True, prob, c0
+        return two_grid(prob, c0)
+
+    monkeypatch.setattr(kernel._SliceProblem, "norm_p", counting_norm_p)
+    monkeypatch.setattr(kernel._SliceProblem, "certificate", recording_certificate)
+    monkeypatch.setattr(kernel, "_two_grid_newton", recording_run)
+    return pbergman_min_norm(D, basis, z), log
+
+
+def _one_term(c):
+    return np.count_nonzero(c) == 1
+
+
+class TestCertifiedStarts:
+    """Where the run has a coarse phase the starts are ranked by their coarse
+    certificates; the full grid certifies the winner and, by radial sums, the
+    one-term starts, and every other start only when the run ends
+    unconverged."""
+
+    @pytest.mark.parametrize("degree", [2, 4, 8])
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_one_full_grid_multi_term_certificate(self, monkeypatch, ball2, degree, p):
+        est, log = _certified_solve(monkeypatch, ball2, degree_basis(ball2, degree, p), (0.3, 0.4))
+        assert est.optimizer_report["converged"] is True
+        ranked = [c for full, c, _ in log["certified"] if not full]
+        full = [(c, before) for on_full, c, before in log["certified"] if on_full]
+        assert len(ranked) == est.optimizer_report["restarts"] + 1
+        assert all(before for _, before in full)
+        multi = [c for c, _ in full if not _one_term(c)]
+        assert len(multi) == 1 and multi[0] is log["start"]
+        assert log["norm_p_before"] == 1
+        assert [c for c, _ in full if _one_term(c)] == [c for c in ranked if _one_term(c) and c is not log["start"]]
+
+    @pytest.mark.parametrize("degree", [2, 4, 8])
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_value_dominates_every_one_term_certificate(self, ball2, degree, p):
+        basis = degree_basis(ball2, degree, p)
+        est = pbergman_min_norm(ball2, basis, (0.3, 0.4))
+        prob = _SliceProblem(ball2, basis, np.array([0.3, 0.4], dtype=complex), OptimizerConfig())
+        one_term = []
+        for k in range(basis.size):
+            if prob.bz[k] != 0:
+                c = prob.retract(np.eye(basis.size, dtype=complex)[k] / prob.bz[k])
+                if _one_term(c):
+                    one_term.append(c)
+        assert len(one_term) >= 3
+        for c in one_term:
+            assert est.value >= prob.norm_p(c) ** (-2.0 / p)
+
+    def test_unconverged_run_takes_every_certificate(self, monkeypatch, ball2):
+        monkeypatch.setattr(kernel, "_STAGE_ITERS", 1)
+        est, log = _certified_solve(monkeypatch, ball2, degree_basis(ball2, 2, 1.0), (0.3, 0.4))
+        assert est.optimizer_report["converged"] is False
+        ranked = [c for full, c, _ in log["certified"] if not full]
+        full = [c for on_full, c, _ in log["certified"] if on_full]
+        assert len(full) == len(ranked) == est.optimizer_report["restarts"] + 1
+        assert {id(c) for c in full} == {id(c) for c in ranked}
+        for c in full:
+            assert est.value >= log["prob"].certificate(c) ** -2.0
+
+    @pytest.mark.parametrize(
+        "domain, degree, p, z, w",
+        [(("ball", 2), 4, 3.0, (0.3, 0.4), (0.1 + 0.2j, -0.3)), ("disc", 20, 1.0, (0.5,), (0.3 + 0.2j,)),
+         ("punctured_disc(1)", "punctured", 1.0, (0.1,), (0.4,))],
+    )
+    def test_later_solves_skip_the_domain_check(self, monkeypatch, domain, degree, p, z, w):
+        D = make_catalog_domain(domain)
+        basis = _pinned_basis(D, degree, p)
+        monkeypatch.setattr(kernel, "_tables", None)
+        first = pbergman_min_norm(D, basis, z)
+        calls = []
+        closed = kernel.monomial_norm_closed
+
+        def counting(*args):
+            calls.append(args)
+            return closed(*args)
+
+        monkeypatch.setattr(kernel, "monomial_norm_closed", counting)
+        pbergman_min_norm(D, basis, w)
+        assert calls == []
+        assert json.dumps(pbergman_min_norm(D, basis, z).to_json_obj()) == json.dumps(first.to_json_obj())
+        # another p of the same indices shares the tables but is checked once
+        other = BasisSpec(basis.indices, basis.domain_label, 1.5)
+        pbergman_min_norm(D, other, z)
+        assert len(calls) == basis.size
+        pbergman_min_norm(D, other, w)
+        assert len(calls) == basis.size
+
+    def test_shared_slot_still_refuses_a_pole(self, monkeypatch, disc, punctured):
+        # the disc and the punctured disc share a radial profile, so one entry
+        monkeypatch.setattr(kernel, "_tables", None)
+        indices = ((-1,), (0,))
+        pbergman_min_norm(punctured, BasisSpec(indices, punctured.label, 1.0), 0.5)
+        tables = kernel._tables
+        message = r"^basis index \(-1,\) is not in A\^1\(disc\(1\)\): z\^\(-1,\) has a pole on \{z_1 = 0\}"
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=message):
+                pbergman_min_norm(disc, BasisSpec(indices, disc.label, 1.0), 0.5)
+        assert kernel._tables is tables
+        assert tables.checked == {(punctured.label, 1.0)}
 
 
 class TestPrunedStarts:
