@@ -10,18 +10,21 @@ the true kernel (the sup over all of A^p is never claimed).
 For every p > 0 a constrained Newton method runs once, from the feasible
 start with the best certificate, smoothed by eps below p = 2 (Chen and Zhang,
 "On the p-Bergman theory", Adv. Math. 405 (2022), for the variational
-kernel). Its Hessian is assembled from angular transforms of the node
-weights at index differences and index sums, in blocks of radial rows, never
-from the dense node matrix. The node values phi of the last iterate are
-kept, so each iterate's norm, gradient and Hessian share one pass over the
-nodes, and a one-term start's certificate is a sum over radial nodes alone.
+kernel). Its Hessian is assembled radial-first, never from the dense node
+matrix: r^a r^b = r^(a+b), so each block of radial rows sums its node
+weights against w_r r^s at the index sums s = a + b, and the angles are
+summed once per assembly, at the index differences b - a for the part in
+conj(b_a) b_b and at the sums for the part in conj(b_a) conj(b_b). The node
+values phi of the last iterate are kept, so each iterate's norm, gradient
+and Hessian share one pass over the nodes, and a one-term start's
+certificate is a sum over radial nodes alone.
 For p < 1 the problem is not convex: where the Hessian is not positive
 definite on the constraint's tangent space the step uses the majorizing
 quadratic instead, and no global claim is made.
 
 Everything that depends on neither the point nor p (the grid's nodes and
 phases, the radial powers and angular characters of the basis, the
-difference and sum tables of the Hessian, each block's weighted powers and
+sum and difference tables of the Hessian, each block's weighted powers and
 the closed 2-norms of the Gram start) is built once per radial profile,
 grid size and basis indices, and kept in one module slot: a list of points,
 a sweep over p or a scenario's radii reuse it, and the slot is emptied
@@ -184,13 +187,16 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
     are orthogonal and the Gram matrix is diagonal:
 
         B_2(z) = sum_alpha |z^alpha|^2 / ||z^alpha||_2^2
-    """
-    _check_domain(D, basis)
+
+    The closed norms and the (domain label, p) pairs already checked are read
+    from the tables slot where it holds the same radial profile and indices."""
+    shared = _tables is not None and _tables.key[0] == D.radial_profile and _tables.indices == basis.indices
+    _check_domain(D, basis, _tables.checked if shared else ())
     if basis.p != 2:
         raise ConfigError("the Gram path is defined only for p = 2")
     zz = _as_point(z, D.dimension)
     bz = monomial_values(zz.reshape(1, -1), basis.indices)[0]
-    value = float(np.sum(np.abs(bz) ** 2 / _closed_norms2(D, basis.indices)))
+    value = float(np.sum(np.abs(bz) ** 2 / (_tables.norms2 if shared else _closed_norms2(D, basis.indices))))
     return KernelEstimate(
         value=value,
         z=tuple(zz),
@@ -216,6 +222,13 @@ class _GridTables:
     (R x K) and angular characters E (K x A) of the basis, not their product,
     each block's weighted powers P[rows]^T w[rows], and the closed squared
     2-norms of the monomials (inf where one diverges) for the Gram start.
+    The Hessian is assembled radial-first: r^a r^b = r^(a+b), so a pair's
+    radial sum depends on its index sum s = a + b alone. The tables keep the
+    radial weights w_r r^s (R x S) and the conjugate characters e^{-i s.theta}
+    (S x A) of the distinct sums, the characters e^{i d.theta} of the
+    distinct differences d = b - a (A x 2D, re and im side by side), and per
+    flattened pair (a, b) the position of its sum and of (s, d) in an S x D
+    array; no table grows with K^2 R.
     The tables of the coarse grid (`coarse`) are built on first use and held
     here, so they live and go with the basis's entry in the slot, as do the
     (domain label, p) pairs the basis passed `_check_domain` at (`checked`)
@@ -234,11 +247,18 @@ class _GridTables:
         self.key = key
         self.indices = indices
         self._grid = grid
-        self.phases = grid.phases
         self.w = grid.nodes[1]
         self.P, self.E = grid.monomial_factors(indices)
         self.blocks = [slice(i, i + _BLOCK) for i in range(0, self.P.shape[0], _BLOCK)]
         self.weighted_P = [self.P[rows].T * self.w[rows] for rows in self.blocks]
+        alpha = np.array(indices)
+        sums, at_sum = np.unique((alpha[None] + alpha[:, None]).reshape(-1, grid.dimension), axis=0, return_inverse=True)
+        diffs, at_diff = np.unique((alpha[None] - alpha[:, None]).reshape(-1, grid.dimension), axis=0, return_inverse=True)
+        radial, chars = grid.monomial_factors(sums)
+        self.sum_weights, self.sum_chars = radial * self.w[:, None], np.conj(chars)
+        self.diff_chars = monomial_values(grid.phases, diffs).view(float)
+        self.at_sum = at_sum.reshape(-1)
+        self.at_sum_diff = self.at_sum * diffs.shape[0] + at_diff.reshape(-1)
         self.norms2 = norms2
         self.checked = set()
         self._radial_sums = {}
@@ -264,40 +284,12 @@ class _GridTables:
             return None
         return _GridTables((profile, n_coarse, m_theta, indices), self.norms2)
 
-    @cached_property
-    def difference_groups(self):
-        """Angular characters e^{i d.theta} at the distinct index differences
-        d = b - a, as an A x 2D real array (re, im of each d side by side), and
-        per difference the flattened pairs (a, b) with b - a = d together with
-        their radial weights w_r P_ra P_rb (pairs x R)."""
-        alpha = np.array(self.indices)
-        K, n = alpha.shape
-        diffs, pos = np.unique((alpha[None, :, :] - alpha[:, None, :]).reshape(-1, n), axis=0, return_inverse=True)
-        pos = pos.reshape(-1)
-        chars = monomial_values(self.phases, diffs).view(float)
-        pair_weights = (self.P[:, :, None] * self.P[:, None, :]).reshape(-1, K * K).T * self.w
-        pairs = np.split(np.argsort(pos, kind="stable"), np.cumsum(np.bincount(pos))[:-1])
-        return chars, [(j, pair_weights[j]) for j in pairs]
-
-    @cached_property
-    def sum_table(self):
-        """At the distinct index sums s = a + b: the conjugate characters
-        e^{-i s.theta} (A x S), the radial weights w_r r^s (R x S) and, per
-        flattened pair (a, b), the position of its sum. r^a r^b = r^(a+b), so
-        a pair's whole node sum depends on its index sum alone."""
-        alpha = np.array(self.indices)
-        n = alpha.shape[1]
-        sums, pos = np.unique((alpha[None, :, :] + alpha[:, None, :]).reshape(-1, n), axis=0, return_inverse=True)
-        radial, chars = self._grid.monomial_factors(sums)
-        return np.conj(chars).T, radial * self.w[:, None], pos.reshape(-1)
-
-    def at_differences(self, F: np.ndarray) -> np.ndarray:
-        """M_ab = sum_r w_r P_ra P_rb F_r[b - a] from the R x 2D transform F."""
+    def at_pairs(self, G: np.ndarray) -> np.ndarray:
+        """M = B^H diag(w W) B, M_ab = sum_theta G[a + b, theta] e^{i (b - a).theta},
+        from the real S x A array G of node weights W summed against w_r r^s
+        over the radial rows."""
         K = self.P.shape[1]
-        M = np.empty((K * K, 2))
-        for d, (j, weights) in enumerate(self.difference_groups[1]):
-            M[j] = weights @ F[:, 2 * d : 2 * d + 2]
-        return M.view(complex).reshape(K, K)
+        return (G @ self.diff_chars).view(complex).reshape(-1)[self.at_sum_diff].reshape(K, K)
 
 
 _tables: _GridTables | None = None  # the tables of the last basis solved
@@ -419,14 +411,14 @@ class _SliceProblem:
 
     def irls_matrix(self, c: np.ndarray, eps2: float) -> np.ndarray:
         """M = B^H diag(w (|phi|^2 + eps2)^(p/2-1)) B for the dense node
-        matrix B, assembled as M_ab = sum_r w_r P_ra P_rb F_r[b - a], where
-        F_r[d] = sum_theta (|phi|^2 + eps2)^(p/2-1) e^{i d.theta} is the
-        angular transform of the weights at the distinct differences d."""
-        chars = self.tables.difference_groups[0]
-        F = np.empty((self.P.shape[0], chars.shape[1]))  # re, im of F_r[d] side by side
+        matrix B, assembled radial-first: each block's weights are summed
+        against w_r r^s at the index sums s over its radial rows, and the
+        angles once at the end (`_GridTables.at_pairs`)."""
+        sum_weights = self.tables.sum_weights
+        G = np.zeros((sum_weights.shape[1], self.E.shape[1]))
         for rows, _, a2 in self._blocks(c):
-            F[rows] = (a2 + eps2) ** (self.p / 2.0 - 1.0) @ chars
-        return self.tables.at_differences(F)
+            G += sum_weights[rows].T @ (a2 + eps2) ** (self.p / 2.0 - 1.0)
+        return self.tables.at_pairs(G)
 
     def newton_parts(self, c: np.ndarray, eps2: float):
         """Gradient G and Hessian parts A, C of sum w s^(p/2), s = |phi|^2 + eps2:
@@ -435,25 +427,29 @@ class _SliceProblem:
             A_ab = sum w (p/2) [s^(p/2-1) + (p/2-1) s^(p/2-2) |phi|^2] conj(b_a) b_b
             C_ab = sum w (p/2) (p/2-1) s^(p/2-2) phi^2 conj(b_a) conj(b_b)
 
-        A is taken at index differences like `irls_matrix`, C at index sums.
+        A and C are summed over the radial rows at index sums like
+        `irls_matrix`; A's angles are then taken at index differences, and C's
+        at the sums, C_ab = sum_theta G_C[a + b, theta] e^{-i (a+b).theta}.
         eps2 > 0 makes s positive; where s = 0 (eps2 = 0 and phi = 0, used
         only for p >= 2) s^(p/2-2) is read as 0, the limit of both terms it
         enters."""
         p2 = self.p / 2.0
-        chars_d = self.tables.difference_groups[0]
-        chars_s, radial_s, pos_s = self.tables.sum_table
-        F = np.empty((self.P.shape[0], chars_d.shape[1]))
-        W = np.zeros((self.P.shape[1], 2 * self.E.shape[1]))
-        c_sums = np.zeros(chars_s.shape[1], dtype=complex)
-        for (rows, phi, a2), weighted_P in zip(self._blocks(c), self.tables.weighted_P):
+        tables = self.tables
+        (K, A), S = self.E.shape, tables.sum_weights.shape[1]
+        W = np.zeros((K, 2 * A))
+        G_A = np.zeros((S, A))
+        G_C = np.zeros((S, 2 * A))
+        for (rows, phi, a2), weighted_P in zip(self._blocks(c), tables.weighted_P):
             s = a2 + eps2
             h = s ** (p2 - 1.0)
             q = h / s if eps2 > 0 else np.divide(h, s, out=np.zeros_like(s), where=s > 0)
+            radial = tables.sum_weights[rows].T
             W += weighted_P @ (h * phi).view(float)
-            F[rows] = (p2 * (h + (p2 - 1.0) * q * a2)) @ chars_d
-            c_sums += np.sum(radial_s[rows] * ((p2 * (p2 - 1.0)) * q * phi * phi @ chars_s), axis=0)
+            G_A += radial @ (p2 * (h + (p2 - 1.0) * q * a2))
+            G_C += radial @ (q * phi * phi).view(float)
         G = p2 * np.sum(np.conj(self.E) * W.view(complex), axis=1)
-        return G, self.tables.at_differences(F), c_sums[pos_s].reshape(G.shape[0], G.shape[0])
+        c_sums = (p2 * (p2 - 1.0)) * np.sum(G_C.view(complex) * tables.sum_chars, axis=1)
+        return G, tables.at_pairs(G_A), c_sums[tables.at_sum].reshape(K, K)
 
 
 def _real_hessian(A: np.ndarray, C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -606,8 +602,9 @@ def pbergman_min_norm(
     start and of every start that is exactly one term, so single-candidate
     lower bounds are never lost; on a coarse ranking the other starts are
     certified on the full grid only when the run ends unconverged, and on
-    the full grid every start is. For p >= 1 the problem is convex; for
-    p < 1 it is not, and no global claim is made.
+    the full grid every start is. At p = 2 the value is capped at the span's
+    exact K_2, the Gram value. For p >= 1 the problem is convex; for p < 1
+    it is not, and no global claim is made.
     `optimizer_report["converged"]` is false when the run stopped at its
     iteration cap rather than on a stop test; `restarts` counts every start
     but the first.
@@ -655,6 +652,8 @@ def pbergman_min_norm(
         raise NoBasisSupportError("optimizer failed to produce a feasible norm")
 
     value = best_norm_p ** (-2.0 / basis.p)
+    if basis.p == 2.0:
+        value = min(value, b2)
     return KernelEstimate(
         value=float(value),
         z=tuple(zz),
