@@ -25,13 +25,16 @@ quadratic instead, and no global claim is made.
 Everything that depends on neither the point nor p (the grid's nodes and
 phases, the radial powers and angular characters of the basis, the
 sum and difference tables of the Hessian, each block's weighted powers and
-the closed 2-norms of the Gram start) is built once per radial profile,
-grid size and basis indices, and kept in one module slot: a list of points,
-a sweep over p or a scenario's radii reuse it, and the slot is emptied
-before tables of another key are built, so no two bases' tables are alive
-at once. What depends on p but not on the point hangs on the same entry:
-the one-term radial sums, once per p, and the domain check of the basis,
-once per domain label and p, so a later solve at a new point does only
+the closed 2-norms of the Gram start, which every grid of the same profile
+and indices shares) is built once per radial profile, grid size and basis
+indices, and kept as one entry of a module store: a list of points, a sweep
+over p, a scenario's radii and solves that alternate between bases all
+reuse it. Before an entry is built or reused, the least recently used
+other entries are released until they hold at most _STORE_BYTES of arrays,
+so at most that bound plus one entry is alive. What depends on p but not on
+the point hangs on the same entry: the one-term radial sums, once per p,
+and the domain check of the basis, once per domain label and p for every
+grid of its profile and indices, so a later solve at a new point does only
 that point's work. For 1 <= p < 2 a smoothing stage that ends on a full
 step whose decrement is at most 1e-12 of the objective sends the run
 straight to the last stage (`_newton`).
@@ -40,7 +43,7 @@ For p >= 1 other than 2 the run starts on a coarse grid of radial_nodes // 4
 nodes per axis and the same angles, where that grid keeps at most 1/8 of
 the radial nodes (dimension 2 and more), and the full grid runs only the
 last stage from the coarse iterate (`_two_grid_newton`). The coarse tables
-hang on the basis's entry in the slot. The starts are then ranked by their
+hang on the basis's entry in the store. The starts are then ranked by their
 certificates on the coarse grid, and the full grid certifies only the
 winner and the one-term starts (radial sums), or every start when the run
 ends unconverged. The certificates taken, the value, the gradient norm and
@@ -101,7 +104,10 @@ class BasisSpec:
 
 
 def degree_basis(D: BoundedDomain, max_degree: int, p: float, extra_indices: Sequence = ()) -> BasisSpec:
-    """All monomials of total degree <= max_degree (plus any extras), validated."""
+    """All monomials of total degree <= max_degree (plus any extras), validated.
+    The degree is a Python or numpy integer of at least 0 and not a bool."""
+    if not isinstance(max_degree, numbers.Integral) or isinstance(max_degree, bool) or max_degree < 0:
+        raise ConfigError(f"degree must be an integer of at least 0, got {max_degree!r}")
     ranges = [range(max_degree + 1)] * D.dimension
     indices = [idx for idx in iter_product(*ranges) if sum(idx) <= max_degree]
     indices.extend(tuple(int(e) for e in extra) for extra in extra_indices)
@@ -188,15 +194,16 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
 
         B_2(z) = sum_alpha |z^alpha|^2 / ||z^alpha||_2^2
 
-    The closed norms and the (domain label, p) pairs already checked are read
-    from the tables slot where it holds the same radial profile and indices."""
-    shared = _tables is not None and _tables.key[0] == D.radial_profile and _tables.indices == basis.indices
-    _check_domain(D, basis, _tables.checked if shared else ())
+    p is tested first. The closed norms and the (domain label, p) pairs
+    already checked are read from any store entry of the same radial profile
+    and indices, whatever its grid; the call adds no entry."""
     if basis.p != 2:
         raise ConfigError("the Gram path is defined only for p = 2")
+    norms2, checked = _span_tables(D, basis)
+    _check_domain(D, basis, checked)
     zz = _as_point(z, D.dimension)
     bz = monomial_values(zz.reshape(1, -1), basis.indices)[0]
-    value = float(np.sum(np.abs(bz) ** 2 / (_tables.norms2 if shared else _closed_norms2(D, basis.indices))))
+    value = float(np.sum(np.abs(bz) ** 2 / (_closed_norms2(D, basis.indices) if norms2 is None else norms2)))
     return KernelEstimate(
         value=value,
         z=tuple(zz),
@@ -210,6 +217,8 @@ def bergman2_gram(D: BoundedDomain, basis: BasisSpec, z) -> KernelEstimate:
 
 # largest radial nodes x angular nodes x basis size the optimizer accepts
 _GRID_BUDGET = 40_000_000
+# bytes of arrays the store keeps in entries other than the one in use
+_STORE_BYTES = 32_000_000
 
 
 class _GridTables:
@@ -230,22 +239,14 @@ class _GridTables:
     flattened pair (a, b) the position of its sum and of (s, d) in an S x D
     array; no table grows with K^2 R.
     The tables of the coarse grid (`coarse`) are built on first use and held
-    here, so they live and go with the basis's entry in the slot, as do the
+    here, so they live and go with the basis's entry in the store, as do the
     (domain label, p) pairs the basis passed `_check_domain` at (`checked`)
     and the one-term radial sums of each p solved (`radial_sums`).
     """
 
-    def __init__(self, key: tuple, norms2: np.ndarray):
-        profile, radial_nodes, m_theta, indices = key
-        grid = ReinhardtGrid(profile, radial_nodes, m_theta)
-        if grid.node_count * len(indices) > _GRID_BUDGET:
-            raise ConfigError(
-                f"optimizer grid of {grid.n_radial} radial x {grid.n_angular} angular nodes for {len(indices)} "
-                f"basis elements exceeds the limit of {_GRID_BUDGET} node-elements; "
-                "reduce nodes or basis degree"
-            )
+    def __init__(self, key: tuple, grid: ReinhardtGrid, norms2: np.ndarray):
         self.key = key
-        self.indices = indices
+        self.indices = indices = key[3]
         self._grid = grid
         self.w = grid.nodes[1]
         self.P, self.E = grid.monomial_factors(indices)
@@ -280,9 +281,24 @@ class _GridTables:
         solver accepts."""
         profile, radial_nodes, m_theta, indices = self.key
         n_coarse = radial_nodes // 4
-        if n_coarse < 4 or 8 * ReinhardtGrid(profile, n_coarse).n_radial > self._grid.n_radial:
+        if n_coarse < 4:
             return None
-        return _GridTables((profile, n_coarse, m_theta, indices), self.norms2)
+        grid = ReinhardtGrid(profile, n_coarse, m_theta)
+        if 8 * grid.n_radial > self._grid.n_radial:
+            return None
+        return _GridTables((profile, n_coarse, m_theta, indices), grid, self.norms2)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the entry holds, its grid's and its coarse
+        tables' among them, a view counted as the array it views."""
+        grid = self._grid
+        arrays = [*grid.nodes, grid.phases, *(a for factor in grid.factors for a in factor), self.P, self.E]
+        arrays += [*self.weighted_P, self.sum_weights, self.sum_chars, self.diff_chars, self.at_sum]
+        arrays += [self.at_sum_diff, self.norms2, *self._radial_sums.values()]
+        held = {id(a): a.nbytes for a in (a if a.base is None else a.base for a in arrays)}
+        coarse = self.__dict__.get("coarse")
+        return sum(held.values()) + (0 if coarse is None else coarse.nbytes)
 
     def at_pairs(self, G: np.ndarray) -> np.ndarray:
         """M = B^H diag(w W) B, M_ab = sum_theta G[a + b, theta] e^{i (b - a).theta},
@@ -292,7 +308,28 @@ class _GridTables:
         return (G @ self.diff_chars).view(complex).reshape(-1)[self.at_sum_diff].reshape(K, K)
 
 
-_tables: _GridTables | None = None  # the tables of the last basis solved
+# the grid tables by key, least recently used first
+_store: dict[tuple, _GridTables] = {}
+
+
+def _span_tables(D: BoundedDomain, basis: BasisSpec):
+    """The closed norms (or None) and the union of the checked (domain label,
+    p) pairs of the store's entries of D's radial profile and the basis's
+    indices, whatever their grid: neither depends on the grid."""
+    same = [t for t in _store.values() if t.key[0] == D.radial_profile and t.indices == basis.indices]
+    return (same[0].norms2 if same else None), set().union(*(t.checked for t in same))
+
+
+def _release_beyond_bound() -> None:
+    """Release the least recently used entries until the store's arrays take
+    at most _STORE_BYTES."""
+    held = {key: tables.nbytes for key, tables in _store.items()}
+    total = sum(held.values())
+    for key, nbytes in held.items():
+        if total <= _STORE_BYTES:
+            break
+        del _store[key]
+        total -= nbytes
 
 
 def _grid_tables(D: BoundedDomain, basis: BasisSpec, cfg: OptimizerConfig) -> _GridTables:
@@ -303,12 +340,15 @@ def _grid_tables(D: BoundedDomain, basis: BasisSpec, cfg: OptimizerConfig) -> _G
     span's 2-norm exactly on a polydisc; either way the grid norm of a span
     can fall below its true norm, which would make the value no lower bound
     (|a| is the total |exponent|). A seed that is not an integer is refused
-    beside them. The one slot keeps the last tables, their coarse tables and
-    the (domain label, p) pairs the basis passed `_check_domain` at with
-    them, so a basis is checked once per domain and p, and always before its
-    tables are built; it lets go of them before other tables are built, so
-    no two bases' tables are alive at once."""
-    global _tables
+    beside them. The tables come from the store, where their entry keeps
+    their coarse tables and the (domain label, p) pairs the basis passed
+    `_check_domain` at, so a basis is checked once per domain and p, and
+    always before its tables are built. A grid of more than _GRID_BUDGET
+    node-elements is refused next, leaving the store as it was. Then the
+    other entries are released, least recently used first, until they hold
+    at most _STORE_BYTES (`_release_beyond_bound`), and only then are new
+    tables built, so at most that bound plus the entry in use are alive; the
+    entry returned goes back in as the most recently used."""
     as_seed(cfg.seed)
     if not isinstance(cfg.radial_nodes, numbers.Integral) or cfg.radial_nodes < 4:
         raise ConfigError(f"radial_nodes must be an integer of at least 4, not {cfg.radial_nodes!r}")
@@ -320,12 +360,22 @@ def _grid_tables(D: BoundedDomain, basis: BasisSpec, cfg: OptimizerConfig) -> _G
     if not isinstance(m_theta, numbers.Integral) or m_theta < min_theta:
         raise ConfigError(f"angular_nodes must be at least {min_theta} for this basis, not {m_theta!r}")
     key = (D.radial_profile, cfg.radial_nodes, m_theta, basis.indices)
-    tables = _tables
-    fresh = tables is None or tables.key != key
-    _check_domain(D, basis, () if fresh else tables.checked)
-    if fresh:
-        _tables = None
-        tables = _tables = _GridTables(key, _closed_norms2(D, basis.indices))
+    norms2, checked = _span_tables(D, basis)
+    _check_domain(D, basis, checked)
+    tables = _store.pop(key, None)
+    if tables is None:
+        grid = ReinhardtGrid(D.radial_profile, cfg.radial_nodes, m_theta)
+        if grid.node_count * basis.size > _GRID_BUDGET:
+            raise ConfigError(
+                f"optimizer grid of {grid.n_radial} radial x {grid.n_angular} angular nodes for {basis.size} "
+                f"basis elements exceeds the limit of {_GRID_BUDGET} node-elements; "
+                "reduce nodes or basis degree"
+            )
+        _release_beyond_bound()
+        tables = _GridTables(key, grid, _closed_norms2(D, basis.indices) if norms2 is None else norms2)
+    else:
+        _release_beyond_bound()
+    _store[key] = tables
     tables.checked.add((D.label, basis.p))
     return tables
 

@@ -1,6 +1,12 @@
 import pytest
 
-from pbergman import make_catalog_domain
+from pbergman import kernel, make_catalog_domain
+
+
+@pytest.fixture(autouse=True)
+def empty_kernel_store(monkeypatch):
+    """Every test starts with no kernel grid tables kept from another."""
+    monkeypatch.setattr(kernel, "_store", {})
 
 
 def assert_rel(actual, expected, rel, msg=""):

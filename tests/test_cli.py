@@ -197,7 +197,6 @@ class TestKernel:
                 super().__init__(*args)
 
         monkeypatch.setattr(kernel, "_GridTables", Counting)
-        monkeypatch.setattr(kernel, "_tables", None)
         code, out, _ = run_cli(
             capsys,
             ["kernel", "--domain", "disc", "--p", "1", "--z", "0.1,0;0.5,0.2;0,-0.7", "--degree", "6"],

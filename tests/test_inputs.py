@@ -1,9 +1,11 @@
-"""The three rules for outside input, one table each: the shapes of points
+"""The rules for outside input, one table each: the shapes of points
 (`functions._as_points`, and `_as_point` for entries that take exactly one),
-seeds (`_rng.as_seed`) and the exponent p (`functions.as_p`)."""
+seeds (`_rng.as_seed`), the exponent p (`functions.as_p`) and the degree of
+`degree_basis`."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,3 +268,29 @@ class TestP:
         want = _flat(call(2.0))
         assert _flat(call(2)) == want
         assert _flat(call(np.float64(2.0))) == want
+
+
+# -- degree -----------------------------------------------------------------------
+
+# 2.5 used to raise TypeError, True to give the degree-1 basis and -1 to report
+# that no basis index is in A^1(disc(1))
+REFUSED_DEGREES = [2.5, True, -1, np.int64(-2), "3", None]
+
+
+class TestDegree:
+    @pytest.mark.parametrize("degree", REFUSED_DEGREES, ids=repr)
+    def test_refused(self, degree):
+        with pytest.raises(ConfigError, match=rf"^degree must be an integer of at least 0, got {re.escape(repr(degree))}$"):
+            degree_basis(DISC, degree, 1.0)
+
+    def test_numpy_integer_is_that_integer(self):
+        assert degree_basis(DISC, np.int64(3), 1.0) == degree_basis(DISC, 3, 1.0)
+        assert degree_basis(DISC, 0, 1.0).indices == ((0,),)
+
+    def test_command_line_exits_two(self, capsys):
+        from pbergman.cli import main
+
+        assert main(["kernel", "--domain", "disc", "--p", "1", "--z", "0.5,0", "--degree", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree must be an integer of at least 0, got -1\n"

@@ -138,19 +138,51 @@ class TestGram:
         # the closed norms and the domain check of a solved basis serve every
         # later Gram call of its indices, bit for bit
         basis = degree_basis(disc, 20, 2.0)
-        monkeypatch.setattr(kernel, "_tables", None)
         alone = [bergman2_gram(disc, basis, z).value for z in (0.5, 0.9)]
-        calls = {"_closed_norms2": 0, "_outside_Ap": 0}
-        for name in calls:
-
-            def counting(*args, name=name, inner=getattr(kernel, name)):
-                calls[name] += 1
-                return inner(*args)
-
-            monkeypatch.setattr(kernel, name, counting)
+        calls = _count_calls(monkeypatch, "_closed_norms2", "_outside_Ap")
         pbergman_min_norm(disc, basis, 0.5)
         assert [bergman2_gram(disc, basis, z).value for z in (0.5, 0.9)] == alone
         assert calls == {"_closed_norms2": 1, "_outside_Ap": basis.size}
+
+    def test_p_tested_before_the_domain_check(self, monkeypatch, disc):
+        # the check of a degree-4 basis at p = 1 took 5 `_outside_Ap` calls
+        # before the call was refused
+        basis = degree_basis(disc, 4, 1.0)
+        calls = _count_calls(monkeypatch, "_closed_norms2", "_outside_Ap")
+        with pytest.raises(ConfigError, match=r"^the Gram path is defined only for p = 2$"):
+            bergman2_gram(disc, basis, 0.0)
+        assert calls == {"_closed_norms2": 0, "_outside_Ap": 0}
+
+    def test_calls_on_an_unsolved_basis_keep_nothing(self, monkeypatch, disc):
+        basis = degree_basis(disc, 20, 2.0)
+        calls = _count_calls(monkeypatch, "_closed_norms2", "_outside_Ap")
+        for z in (0.0, 0.5, 0.9):
+            bergman2_gram(disc, basis, z)
+        assert calls == {"_closed_norms2": 3, "_outside_Ap": 3 * basis.size}
+        assert kernel._store == {}
+
+    def test_an_entry_of_another_grid_serves(self, monkeypatch, disc):
+        basis = degree_basis(disc, 20, 2.0)
+        alone = bergman2_gram(disc, basis, 0.5).value
+        pbergman_min_norm(disc, basis, 0.5, cfg=OptimizerConfig(radial_nodes=24, angular_nodes=45))
+        calls = _count_calls(monkeypatch, "_closed_norms2", "_outside_Ap")
+        assert bergman2_gram(disc, basis, 0.5).value == alone
+        pbergman_min_norm(disc, basis, 0.5)  # a build on the default grid shares them too
+        assert calls == {"_closed_norms2": 0, "_outside_Ap": 0}
+        assert len(kernel._store) == 2
+
+
+def _count_calls(monkeypatch, *names):
+    """Counts of the calls made from now on to each named function of the kernel module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counting(*args, name=name, inner=getattr(kernel, name)):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(kernel, name, counting)
+    return calls
 
 
 class TestMinNorm:
@@ -246,8 +278,13 @@ class TestScaling:
 
 
 class TestGridBudget:
-    def test_over_budget_grid_refused_before_building(self, ball2):
+    def test_over_budget_grid_refused_before_building(self, monkeypatch, disc, ball2):
         basis = degree_basis(ball2, 2, 1.0)
+        for D, solved in ((disc, degree_basis(disc, 4, 1.0)), (ball2, basis)):
+            pbergman_min_norm(D, solved, (0.5,) * D.dimension)
+        entries = list(kernel._store.items())
+        # the store is left as it was, though a bound of 0 would release every entry before a build
+        monkeypatch.setattr(kernel, "_STORE_BYTES", 0)
         cfg = OptimizerConfig(angular_nodes=2001)
         tracemalloc.start()
         try:
@@ -262,6 +299,7 @@ class TestGridBudget:
             assert count in msg, msg
         # the 2001^2 angular grid alone would take 64 MB
         assert peak < 4_000_000
+        assert list(kernel._store.items()) == entries
 
 
 class TestCoarseGridRefused:
@@ -319,8 +357,8 @@ class TestCoarseGridRefused:
         assert_rel(fewest.value, pbergman_min_norm(disc, basis, 0.5).value, 1e-14)
 
 
-# solved in one order and then in another, with the table slot emptied
-# before each: (domain, degree or "punctured", p, z)
+# solved in one order and then in another, from an empty store and then
+# from the store the first orders left: (domain, degree or "punctured", p, z)
 SHARED_TABLE_SOLVES = [
     ("disc", 20, 1.0, (0.5,)),
     (("ball", 2), 2, 3.0, (0.3, 0.4)),
@@ -332,7 +370,8 @@ SHARED_TABLE_SOLVES = [
 
 class TestSharedTables:
     """One basis's grid tables serve every point and p solved with it, and
-    never a solve of another basis, grid or profile."""
+    never a solve of another basis, grid or profile; the store keeps the
+    tables of the bases solved last within its byte bound."""
 
     @staticmethod
     def _solve(order):
@@ -343,54 +382,114 @@ class TestSharedTables:
             out[i] = json.dumps(pbergman_min_norm(D, _pinned_basis(D, degree, p), z).to_json_obj(), sort_keys=True)
         return out
 
-    def test_solve_order_changes_no_byte(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_tables", None)
+    def test_solve_order_changes_no_byte(self):
         in_order = self._solve(range(len(SHARED_TABLE_SOLVES)))
-        monkeypatch.setattr(kernel, "_tables", None)
+        kernel._store.clear()
         shuffled = self._solve([3, 0, 2, 4, 1])
         assert shuffled == in_order
         assert in_order[0] == in_order[4]
+        assert self._solve([1, 4, 3, 2, 0]) == in_order
 
-    def test_shared_profile_keeps_the_domain_check(self, monkeypatch, disc, punctured):
+    def test_shared_profile_keeps_the_domain_check(self, disc, punctured):
         assert disc.radial_profile == punctured.radial_profile
-        monkeypatch.setattr(kernel, "_tables", None)
         on_disc = degree_basis(disc, 3, 1.0)
         on_punctured = degree_basis(punctured, 3, 1.0)
         assert on_punctured.indices == on_disc.indices
         pbergman_min_norm(disc, on_disc, 0.5)
-        tables = kernel._tables
+        entries = dict(kernel._store)
         with pytest.raises(ConfigError, match=r"^basis validated on disc\(1\) cannot be solved on punctured_disc\(1\)$"):
             pbergman_min_norm(punctured, on_disc, 0.5)
         pbergman_min_norm(punctured, on_punctured, 0.5)
-        assert kernel._tables is tables
+        assert len(entries) == 1 and kernel._store == entries
         laurent = degree_basis(punctured, 3, 1.0, extra_indices=[(-1,)])
         pbergman_min_norm(punctured, laurent, 0.5)
         with pytest.raises(ConfigError, match=r"^basis validated on punctured_disc\(1\) cannot be solved on disc\(1\)$"):
             pbergman_min_norm(disc, laurent, 0.5)
 
-    def test_slot_emptied_before_each_build(self, monkeypatch, disc, ball2):
-        held = []
+    @staticmethod
+    def _recorded_builds(monkeypatch):
+        """The key of every _GridTables built from now on, and the bytes
+        (walked by `_array_bytes`) that the store's entries of other indices
+        held as each build began: those of all its entries for a basis's
+        tables, and of all but their own for its coarse tables."""
+        builds = []
 
         class Recording(kernel._GridTables):
-            def __init__(self, key, norms2):
-                alive = kernel._tables
-                held.append(None if alive is None else alive.indices == key[3])
-                super().__init__(key, norms2)
+            def __init__(self, key, grid, norms2):
+                others = [tables for tables in kernel._store.values() if tables.indices != key[3]]
+                builds.append((key, _array_bytes(others, set())))
+                super().__init__(key, grid, norms2)
 
         monkeypatch.setattr(kernel, "_GridTables", Recording)
-        monkeypatch.setattr(kernel, "_tables", None)
-        for D, degree in ((disc, 4), (disc, 5), (ball2, 2), (disc, 4)):
-            pbergman_min_norm(D, degree_basis(D, degree, 1.0), (0.5,) * D.dimension)
-        # the fourth build is the coarse grid of the ball(2) basis, which holds the slot
-        assert held == [None, None, None, True, None]
+        return builds
 
-    def test_tables_hold_no_pair_by_node_array(self, monkeypatch, ball2):
+    def test_alternating_bases_build_each_key_once(self, monkeypatch, disc, ball2, punctured):
+        builds = self._recorded_builds(monkeypatch)
+        solves = [(disc, degree_basis(disc, 20, 1.0)), (ball2, degree_basis(ball2, 2, 1.0)),
+                  (punctured, _pinned_basis(punctured, "punctured", 1.0)), (disc, degree_basis(disc, 20, 3.0))]
+        first = [pbergman_min_norm(D, basis, (0.5,) * D.dimension).to_json_obj() for D, basis in solves]
+        for _ in range(2):
+            assert [pbergman_min_norm(D, basis, (0.5,) * D.dimension).to_json_obj() for D, basis in solves] == first
+        # the ball(2) basis also builds its coarse tables, held on its entry
+        keys = [key for key, _ in builds]
+        assert [(key[0].kind, key[1], len(key[3])) for key in keys] == [
+            ("polydisc", 48, 21), ("ball", 48, 6), ("ball", 12, 6), ("polydisc", 48, len(PUNCTURED_INDICES)),
+        ]
+        assert len(kernel._store) == 3
+
+    def test_bound_releases_the_oldest_entry_never_the_newest(self, monkeypatch, disc):
+        # before an entry is built or reused, the others are released in order
+        # of last use until they fit the bound; the entry in use always stays
+        bases = [degree_basis(disc, degree, 1.0) for degree in (4, 5, 6)]
+
+        def solve(i):
+            pbergman_min_norm(disc, bases[i], 0.5)
+            return next(reversed(kernel._store))
+
+        a, b = solve(0), solve(1)
+        monkeypatch.setattr(kernel, "_STORE_BYTES", kernel._store[a].nbytes + kernel._store[b].nbytes)
+        assert solve(0) == a and list(kernel._store) == [b, a]
+        c = solve(2)
+        assert list(kernel._store) == [b, a, c]  # the others fit the bound
+        assert kernel._store[c].nbytes > kernel._store[a].nbytes
+        assert solve(0) == a and list(kernel._store) == [c, a]  # b and c do not fit it, c alone does
+        monkeypatch.setattr(kernel, "_STORE_BYTES", 0)
+        assert solve(0) == a and list(kernel._store) == [a]
+        assert solve(1) != a and list(kernel._store) == [b]
+
+    def test_at_most_the_bound_plus_one_entry_alive(self, monkeypatch, disc, ball2):
+        monkeypatch.setattr(kernel, "_STORE_BYTES", 1_000_000)
+        builds = self._recorded_builds(monkeypatch)
+        alive = []
+        for D, degree, p in ((disc, 20, 1.0), (ball2, 2, 1.0), (disc, 20, 3.0), (ball2, 3, 3.0), (disc, 12, 1.0),
+                             (ball2, 2, 3.0), (ball2, 4, 1.0), (disc, 20, 1.5), (ball2, 3, 1.0)):
+            pbergman_min_norm(D, degree_basis(D, degree, p), (0.5,) * D.dimension)
+            entries = list(kernel._store.values())
+            alive.append((_array_bytes(entries[:-1], set()), _array_bytes(entries[-1], set())))
+        # the third solve reuses the first one's entry; each ball(2) basis builds coarse tables too
+        assert all(held <= 1_000_000 for _, held in builds) and len(builds) == 13
+        assert all(others <= 1_000_000 for others, _ in alive)
+        assert max(newest for _, newest in alive) > 1_000_000  # kept, though alone above the bound
+
+    def test_domain_check_runs_before_any_build(self, monkeypatch, disc, punctured):
+        pbergman_min_norm(disc, degree_basis(disc, 4, 1.0), 0.5)
+        entries = dict(kernel._store)
+        builds = self._recorded_builds(monkeypatch)
+        laurent = BasisSpec(((-1,), (0,), (1,)), disc.label, 1.0)
+        with pytest.raises(ConfigError, match=r"^basis index \(-1,\) is not in A\^1\(disc\(1\)\)"):
+            pbergman_min_norm(disc, laurent, 0.5)
+        with pytest.raises(ConfigError, match=r"^basis validated on disc\(1\) cannot be solved on punctured_disc"):
+            pbergman_min_norm(punctured, degree_basis(disc, 6, 1.0), 0.5)
+        assert builds == [] and kernel._store == entries
+
+    def test_tables_hold_no_pair_by_node_array(self, ball2):
         # ball(2) degree 8: 45 indices on 2304 radial nodes, where a pair weight
-        # per radial node (K^2 x R) alone takes 37 MB; the coarse tables count
-        monkeypatch.setattr(kernel, "_tables", None)
+        # per radial node (K^2 x R) alone takes 37 MB; the coarse tables count,
+        # and the store's own count is at least the bytes walked
         pbergman_min_norm(ball2, degree_basis(ball2, 8, 1.0), (0.3, 0.4))
-        assert kernel._tables.coarse is not None
-        assert _array_bytes(kernel._tables, set()) < 10_000_000
+        (tables,) = kernel._store.values()
+        assert tables.coarse is not None
+        assert _array_bytes(tables, set()) <= tables.nbytes < 10_000_000
 
 
 def _array_bytes(obj, seen):
@@ -780,7 +879,7 @@ class TestCoarsePhase:
         newton = kernel._newton
 
         def capped_on_coarse(prob, c0, last_only=False):
-            coarse = prob.tables is not kernel._tables
+            coarse = not _on_full_grid(prob)
             if coarse:
                 monkeypatch.setattr(kernel, "_STAGE_ITERS", 1)
             try:
@@ -800,6 +899,11 @@ class TestCoarsePhase:
         assert est.value == newton(prob, c0)[1] ** -2.0
 
 
+def _on_full_grid(prob):
+    """Whether the problem runs on a store entry's tables, not on its coarse tables."""
+    return any(prob.tables is tables for tables in kernel._store.values())
+
+
 def _certified_solve(monkeypatch, D, basis, z):
     """pbergman_min_norm, with every `certificate` call as (on the full
     grid, start, before the Newton run), the number of full-grid `norm_p`
@@ -808,11 +912,11 @@ def _certified_solve(monkeypatch, D, basis, z):
     norm_p, certificate, two_grid = kernel._SliceProblem.norm_p, kernel._SliceProblem.certificate, kernel._two_grid_newton
 
     def counting_norm_p(self, c, eps2=0.0):
-        log["norm_p_before"] += self.tables is kernel._tables and not log["ran"]
+        log["norm_p_before"] += _on_full_grid(self) and not log["ran"]
         return norm_p(self, c, eps2)
 
     def recording_certificate(self, c):
-        log["certified"].append((self.tables is kernel._tables, c, not log["ran"]))
+        log["certified"].append((_on_full_grid(self), c, not log["ran"]))
         return certificate(self, c)
 
     def recording_run(prob, c0):
@@ -884,7 +988,6 @@ class TestCertifiedStarts:
     def test_later_solves_skip_the_domain_check(self, monkeypatch, domain, degree, p, z, w):
         D = make_catalog_domain(domain)
         basis = _pinned_basis(D, degree, p)
-        monkeypatch.setattr(kernel, "_tables", None)
         first = pbergman_min_norm(D, basis, z)
         calls = []
         closed = kernel.monomial_norm_closed
@@ -904,17 +1007,16 @@ class TestCertifiedStarts:
         pbergman_min_norm(D, other, w)
         assert len(calls) == basis.size
 
-    def test_shared_slot_still_refuses_a_pole(self, monkeypatch, disc, punctured):
+    def test_shared_entry_still_refuses_a_pole(self, disc, punctured):
         # the disc and the punctured disc share a radial profile, so one entry
-        monkeypatch.setattr(kernel, "_tables", None)
         indices = ((-1,), (0,))
         pbergman_min_norm(punctured, BasisSpec(indices, punctured.label, 1.0), 0.5)
-        tables = kernel._tables
+        (tables,) = kernel._store.values()
         message = r"^basis index \(-1,\) is not in A\^1\(disc\(1\)\): z\^\(-1,\) has a pole on \{z_1 = 0\}"
         for _ in range(2):
             with pytest.raises(ConfigError, match=message):
                 pbergman_min_norm(disc, BasisSpec(indices, disc.label, 1.0), 0.5)
-        assert kernel._tables is tables
+        assert list(kernel._store.values()) == [tables]
         assert tables.checked == {(punctured.label, 1.0)}
 
 
