@@ -1,6 +1,7 @@
 """p-norms of holomorphic functions over bounded domains, three ways:
 closed form for monomials on catalog domains, tensor quadrature through the
-radial profile, and chunked Monte Carlo with delta-method errors.
+radial profile, and chunked Monte Carlo by rejection from the bounding
+polydisc, moduli first (a monomial needs no phases), with delta-method errors.
 
 All paths report a PNormResult; the closed form is the only one allowed to
 claim zero standard error.
@@ -20,7 +21,7 @@ import numpy as np
 from ._rng import CHUNK, TAG_MC_NORM, as_seed, substream
 from .errors import ConfigError, DivergentIntegralError, PoleProximityWarning, UnsupportedDomainError, user_stacklevel
 from .functions import LaurentPolynomial, as_p, fields_json, monomial_values
-from .geometry import BoundedDomain, RadialProfile, box_proposals, log_radial_moment
+from .geometry import BoundedDomain, RadialProfile, log_radial_moment
 
 _NODE_BUDGET = 4_000_000
 
@@ -160,6 +161,15 @@ def chunked_mean(samples: int, chunk_ys, threads: int = 1) -> list[tuple[float, 
     return out
 
 
+def _monomial_power(f, p: float):
+    """(|c|^p, ((j, p a_j) for a_j != 0)) when f is the Laurent monomial
+    c z^a, so that |f|^p = |c|^p exp(sum_j p a_j log r_j); None otherwise."""
+    if not isinstance(f, LaurentPolynomial) or not f.is_monomial:
+        return None
+    exp, coeff = f.single_term()
+    return abs(coeff) ** p, tuple((j, p * a) for j, a in enumerate(exp) if a)
+
+
 def mc_norm_batch(
     D: BoundedDomain,
     items: Sequence[tuple],
@@ -168,11 +178,22 @@ def mc_norm_batch(
     threads: int = 1,
 ) -> list[PNormResult]:
     """Monte Carlo p-norms for several (f, p) pairs sharing one rejection
-    sample stream over D's bounding box.
+    sample stream over D's bounding polydisc P = {|z_j| < b_j}.
 
-    The estimand is Y = 1_D(z)|f(z)|^p over box proposals, so rejection
-    variance is included in the reported error. Chunk substreams are keyed by
-    (seed, chunk index); results are byte-identical for any thread count.
+    The estimand is Y = 1_D(z)|f(z)|^p for z uniform on P, and the result's
+    integral is V_P times the mean of Y, V_P = prod_j pi b_j^2; rejection
+    variance is included in the reported error, and `samples` counts
+    proposals. Proposals are drawn in polar form, moduli first: chunk i of
+    CHUNK proposals draws one (n, size) block u from substream (seed,
+    TAG_MC_NORM, i), row j of it for coordinate j, and r_j = b_j sqrt(u_j);
+    members are the r in D's region of moduli (with r_j != 0 on its null
+    exclusions). A Laurent monomial's |c z^a|^p is taken from the members'
+    moduli alone, as |c|^p exp(sum_j p a_j log r_j). Only when some item is
+    not a monomial does the chunk go on to draw the members' phases,
+    theta = 2 pi v from one (n, members) block v, and evaluate f at
+    z = r e^{i theta}, so adding such an item moves no monomial's bits. Rows
+    with r_j = 0 on an axis where f has a pole count as Y = 0. Results are
+    byte-identical for any thread count.
     """
     if samples < 1_000:
         raise ConfigError("Monte Carlo needs at least 10^3 samples")
@@ -187,17 +208,49 @@ def mc_norm_batch(
                 PoleProximityWarning,
                 stacklevel=user_stacklevel(),
             )
+    powers = [_monomial_power(f, p) for f, p in items]
+    poles = [tuple(getattr(f, "_negative_axes", ())) for f, _ in items]
+    with_phases = any(power is None for power in powers)
+    bounds = np.asarray(D.bounding_box)[:, None]
 
     def chunk_ys(i: int, size: int):
-        pts, inside = box_proposals(D, substream(seed, TAG_MC_NORM, i), size)
-        members = np.compress(inside, pts, axis=0)
-        for f, p in items:
-            sub = members
-            for j in getattr(f, "_negative_axes", ()):
-                sub = np.compress(sub[:, j] != 0, sub, axis=0)
-            yield np.abs(np.asarray(f.evaluate(sub))) ** p if sub.shape[0] else np.zeros(0)
+        g = substream(seed, TAG_MC_NORM, i)
+        r = g.random((D.dimension, size))
+        np.sqrt(r, out=r)
+        r *= bounds
+        inside = D.radial_profile.moduli_member(r.T)
+        for j in D.null_exclusions:
+            inside &= r[j] != 0
+        r = np.compress(inside, r, axis=1)
+        logs = {}
+        if with_phases:
+            theta = g.random(r.shape)
+            theta *= 2.0 * math.pi
+            z = np.empty(r.shape, dtype=complex)
+            np.multiply(r, np.cos(theta), out=z.real)
+            np.multiply(r, np.sin(theta), out=z.imag)
+        for (f, p), power, axes in zip(items, powers, poles):
+            keep = np.logical_and.reduce([r[j] != 0 for j in axes]) if axes else None
+            if keep is not None and keep.all():
+                keep = None
+            if power is None:
+                sub = z.T if keep is None else np.compress(keep, z, axis=1).T
+                yield np.abs(np.asarray(f.evaluate(sub))) ** p if sub.shape[0] else np.zeros(0)
+                continue
+            scale, terms = power
+            y = np.zeros(r.shape[1])
+            # r_j = 0 makes log r_j = -inf: a zero of f, or a pole whose row is dropped
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for j, t in terms:
+                    if j not in logs:
+                        logs[j] = np.log(r[j])
+                    y += t * logs[j]
+            np.exp(y, out=y)
+            if scale != 1.0:
+                y *= scale
+            yield y if keep is None else np.compress(keep, y)
 
-    vol = D.box_volume
+    vol = D.polydisc_volume
     return [
         _delta_result(vol * mean, vol * se, p, "monte_carlo", samples, seed)
         for (mean, se), (_, p) in zip(chunked_mean(samples, chunk_ys, threads), items)
@@ -205,7 +258,8 @@ def mc_norm_batch(
 
 
 def mc_norm(D: BoundedDomain, f, p: float, samples: int, rng, threads: int = 1) -> PNormResult:
-    """Monte Carlo p-norm of f over D by rejection from the bounding box."""
+    """Monte Carlo p-norm of f over D by rejection from the bounding polydisc;
+    see `mc_norm_batch` for the law of the draws and the error."""
     return mc_norm_batch(D, [(f, p)], samples, rng, threads=threads)[0]
 
 
